@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -168,3 +169,134 @@ def test_report_json_deterministic(tmp_path):
     write_report(rep, tmp_path / "r1.json")
     write_report(rep, tmp_path / "r2.json")
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the sha256 of every writer's output on fixed surfaces.  The
+# hashes were recorded with the per-node writers that preceded the array
+# versions; they also pin the geometry, so a change to the builders that
+# moves a single bit of a position moves them too.
+
+def _tied_plane():
+    # dyadic grid steps make both diagonals of every cell exactly equal
+    g, s = _plane_surface(9)
+    s.mask[3, 4] = False
+    s.mask[6, 0] = False
+    return s, verify_surface(s)
+
+
+def _quadric(phi, omega, grid):
+    s = make_quadric_surface(sample_data(phi, omega, grid), 1.0, -1.0)
+    return s, verify_surface(s)
+
+
+def _nonfinite_fields():
+    s, rep = _quadric("z", "1", DomainGrid.square(1.0, 13))
+    for name, val in (("H", np.inf), ("K", -np.inf), ("quadric", np.nan)):
+        field = np.array(rep.fields[name], dtype=float)
+        field[5, 4:7] = val
+        rep.fields[name] = field
+    rep.fields["mean_curvature"] = np.where(s.x[..., 1] > 0.2, -np.inf,
+                                            rep.fields["mean_curvature"])
+    return s, rep
+
+
+GOLDEN_SURFACES = {
+    # critical point of phi on a grid node: a masked band through the grid
+    "quadric-critical": lambda: _quadric("z^2/2 - 0.5*z", "1 + 0.1*z^2",
+                                         DomainGrid.square(1.0, 25)),
+    # simple pole of omega on a grid node
+    "quadric-pole": lambda: _quadric("z", "1 + 0.01/(z - 0.5)",
+                                     DomainGrid.square(1.0, 21)),
+    "plane-ties": _tied_plane,
+    "quadric-nv-ne-nu": lambda: _quadric(
+        "z", "1 + 0.1*z^2", DomainGrid(-1.0, 1.0, -0.6, 0.6, 17, 11, (5, 8))),
+    "nonfinite-fields": _nonfinite_fields,
+}
+
+GOLDEN = {
+    ('nonfinite-fields', 'csv'): 'e413207bd2a3bc46ef3d440f684c2bb9eb41412720752104d1cc598772676651',
+    ('nonfinite-fields', 'obj'): 'e8cf0d7773a256811daed08b3a6bbba7dcb7cdd4d42b7f01172245aaa9e3f426',
+    ('nonfinite-fields', 'ply'): '35648ca3550db60c7415101ce00fad450f5f69bd3d127744f013213fced99bb0',
+    ('plane-ties', 'csv'): 'f044bb0be5d70f52d4d5b28ec561d34ec6d1ef6273afc5f56f12f96062f8f900',
+    ('plane-ties', 'obj'): '7c89701f82ed55eadf9a0d4c51fa2d5488b05220f9e412f6f3a20fce740271e4',
+    ('plane-ties', 'ply'): 'f5ccb33c65e8f58692bcc51a12509883e060cf0e6a3d39a35db05b1aee0b4039',
+    ('quadric-critical', 'csv'): '29c3f9fb6d0a0801db08f9f87853f806e7a204fc2852f7114ef816412dff3936',
+    ('quadric-critical', 'obj'): 'ef2ab772bffc6be91cc22c539719251cad6f224e808148af4de7324a0b346c63',
+    ('quadric-critical', 'ply'): '35a06d4831daead76c526822ab34d546513879a3a6da3644b8a2e3ae9c3ddfc4',
+    ('quadric-nv-ne-nu', 'csv'): '70c4a2e62216f5a7db6cb7fc4a434c712aed0851ae6149d9ae7563877fcb8a9e',
+    ('quadric-nv-ne-nu', 'obj'): '722398cf547b925b60d1494994e77c2d4dd2875fe7ec9d93c09c19987e2da8c4',
+    ('quadric-nv-ne-nu', 'ply'): 'e3fa20cac5e10b5ad0d7688013049464141f6641554087c8197977323c55b4ba',
+    ('quadric-pole', 'csv'): '74ab3c9d9fa3999d08f11301d7de4b5f980803f33bb0115d78017ab9f8e02af2',
+    ('quadric-pole', 'obj'): '801aaae1299c07a3920f291c6741cff783311366170ae0753c81e7a1eee36d8b',
+    ('quadric-pole', 'ply'): 'aa5f85166b4911936650af21a1c860cbd9d2ffdd85f6373a52fbb818ac869e5e',
+}
+
+
+def _golden_bytes(tmp_path, name, fmt):
+    s, rep = GOLDEN_SURFACES[name]()
+    path = tmp_path / f"out.{fmt}"
+    if fmt == "csv":
+        write_curvature_csv(s, rep, path)
+    else:
+        export_mesh(s, path, mesh_format=fmt, quality=rep.fields.get("H"))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
+def test_writer_bytes_pinned(tmp_path, name, fmt):
+    data = _golden_bytes(tmp_path, name, fmt)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[(name, fmt)]
+
+
+def test_golden_fixtures_cover_the_cases():
+    s, _ = GOLDEN_SURFACES["quadric-critical"]()
+    assert 0 < int(s.mask.sum()) < s.mask.size
+    s, _ = GOLDEN_SURFACES["plane-ties"]()
+    pts, _ok = project_surface(s)
+    ac = np.sum((pts[:-1, :-1] - pts[1:, 1:]) ** 2, axis=-1)
+    bd = np.sum((pts[:-1, 1:] - pts[1:, :-1]) ** 2, axis=-1)
+    assert np.array_equal(ac, bd)
+    s, _ = GOLDEN_SURFACES["quadric-pole"]()
+    assert not s.mask[15, 15]                  # z = 0.5 sits on a node
+    s, _ = GOLDEN_SURFACES["quadric-nv-ne-nu"]()
+    assert s.mask.shape == (11, 17)
+    s, rep = GOLDEN_SURFACES["nonfinite-fields"]()
+    on = s.mask
+    assert np.isposinf(rep.fields["H"][on]).any()
+    assert np.isneginf(rep.fields["K"][on]).any()
+    assert np.isnan(rep.fields["quadric"][on]).any()
+
+
+def _triangulate_per_cell(mask, points):
+    """Reference: the per-cell loop the array version must reproduce."""
+    nv, nu = mask.shape
+    index = -np.ones((nv, nu), dtype=int)
+    index[mask] = np.arange(int(mask.sum()))
+    tris = []
+    for iv in range(nv - 1):
+        for iu in range(nu - 1):
+            a, b, c, d = (iv, iu), (iv, iu + 1), (iv + 1, iu + 1), (iv + 1, iu)
+            if not (mask[a] and mask[b] and mask[c] and mask[d]):
+                continue
+            if np.sum((points[a] - points[c]) ** 2) <= np.sum((points[b] - points[d]) ** 2):
+                tris += [(index[a], index[b], index[c]), (index[a], index[c], index[d])]
+            else:
+                tris += [(index[b], index[c], index[d]), (index[b], index[d], index[a])]
+    return index, np.asarray(tris, dtype=int).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triangulate_matches_per_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    nv, nu = rng.integers(2, 14, size=2)
+    mask = rng.random((nv, nu)) < rng.uniform(0.5, 1.0)
+    if seed % 2:
+        points = rng.integers(-2, 3, size=(nv, nu, 3)).astype(float)  # many ties
+    else:
+        points = rng.normal(size=(nv, nu, 3))
+    index, tris = triangulate(mask, points)
+    want_index, want_tris = _triangulate_per_cell(mask, points)
+    assert np.array_equal(index, want_index)
+    assert tris.shape == want_tris.shape and tris.dtype == want_tris.dtype
+    assert np.array_equal(tris, want_tris)
