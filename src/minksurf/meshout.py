@@ -6,18 +6,25 @@ OBJ is ASCII (1-based indices), PLY is binary little-endian with float64
 coordinates and a per-vertex quality channel carrying |H|.  All writers
 are deterministic: vertex order is row-major, floats are printed with
 repr precision, and no timestamps or environment state enter the output.
+
+The writers work on whole arrays.  Text is formatted and written
+ROW_BLOCK rows at a time, so memory does not grow with the row count, and
+the bytes are those of a per-node loop: repr for floats, "nan" for
+non-finite CSV curvature and residual values, and the squared diagonals
+summed component by component in order (tests/test_meshout.py pins the
+output by sha256).
 """
 
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
 
 from .surfaces import GeometryKind, SurfaceSample
 
 POLE_EPS = 1e-9
+ROW_BLOCK = 8192    # rows formatted per write: bounds the text held in memory
 
 
 def _proj_euclid_123(x):
@@ -94,28 +101,26 @@ def triangulate(mask, points):
 
     mask/points are (nv, nu)[, 3]; returns (vertex_index_map, triangles)
     where triangles index into the row-major enumeration of valid nodes.
+    Cells come in row-major order, two triangles each; a tie goes to the
+    a-c diagonal.
     """
     nv, nu = mask.shape
     index = -np.ones((nv, nu), dtype=int)
     index[mask] = np.arange(int(mask.sum()))
-    tris = []
-    for iv in range(nv - 1):
-        for iu in range(nu - 1):
-            a = (iv, iu)
-            b = (iv, iu + 1)
-            c = (iv + 1, iu + 1)
-            d = (iv + 1, iu)
-            if not (mask[a] and mask[b] and mask[c] and mask[d]):
-                continue
-            diag_ac = np.sum((points[a] - points[c]) ** 2)
-            diag_bd = np.sum((points[b] - points[d]) ** 2)
-            if diag_ac <= diag_bd:
-                tris.append((index[a], index[b], index[c]))
-                tris.append((index[a], index[c], index[d]))
-            else:
-                tris.append((index[b], index[c], index[d]))
-                tris.append((index[b], index[d], index[a]))
-    return index, np.asarray(tris, dtype=int).reshape(-1, 3)
+    # corners a=(iv, iu), b=(iv, iu+1), c=(iv+1, iu+1), d=(iv+1, iu)
+    cell = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    a, b, c, d = (index[:-1, :-1][cell], index[:-1, 1:][cell],
+                  index[1:, 1:][cell], index[1:, :-1][cell])
+    pts = np.asarray(points)
+    ac = (pts[:-1, :-1][cell] - pts[1:, 1:][cell]) ** 2
+    bd = (pts[:-1, 1:][cell] - pts[1:, :-1][cell]) ** 2
+    # summed in component order, so ties fall exactly as in a per-cell sum
+    split_ac = (ac[:, 0] + ac[:, 1] + ac[:, 2]) <= (bd[:, 0] + bd[:, 1] + bd[:, 2])
+    first = np.where(split_ac[:, None], np.stack([a, b, c], axis=1),
+                     np.stack([b, c, d], axis=1))
+    second = np.where(split_ac[:, None], np.stack([a, c, d], axis=1),
+                      np.stack([b, d, a], axis=1))
+    return index, np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 class MeshExportError(RuntimeError):
@@ -151,18 +156,21 @@ def export_mesh(surface: SurfaceSample, path, *, projection="default",
     return len(verts), len(tris)
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write_rows(fh, row_format, table):
+    """Write table rows through a %-format, ROW_BLOCK rows at a time.
+
+    %r prints a float as repr() does, and %d prints an integral float as
+    an integer; tolist() hands both Python floats.
+    """
+    for start in range(0, len(table), ROW_BLOCK):
+        block = table[start:start + ROW_BLOCK]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_obj(path, verts, tris):
-    lines = []
-    for v in verts:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for t in tris:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, "v %r %r %r\n", np.asarray(verts, dtype=float))
+        _write_rows(fh, "f %d %d %d\n", np.asarray(tris) + 1)
 
 
 def _write_ply(path, verts, tris, qual):
@@ -178,19 +186,25 @@ def _write_ply(path, verts, tris, qual):
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
+    vertex = np.empty((len(verts), 4), dtype="<f8")
+    vertex[:, :3] = verts
+    vertex[:, 3] = qual
+    face = np.empty(len(tris), dtype=[("n", "u1"), ("i", "<i4", 3)])
+    face["n"] = 3
+    face["i"] = tris
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for v, q in zip(verts, qual):
-            fh.write(struct.pack("<4d", float(v[0]), float(v[1]), float(v[2]),
-                                 float(q)))
-        for t in tris:
-            fh.write(struct.pack("<B3i", 3, int(t[0]), int(t[1]), int(t[2])))
+        fh.write(vertex.tobytes())
+        fh.write(face.tobytes())
 
 
 def write_curvature_csv(surface: SurfaceSample, report, path):
-    """Per-vertex CSV: u, v, re_z, im_z, x0..x3, H, K, then residual columns."""
+    """Per-vertex CSV: u, v, re_z, im_z, x0..x3, H, K, then residual columns.
+
+    Rows are the unmasked nodes in row-major order; a non-finite curvature
+    or residual value prints as nan.
+    """
     grid = surface.grid
-    zs = grid.zs()
     nanfield = np.full(grid.shape, np.nan)
     named = [("H", report.fields.get("H", nanfield)),
              ("K", report.fields.get("K", nanfield))]
@@ -200,20 +214,24 @@ def write_curvature_csv(surface: SurfaceSample, report, path):
         named.append((key, report.fields[key]))
     cols = ["u", "v", "re_z", "im_z", "x0", "x1", "x2", "x3"]
     cols += [name for name, _ in named]
-    lines = [",".join(cols)]
-    for iv in range(grid.nv):
-        for iu in range(grid.nu):
-            if not surface.mask[iv, iu]:
-                continue
-            z = zs[iv, iu]
-            row = [str(iu), str(iv), _fmt(z.real), _fmt(z.imag)]
-            row += [_fmt(c) for c in surface.x[iv, iu]]
-            for _name, field in named:
-                val = field[iv, iu]
-                row.append("nan" if not np.isfinite(val) else _fmt(val))
-            lines.append(",".join(row))
+    zs = grid.zs()
+    iv, iu = np.nonzero(surface.mask)
+    row_format = "%d,%d," + ",".join(["%r"] * (len(cols) - 2)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for start in range(0, len(iv), ROW_BLOCK):
+            bv, bu = iv[start:start + ROW_BLOCK], iu[start:start + ROW_BLOCK]
+            z = zs[bv, bu]
+            table = np.empty((len(bv), len(cols)))
+            table[:, 0] = bu
+            table[:, 1] = bv
+            table[:, 2] = z.real
+            table[:, 3] = z.imag
+            table[:, 4:8] = surface.x[bv, bu]
+            for col, (_name, field) in enumerate(named, start=8):
+                val = field[bv, bu]
+                table[:, col] = np.where(np.isfinite(val), val, np.nan)
+            _write_rows(fh, row_format, table)
 
 
 def write_report(report, path, extra=None):
