@@ -29,17 +29,15 @@ EXIT_VERIFY = 5
 def _build_surface(cfg: RunConfig):
     kind = cfg.target.kind
     if kind is GeometryKind.LW_BRYANT:
-        psi = parse_expr(cfg.psi)
-        eta = parse_expr(cfg.eta)
-        surface, _middle = make_lw_bryant(psi, eta, cfg.target.m, cfg.target.mu,
-                                          cfg.grid)
+        surface, _middle = make_lw_bryant(parse_expr(cfg.psi), parse_expr(cfg.eta),
+                                          cfg.target.m, cfg.target.mu, cfg.grid)
         iv, iu = cfg.grid.base_index
         if not surface.mask[iv, iu]:
             raise BasePointMaskedError("base node is masked; choose another base point")
         return surface
-    data = sample_data(parse_expr(cfg.phi), parse_expr(cfg.omega), cfg.grid,
-                       psi=parse_expr(cfg.psi) if cfg.psi else None,
-                       eta_hat=parse_expr(cfg.eta) if cfg.eta else None)
+    # psi/eta feed only the LW construction: their singularities must not
+    # mask a surface built from (phi, omega)
+    data = sample_data(parse_expr(cfg.phi), parse_expr(cfg.omega), cfg.grid)
     if kind in (GeometryKind.QUADRIC_H3, GeometryKind.QUADRIC_DESITTER,
                 GeometryKind.QUADRIC_LIGHTCONE):
         return make_quadric_surface(data, cfg.target.m, cfg.target.mu)

@@ -29,8 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import math
+
 from .surfaces import GeometryKind, TargetGeometry
 from .domain import DomainGrid
+from .verify import RESIDUAL_NAMES
 
 
 class ConfigError(ValueError):
@@ -77,8 +80,8 @@ def _check_keys(section, obj):
 
 
 def _number(obj, name):
-    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool),
-             f"{name} must be a number")
+    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool)
+             and math.isfinite(obj), f"{name} must be a finite number")
     return float(obj)
 
 
@@ -171,6 +174,8 @@ def parse_config(doc) -> RunConfig:
     _check_keys("verify", ver)
     tols = ver.get("tolerances", {})
     _require(isinstance(tols, dict), "verify.tolerances must be an object")
+    unknown = set(tols) - set(RESIDUAL_NAMES)
+    _require(not unknown, f"unknown keys in 'verify.tolerances': {sorted(unknown)}")
     cfg.tolerances = {k: _number(v, f"verify.tolerances.{k}") for k, v in tols.items()}
 
     proj = doc.get("projection", {})

@@ -31,6 +31,9 @@ class DomainGrid:
     base_index: tuple[int, int]  # (iv, iu), matching array indexing
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max,
+                                       self.im_min, self.im_max))):
+            raise ValueError("grid extent must be finite")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("grid extent must be strictly positive")
         if self.nu < 2 or self.nv < 2:
@@ -131,7 +134,6 @@ class SampledData:
     dpsi: np.ndarray | None = None
     eta_hat: np.ndarray | None = None
     psi_expr: Expr | None = field(default=None, repr=False)
-    dpsi_expr: Expr | None = field(default=None, repr=False)
     eta_expr: Expr | None = field(default=None, repr=False)
 
     @property
@@ -180,7 +182,7 @@ def sample_data(phi, omega_hat, grid, psi=None, eta_hat=None, eps_crit=None):
         eta_v, t3 = evaluate(eta_hat, zs)
         bad = bad | t1 | t2 | t3
         data.psi, data.dpsi, data.eta_hat = psi_v, dpsi_v, eta_v
-        data.psi_expr, data.dpsi_expr, data.eta_expr = psi, dpsi, eta_hat
+        data.psi_expr, data.eta_expr = psi, eta_hat
 
     data.mask = ~dilate_mask(bad)
     iv, iu = grid.base_index

@@ -80,10 +80,3 @@ def stencil_valid(mask, radius=STENCIL_RADIUS):
         out = nxt
     return out
 
-
-def interior_ring(shape, width=2):
-    """Mask excluding a ring of `width` nodes around the grid boundary."""
-    out = np.zeros(shape, dtype=bool)
-    if shape[0] > 2 * width and shape[1] > 2 * width:
-        out[width:-width, width:-width] = True
-    return out

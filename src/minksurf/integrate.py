@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import DomainGrid, grid_line_interpolant
-from .minkowski import inv2
+from .minkowski import _det2, inv2
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -207,10 +207,6 @@ def _rk4_edge(states, z0, z1, substeps, deriv):
         states = [s + (a + 2.0 * b + 2.0 * c + d) / 6.0
                   for s, a, b, c, d in zip(states, k1, k2, k3, k4)]
     return states
-
-
-def _det2(a):
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
 def solve_path_system(grid, frames: Sequence[FrameSpec],

@@ -1,6 +1,6 @@
 """Numerical verification: fundamental forms, curvatures, and residuals.
 
-Everything here is plain second-order central finite differences on the
+Everything here is 4th-order central finite differences (fd.py) on the
 grid chart; nodes whose stencil touches a masked node (or the grid
 boundary) are excluded rather than treated one-sided.  Residual maxima
 additionally exclude a 2-node ring so every reported number comes from a
@@ -25,6 +25,12 @@ from .minkowski import ip31, skew_frobenius, wedge_to_skew
 from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
+
+# every residual a report can gate; verify.tolerances may override only these
+RESIDUAL_NAMES = ("hyperplane", "quadric", "lightcone", "mean_curvature",
+                  "intrinsic_flatness", "linear_weingarten", "marginally_trapped",
+                  "gauss_alignment", "christoffel_pairing", "christoffel_wedge",
+                  "conformality")
 
 
 def _finite_all(a):

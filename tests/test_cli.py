@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -160,3 +161,47 @@ def test_parse_config_rejects_bad_domain():
                                  "im_max": 1.0, "nu": 5, "nv": 5,
                                  "base": [9.0, 0.0]},
                       "target": {"kind": "affine-e3", "p": [1, 0, 0, 0]}})
+
+
+def test_secondary_data_does_not_mask_primary_surface(tmp_path):
+    # psi/eta feed only lw-bryant; a pole of psi must not mask a quadric
+    outputs = {}
+    for label, extra in (("plain", {}), ("secondary", {"psi": "1/(z-0.5)", "eta": "1"})):
+        out = tmp_path / label
+        out.mkdir()
+        doc = _base_config(out)
+        doc["data"].update(extra)
+        doc["domain"]["nu"] = doc["domain"]["nv"] = 21
+        doc["target"] = {"kind": "quadric-h3", "mu": -1.0, "m": 1.0}
+        code = main(["run", _write(out, doc), "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert report["mesh"]["vertices"] == 21 * 21
+        outputs[label] = [code] + [(out / f).read_bytes()
+                                   for f in ("mesh.obj", "curv.csv", "report.json")]
+    assert outputs["plain"] == outputs["secondary"]
+
+
+def test_unknown_tolerance_key_rejected(tmp_path, capsys):
+    doc = _base_config(tmp_path)
+    doc["verify"] = {"tolerances": {"mean_curvatur": 1e-30}}
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert "mean_curvatur" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [("re_max", float("inf")),
+                                       ("im_min", float("-inf")),
+                                       ("re_min", float("nan"))])
+def test_nonfinite_domain_is_config_error(tmp_path, capsys, key, value):
+    doc = _base_config(tmp_path)
+    doc["domain"][key] = value     # json writes Infinity / NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert f"domain.{key}" in capsys.readouterr().err
+
+
+def test_nonfinite_base_is_config_error(tmp_path):
+    doc = _base_config(tmp_path)
+    doc["domain"]["base"] = [float("inf"), 0.0]
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG

@@ -12,6 +12,8 @@ def test_grid_validation():
         DomainGrid(-1.0, 1.0, -1.0, 1.0, 1, 5, (0, 0))
     with pytest.raises(ValueError):
         DomainGrid(-1.0, 1.0, -1.0, 1.0, 5, 5, (5, 0))
+    with pytest.raises(ValueError, match="finite"):
+        DomainGrid(-1.0, float("inf"), -1.0, 1.0, 5, 5, (0, 0))
 
 
 def test_grid_coordinates():

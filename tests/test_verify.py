@@ -7,10 +7,11 @@ from minksurf.domain import DomainGrid, sample_data
 from minksurf.minkowski import E0, E3, ip31
 from minksurf.surfaces import (GeometryKind, SurfaceSample, make_affine_surface,
                                make_lw_bryant, make_quadric_surface, uy_perturb)
-from minksurf.verify import (christoffel_residual, conformality_residual,
-                             curvatures, first_form, fundamental_forms,
-                             intrinsic_curvature, lw_residual,
-                             marginally_trapped_residual, verify_surface)
+from minksurf.verify import (RESIDUAL_NAMES, christoffel_residual,
+                             conformality_residual, curvatures, default_tolerances,
+                             first_form, fundamental_forms, intrinsic_curvature,
+                             lw_residual, marginally_trapped_residual,
+                             verify_surface)
 
 
 def _synthetic(grid, x, normal=None, gauss=None, kind=GeometryKind.AFFINE_E3,
@@ -250,3 +251,9 @@ def test_fundamental_forms_requires_normal():
     s.normal = None
     with pytest.raises(ValueError):
         fundamental_forms(s)
+
+
+def test_residual_names_cover_every_tolerance():
+    g = DomainGrid.square(1.0, 9)
+    s = make_quadric_surface(sample_data("z", "1", g), 1.0, -1.0)
+    assert set(default_tolerances(s)) == set(RESIDUAL_NAMES)
