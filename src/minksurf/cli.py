@@ -15,8 +15,8 @@ from .config import ConfigError, RunConfig, load_config
 from .domain import BasePointMaskedError, sample_data
 from .expr import ExprSyntaxError, parse_expr
 from .meshout import MeshExportError, export_mesh, write_curvature_csv, write_report
-from .surfaces import (GeometryKind, make_affine_surface, make_lw_bryant,
-                       make_quadric_surface)
+from .surfaces import (QUADRIC_KINDS, GeometryKind, make_affine_surface,
+                       make_lw_bryant, make_quadric_surface)
 from .verify import verify_surface
 
 EXIT_OK = 0
@@ -38,8 +38,7 @@ def _build_surface(cfg: RunConfig):
     # psi/eta feed only the LW construction: their singularities must not
     # mask a surface built from (phi, omega)
     data = sample_data(parse_expr(cfg.phi), parse_expr(cfg.omega), cfg.grid)
-    if kind in (GeometryKind.QUADRIC_H3, GeometryKind.QUADRIC_DESITTER,
-                GeometryKind.QUADRIC_LIGHTCONE):
+    if kind in QUADRIC_KINDS:
         return make_quadric_surface(data, cfg.target.m, cfg.target.mu)
     return make_affine_surface(data, cfg.target.p)
 

@@ -31,11 +31,9 @@ class DomainGrid:
     base_index: tuple[int, int]  # (iv, iu), matching array indexing
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.re_min, self.re_max,
-                                       self.im_min, self.im_max))):
-            raise ValueError("grid extent must be finite")
-        if not (self.re_max > self.re_min and self.im_max > self.im_min):
-            raise ValueError("grid extent must be strictly positive")
+        if not (-math.inf < self.re_min < self.re_max < math.inf
+                and -math.inf < self.im_min < self.im_max < math.inf):
+            raise ValueError("grid extent must be finite and strictly positive")
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
         iv, iu = self.base_index

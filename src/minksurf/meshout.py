@@ -6,13 +6,8 @@ OBJ is ASCII (1-based indices), PLY is binary little-endian with float64
 coordinates and a per-vertex quality channel carrying |H|.  All writers
 are deterministic: vertex order is row-major, floats are printed with
 repr precision, and no timestamps or environment state enter the output.
-
-The writers work on whole arrays.  Text is formatted and written
-ROW_BLOCK rows at a time, so memory does not grow with the row count, and
-the bytes are those of a per-node loop: repr for floats, "nan" for
-non-finite CSV curvature and residual values, and the squared diagonals
-summed component by component in order (tests/test_meshout.py pins the
-output by sha256).
+The writers are array code that streams text ROW_BLOCK rows per write, so
+memory stays bounded; their bytes match a per-node loop (tests pin them).
 """
 
 from __future__ import annotations
@@ -116,11 +111,9 @@ def triangulate(mask, points):
     bd = (pts[:-1, 1:][cell] - pts[1:, :-1][cell]) ** 2
     # summed in component order, so ties fall exactly as in a per-cell sum
     split_ac = (ac[:, 0] + ac[:, 1] + ac[:, 2]) <= (bd[:, 0] + bd[:, 1] + bd[:, 2])
-    first = np.where(split_ac[:, None], np.stack([a, b, c], axis=1),
-                     np.stack([b, c, d], axis=1))
-    second = np.where(split_ac[:, None], np.stack([a, c, d], axis=1),
-                      np.stack([b, d, a], axis=1))
-    return index, np.stack([first, second], axis=1).reshape(-1, 3)
+    tris = np.where(split_ac[:, None], np.stack([a, b, c, a, c, d], axis=1),
+                    np.stack([b, c, d, b, d, a], axis=1))
+    return index, tris.reshape(-1, 3)
 
 
 class MeshExportError(RuntimeError):
@@ -157,11 +150,7 @@ def export_mesh(surface: SurfaceSample, path, *, projection="default",
 
 
 def _write_rows(fh, row_format, table):
-    """Write table rows through a %-format, ROW_BLOCK rows at a time.
-
-    %r prints a float as repr() does, and %d prints an integral float as
-    an integer; tolist() hands both Python floats.
-    """
+    """Write rows ROW_BLOCK at a time; %r prints a float as repr() does."""
     for start in range(0, len(table), ROW_BLOCK):
         block = table[start:start + ROW_BLOCK]
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
@@ -201,8 +190,7 @@ def _write_ply(path, verts, tris, qual):
 def write_curvature_csv(surface: SurfaceSample, report, path):
     """Per-vertex CSV: u, v, re_z, im_z, x0..x3, H, K, then residual columns.
 
-    Rows are the unmasked nodes in row-major order; a non-finite curvature
-    or residual value prints as nan.
+    Rows are the unmasked nodes, row-major; non-finite H, K and residuals print nan.
     """
     grid = surface.grid
     nanfield = np.full(grid.shape, np.nan)
@@ -220,18 +208,11 @@ def write_curvature_csv(surface: SurfaceSample, report, path):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for start in range(0, len(iv), ROW_BLOCK):
-            bv, bu = iv[start:start + ROW_BLOCK], iu[start:start + ROW_BLOCK]
-            z = zs[bv, bu]
-            table = np.empty((len(bv), len(cols)))
-            table[:, 0] = bu
-            table[:, 1] = bv
-            table[:, 2] = z.real
-            table[:, 3] = z.imag
-            table[:, 4:8] = surface.x[bv, bu]
-            for col, (_name, field) in enumerate(named, start=8):
-                val = field[bv, bu]
-                table[:, col] = np.where(np.isfinite(val), val, np.nan)
-            _write_rows(fh, row_format, table)
+            node = iv[start:start + ROW_BLOCK], iu[start:start + ROW_BLOCK]
+            vals = [np.asarray(field[node], dtype=float) for _name, field in named]
+            _write_rows(fh, row_format, np.column_stack(
+                [node[1], node[0], zs[node].real, zs[node].imag, surface.x[node]]
+                + [np.where(np.isfinite(v), v, np.nan) for v in vals]))
 
 
 def write_report(report, path, extra=None):

@@ -26,7 +26,7 @@ from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
 
-# every residual a report can gate; verify.tolerances may override only these
+# every residual a report can gate: the keys of default_tolerances()
 RESIDUAL_NAMES = ("hyperplane", "quadric", "lightcone", "mean_curvature",
                   "intrinsic_flatness", "linear_weingarten", "marginally_trapped",
                   "gauss_alignment", "christoffel_pairing", "christoffel_wedge",
