@@ -225,3 +225,171 @@ def test_coupled_integrals_transpose_consistently():
     sel = a.mask & b.mask
     assert sel.any()
     assert np.nanmax(np.abs(a.x - b.x)[sel]) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# transport pinned against a per-node reference: the coupled system stepped
+# by RK4 one edge at a time, along the base row and then up and down every
+# column, exactly as the staircase is defined.
+
+def _det(a):
+    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+
+
+def _staircase_reference(grid, deriv, states0, nframes, mask=None,
+                         order=PathOrder.ROW_FIRST, substeps=4):
+    """Reference: per-node RK4 of deriv(z, h, states) along the staircase.
+
+    The first nframes states are frames, divided by sqrt(det) at every node
+    after their raw |det - 1| per unit length was recorded (edges leaving a
+    valid node only).  Returns (fields, valid, drifts); fields hold NaN at
+    invalid nodes.
+    """
+    zs = grid.zs()
+    ok = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    r0, c0 = grid.base_index
+    if order is PathOrder.COLUMN_FIRST:
+        zs, ok, (r0, c0) = zs.T, ok.T, (c0, r0)
+    nr, nc = zs.shape
+    states_at = {}
+    valid = np.zeros((nr, nc), dtype=bool)
+    drifts = [0.0] * nframes
+
+    def edge(src, dst, states, live):
+        z0, z1 = zs[src], zs[dst]
+        h = (z1 - z0) / substeps
+        for k in range(substeps):
+            za = z0 + (z1 - z0) * (k / substeps)
+            zm = z0 + (z1 - z0) * ((k + 0.5) / substeps)
+            zb = z0 + (z1 - z0) * ((k + 1.0) / substeps)
+            k1 = deriv(za, h, states)
+            k2 = deriv(zm, h, [s + 0.5 * d for s, d in zip(states, k1)])
+            k3 = deriv(zm, h, [s + 0.5 * d for s, d in zip(states, k2)])
+            k4 = deriv(zb, h, [s + d for s, d in zip(states, k3)])
+            states = [s + (a + 2.0 * b + 2.0 * c + d) / 6.0
+                      for s, a, b, c, d in zip(states, k1, k2, k3, k4)]
+        for j in range(nframes):
+            det = _det(states[j])
+            if live and np.isfinite(det):
+                drifts[j] = max(drifts[j], abs(det - 1.0) / abs(z1 - z0))
+            states[j] = states[j] / np.sqrt(det)
+        live = live and ok[dst] and all(np.isfinite(s).all() for s in states)
+        states_at[dst] = states
+        valid[dst] = live
+        return states, live
+
+    with np.errstate(all="ignore"):
+        states_at[r0, c0] = [np.asarray(s, dtype=complex) for s in states0]
+        valid[r0, c0] = ok[r0, c0]
+        for cols in (range(c0 + 1, nc), range(c0 - 1, -1, -1)):
+            states, live, prev = states_at[r0, c0], valid[r0, c0], c0
+            for c in cols:
+                states, live = edge((r0, prev), (r0, c), states, live)
+                prev = c
+        for c in range(nc):
+            for rows in (range(r0 + 1, nr), range(r0 - 1, -1, -1)):
+                states, live, prev = states_at[r0, c], valid[r0, c], r0
+                for r in rows:
+                    states, live = edge((prev, c), (r, c), states, live)
+                    prev = r
+
+    fields = []
+    for j, s0 in enumerate(states0):
+        fld = np.full((nr, nc) + np.shape(s0), np.nan, dtype=complex)
+        for (r, c), states in states_at.items():
+            if valid[r, c]:
+                fld[r, c] = states[j]
+        fields.append(fld.swapaxes(0, 1) if order is PathOrder.COLUMN_FIRST else fld)
+    return fields, valid.T if order is PathOrder.COLUMN_FIRST else valid, drifts
+
+
+def _frame_deriv(fn, m, side):
+    def deriv(z, h, states):
+        c = fn(np.asarray(z))
+        d = c @ states[0] if side is FrameSide.LEFT else states[0] @ c
+        return [-m * h * d]
+    return deriv
+
+
+REF_CASES = {
+    "plain": (lambda: DomainGrid.square(1.0, 11), "z", "1 + 0.1*z^2"),
+    "masked-pole": (lambda: DomainGrid.square(1.0, 11, base=1 + 1j), "1/z", "1"),
+    "nv-ne-nu": (lambda: DomainGrid(-1.0, 1.0, -0.6, 0.6, 9, 6, (4, 2)), "z", "1 + 0.1*z^2"),
+}
+PSI0 = np.array([[2.0, 1.0 + 0.5j], [1.0, 1.0 + 0.25j]], dtype=complex)
+PSI0 = PSI0 / np.sqrt(_det(PSI0))
+
+
+def _assert_matches(got, want, valid_got, valid_want, tol=1e-12):
+    # tol is relative to the field's largest entry (1/z data reaches ~15)
+    assert np.array_equal(valid_got, valid_want)
+    assert valid_got.any()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    scale = max(1.0, float(np.max(np.abs(want[valid_want]))))
+    assert np.max(np.abs(got[valid_got] - want[valid_want])) <= tol * scale
+
+
+@pytest.mark.parametrize("case", sorted(REF_CASES))
+@pytest.mark.parametrize("side", list(FrameSide))
+@pytest.mark.parametrize("order", list(PathOrder))
+@pytest.mark.parametrize("identity_start", [True, False])
+def test_solve_psi_matches_per_node_reference(case, side, order, identity_start):
+    make_grid, phi, omega = REF_CASES[case]
+    g = make_grid()
+    xi = build_xi(sample_data(phi, omega, g))
+    psi0 = np.eye(2, dtype=complex) if identity_start else PSI0
+    ff = solve_psi(xi, 1.0, g, None if identity_start else psi0, side=side, order=order)
+    (want,), valid, (drift,) = _staircase_reference(
+        g, _frame_deriv(xi.fn, 1.0, side), [psi0], 1, mask=xi.mask, order=order)
+    _assert_matches(ff.values, want, ff.valid, valid)
+    assert abs(ff.det_drift - drift) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(REF_CASES))
+@pytest.mark.parametrize("order", list(PathOrder))
+def test_uy_perturb_matches_per_node_reference(case, order):
+    from minksurf.forms import vec_density_from_matrix
+    from minksurf.minkowski import inv2
+    from minksurf.surfaces import uy_perturb
+    make_grid, phi, omega = REF_CASES[case]
+    g = make_grid()
+    data = sample_data(phi, omega, g)
+    xi = build_xi(data)
+    m, mu = 1.0, -1.0
+    c_mat = np.diag([1.0, -mu]).astype(complex)
+
+    def deriv(z, h, states):
+        c = xi.fn(np.asarray(z))
+        psi = states[0]
+        dens = -m * vec_density_from_matrix(inv2(psi) @ c @ psi @ c_mat)
+        return [-m * h * (c @ psi), dens * h]
+
+    surface = uy_perturb(data, m, mu, order=order)
+    frame = surface.aux["frame"]
+    (psi, integral), valid, _ = _staircase_reference(
+        g, deriv, [np.eye(2), np.zeros(4)], 1, mask=xi.mask, order=order)
+    _assert_matches(frame.values, psi, frame.valid, valid)
+    x = np.where(np.isfinite(integral.real), integral.real, np.nan)
+    _assert_matches(surface.x, x, frame.valid, valid)
+
+
+@pytest.mark.parametrize("case", sorted(REF_CASES))
+def test_iteration_law_matches_per_node_reference(case):
+    from minksurf.minkowski import inv2
+    make_grid, phi, omega = REF_CASES[case]
+    g = make_grid()
+    xi = build_xi(sample_data(phi, omega, g))
+    t, s = 0.5, 0.25
+
+    def deriv(z, h, states):
+        c = xi.fn(np.asarray(z))
+        moved = states[0] @ c @ inv2(states[0])
+        return [t * h * (states[0] @ c), s * h * (states[1] @ moved),
+                (t + s) * h * (states[2] @ c)]
+
+    (f_t, f_st, f_ts), valid, _ = _staircase_reference(
+        g, deriv, [np.eye(2)] * 3, 3, mask=xi.mask)
+    prod = (f_st @ f_t) @ inv2(f_ts)
+    fro = np.sqrt(np.sum(np.abs(prod - prod[g.base_index]) ** 2, axis=(-2, -1)))
+    want = float(np.max(fro[valid]))
+    assert abs(iteration_law_defect(xi, t, s, g) - want) <= 1e-12
