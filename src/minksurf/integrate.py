@@ -1,33 +1,34 @@
-"""Staircase integration over a grid: closed-form quadrature and frame ODEs.
+"""Staircase integration over a grid: closed-form quadrature and frame transport.
 
 Every field on a DomainGrid is integrated along canonical staircase
 paths: from the base node along its row, then vertically along each
 column (PathOrder.ROW_FIRST), or the transpose (COLUMN_FIRST).  Closed
-1-form densities are integrated with composite Simpson per grid edge;
-matrix frames are transported by classical RK4 with fixed substeps per
-edge, optionally coupled to extra quadrature components whose densities
-depend on the frames (T-transforms need this).
+1-form densities are integrated with composite Simpson per grid edge.
 
-Frames carry the flat-connection equation in one of two shapes,
+Frames solve the flat-connection equation in one of two shapes,
 
     FrameSide.LEFT :  dPsi = -m xi Psi,
-    FrameSide.RIGHT:  dPsi = -m Psi xi,
+    FrameSide.RIGHT:  dPsi = -m Psi xi.
 
-and are renormalized to unit determinant at every node (division by the
-principal square root of det); the raw per-unit-length determinant drift
-is recorded before renormalization.
+RK4 on this linear equation is a linear map, so each edge has a transition
+matrix P: classical RK4 with fixed substeps integrates it from the identity
+for a block of edges in one batched call, and the walk composes
+Psi_next = P Psi (LEFT) or Psi P (RIGHT).  Every P is divided by the
+principal square root of its determinant; its raw |det P - 1| per unit
+length is the recorded drift.  The T-transform and the iteration law solve
+coupled local problems on the same edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .domain import DomainGrid, grid_line_interpolant
-from .minkowski import _det2, inv2
+from .minkowski import EPS_DET, _det2, inv2
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -49,34 +50,27 @@ class FrameField:
     valid: np.ndarray           # (nv, nu) bool
     m: float
     side: FrameSide
-    det_drift: float            # max |det - 1| per unit path length, raw
+    det_drift: float            # max raw |det P - 1| per unit length of edge
     order: PathOrder
+    coupled: tuple = ()         # further matrices transported with the frame
 
 
-@dataclass
-class FrameSpec:
-    """One frame ODE; coeff(z, states) -> (..., 2, 2) matrix density."""
-
-    coeff: Callable
-    m: float
-    side: FrameSide = FrameSide.LEFT
-    psi0: np.ndarray = dc_field(default_factory=lambda: IDENTITY2.copy())
-
-
-@dataclass
-class IntegralSpec:
-    """One quadrature component; density(z, states) -> (...,) + tail."""
-
-    density: Callable
-    base_value: np.ndarray = 0j
+def _oriented(grid, mask, order):
+    """Node coordinates, usable nodes and base index in walk order (rows last)."""
+    zs = grid.zs()
+    node_ok = np.ones(grid.shape, dtype=bool) if mask is None \
+        else np.asarray(mask, dtype=bool)
+    r0, c0 = grid.base_index
+    if order is PathOrder.COLUMN_FIRST:
+        return zs.T, node_ok.T, (c0, r0)
+    return zs, node_ok, (r0, c0)
 
 
-@dataclass
-class PathSolution:
-    frames: list
-    integrals: list
-    valid: np.ndarray
-    det_drifts: list
+def _max_frobenius(diff, valid):
+    """Largest Frobenius norm of 2x2 matrices over valid nodes (NaN if none)."""
+    if not np.any(valid):
+        return float("nan")
+    return float(np.nanmax(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))[valid]))
 
 
 def _as_density_fn(density, grid, mask):
@@ -153,16 +147,11 @@ def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
     reached through unmasked, finite samples are invalid and NaN.
     """
     f = _as_density_fn(density, grid, mask)
-    zs = grid.zs()
-    node_ok = np.ones(grid.shape, dtype=bool) if mask is None \
-        else np.asarray(mask, dtype=bool)
-    iv0, iu0 = grid.base_index
-
+    zs, node_ok, base = _oriented(grid, mask, order)
+    fld, ok = _integrate_on(f, zs, base, node_ok, base_value, substeps)
     if order is PathOrder.COLUMN_FIRST:
-        fldT, okT = _integrate_on(f, zs.T, (iu0, iv0), node_ok.T, base_value, substeps)
-        tail_axes = tuple(range(2, fldT.ndim))
-        return fldT.transpose((1, 0) + tail_axes), okT.T
-    return _integrate_on(f, zs, (iv0, iu0), node_ok, base_value, substeps)
+        return fld.swapaxes(0, 1), ok.T
+    return fld, ok
 
 
 def _integrate_on(f, zs, base, node_ok, base_value, substeps):
@@ -193,181 +182,219 @@ def plaquette_residuals(density, grid, *, mask=None, substeps=4):
 
 # ---------------------------------------------------------------------------
 # frame transport
+#
+# A batch of 2x2 matrices is a (4, ...) array of the entries 00, 01, 10, 11;
+# products are written out entry by entry, since numpy's matmul on
+# (N, 2, 2) stacks is several times slower at the batch sizes walked here.
 
-def _rk4_edge(states, z0, z1, substeps, deriv):
-    for k in range(substeps):
-        za = z0 + (z1 - z0) * (k / substeps)
-        zm = z0 + (z1 - z0) * ((k + 0.5) / substeps)
-        zb = z0 + (z1 - z0) * ((k + 1.0) / substeps)
-        delta = (z1 - z0) / substeps
-        k1 = deriv(za, delta, states)
-        k2 = deriv(zm, delta, [s + 0.5 * d for s, d in zip(states, k1)])
-        k3 = deriv(zm, delta, [s + 0.5 * d for s, d in zip(states, k2)])
-        k4 = deriv(zb, delta, [s + d for s, d in zip(states, k3)])
-        states = [s + (a + 2.0 * b + 2.0 * c + d) / 6.0
-                  for s, a, b, c, d in zip(states, k1, k2, k3, k4)]
-    return states
+ROW_BLOCK = 8       # rows of edges whose local solutions are computed together
 
 
-def solve_path_system(grid, frames: Sequence[FrameSpec],
-                      integrals: Sequence[IntegralSpec] = (), *,
-                      mask=None, order=PathOrder.ROW_FIRST, substeps=4,
-                      renormalize=True):
-    """Transport coupled frames and quadrature components along staircases.
+def _mul(a, b):
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return np.stack((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
-    Frame coefficients and integral densities receive (z, frame_states)
-    where frame_states are the RK4 stage values of every frame (leading
-    batch axis); later frames may therefore depend on earlier ones, which
-    is how gauge-transformed coefficients are integrated consistently.
+
+def _det(a):
+    return a[0] * a[3] - a[1] * a[2]
+
+
+def _inv(a):
+    return np.stack((a[3], -a[1], -a[2], a[0])) / _det(a)
+
+
+def _renormalized(*props):
+    """Propagators divided by sqrt(det), stacked, and their raw determinants."""
+    dets = np.stack([_det(p) for p in props])
+    return np.concatenate([p / np.sqrt(d) for p, d in zip(props, dets)]), dets
+
+
+def _rk4_substep(p, coeffs, left):
+    """RK4 substep of dP = A P (left) or P A: next P, stage values, slopes."""
+    stages, slopes = [], []
+    for j, a in enumerate(coeffs):
+        s = p if j == 0 else p + (slopes[-1] if j == 3 else 0.5 * slopes[-1])
+        stages.append(s)
+        slopes.append(_mul(a, s) if left else _mul(s, a))
+    k1, k2, k3, k4 = slopes
+    return p + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, stages, slopes
+
+
+def _rk4_substeps(a, left):
+    """RK4 from the identity over a batch of edges; yields each substep's
+    (P, stage values, stage slopes).  a is A at the 2*substeps + 1 sample
+    points of every edge, shape (4, points, edges)."""
+    p = np.repeat(IDENTITY2.reshape(4, 1), a.shape[2], axis=1)
+    for k in range(a.shape[1] // 2):
+        p, stages, slopes = _rk4_substep(p, [a[:, 2 * k + j] for j in (0, 1, 1, 2)], left)
+        yield p, stages, slopes
+
+
+# Edge problems: a frame equation plus what rides on it, state0 at the base
+# node.  local(xi, delta) solves it from the identity on a batch of edges,
+# given xi at every sample point (4, points, edges) and each edge's substep,
+# and returns the local solutions and the frame propagators' raw
+# determinants; step(state, local) composes one edge into the state.
+
+@dataclass
+class FrameEquation:
+    """dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT), from psi0."""
+
+    coeff: Callable
+    m: float
+    side: FrameSide = FrameSide.LEFT
+    psi0: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.psi0 = IDENTITY2 if self.psi0 is None else np.asarray(self.psi0, dtype=complex)
+        if self.psi0.shape != (2, 2) or not abs(_det2(self.psi0) - 1.0) <= EPS_DET:
+            raise ValueError("psi0 must be a 2x2 matrix with determinant 1")
+        self.state0 = self.psi0.reshape(4)
+
+    def local(self, xi, delta):
+        for p, _, _ in _rk4_substeps(xi * (-self.m * delta), self.side is FrameSide.LEFT):
+            pass
+        return _renormalized(p)
+
+    def step(self, state, p):
+        return _mul(p, state) if self.side is FrameSide.LEFT else _mul(state, p)
+
+
+@dataclass
+class FrameWithMovedIntegral:
+    """The LEFT frame dPsi = -m xi Psi from I and M, the integral of
+    Psi^{-1} dPsi = -m Psi^{-1} xi Psi dz from 0.  Per edge, Q sums S^{-1} dS
+    RK4-weighted over the propagator's stages S; M grows by Psi^{-1} Q Psi."""
+
+    coeff: Callable
+    m: float
+    side = FrameSide.LEFT
+    state0 = np.concatenate((IDENTITY2.reshape(4), np.zeros(4)))
+
+    def local(self, xi, delta):
+        q = 0.0
+        for p, stages, slopes in _rk4_substeps(xi * (-self.m * delta), True):
+            g1, g2, g3, g4 = (_mul(_inv(s), k) for s, k in zip(stages, slopes))
+            q = q + (g1 + 2.0 * g2 + 2.0 * g3 + g4) / 6.0
+        p, dets = _renormalized(p)
+        return np.concatenate((p, q)), dets
+
+    def step(self, state, local):
+        psi, moved = state[:4], state[4:]
+        return np.concatenate((_mul(local[:4], psi),
+                               moved + _mul(_mul(_inv(psi), local[4:]), psi)))
+
+
+@dataclass
+class IterationLawFrames:
+    """F_t, F^t_s and F_{t+s} of the iteration law, all from the identity:
+    dF_t = t F_t xi, dF^t_s = s F^t_s (F_t xi F_t^{-1}), dF_{t+s} = (t+s)
+    F_{t+s} xi.  Across an edge from F_t, F^t_s becomes F^t_s F_t P F_t^{-1}
+    where dP = s P (S xi S^{-1}) over the stage values S of F_t's propagator."""
+
+    coeff: Callable
+    t: float
+    s: float
+    side = FrameSide.RIGHT
+    state0 = np.tile(IDENTITY2.reshape(4), 3)
+    m = property(lambda self: -self.t)      # of F_t, the field's primary frame
+
+    def local(self, xi, delta):
+        first = _rk4_substeps(xi * (self.t * delta), False)
+        third = _rk4_substeps(xi * ((self.t + self.s) * delta), False)
+        p2 = np.repeat(IDENTITY2.reshape(4, 1), len(delta), axis=1)
+        for k, ((p1, stages, _), (p3, _, _)) in enumerate(zip(first, third)):
+            moved = [(self.s * delta) * _mul(_mul(st, xi[:, 2 * k + j]), _inv(st))
+                     for st, j in zip(stages, (0, 1, 1, 2))]
+            p2, _, _ = _rk4_substep(p2, moved, False)
+        return _renormalized(p1, p2, p3)
+
+    def step(self, state, local):
+        f1, f2, f3 = state[:4], state[4:8], state[8:]
+        return np.concatenate((_mul(f1, local[:4]),
+                               _mul(_mul(f2, f1), _mul(local[4:8], _inv(f1))),
+                               _mul(f3, local[8:])))
+
+
+def _walk(problem, ts, z, ok, out, valid):
+    """Compose edge solutions forward along axis 0 of one set of lines.
+
+    z, ok and valid are (nodes, batch) views, out is (nodes, batch,
+    entries) with the first node filled in.  Returns the largest raw
+    |det P - 1| per unit length over edges that leave a valid node.
     """
-    nframes = len(frames)
-
-    def deriv(z, delta, states):
-        fstates = states[:nframes]
-        out = []
-        for spec, psi in zip(frames, fstates):
-            c = spec.coeff(z, fstates)
-            if spec.side is FrameSide.LEFT:
-                d = c @ psi
-            else:
-                d = psi @ c
-            out.append(-spec.m * delta[..., None, None] * d)
-        for spec, _cur in zip(integrals, states[nframes:]):
-            dens = np.asarray(spec.density(z, fstates))
-            tail = dens.ndim - delta.ndim
-            out.append(dens * delta.reshape(delta.shape + (1,) * tail))
-        return out
-
-    zs = grid.zs()
-    node_ok = np.ones(grid.shape, dtype=bool) if mask is None \
-        else np.asarray(mask, dtype=bool)
-    iv0, iu0 = grid.base_index
-
-    if order is PathOrder.COLUMN_FIRST:
-        sol = _solve_on(zs.T, (iu0, iv0), node_ok.T, frames, integrals,
-                        deriv, substeps, renormalize)
-        sol.frames = [np.swapaxes(fv, 0, 1) for fv in sol.frames]
-        sol.integrals = [np.moveaxis(iv_, 1, 0) for iv_ in sol.integrals]
-        sol.valid = sol.valid.T
-        return sol
-    return _solve_on(zs, (iv0, iu0), node_ok, frames, integrals,
-                     deriv, substeps, renormalize)
+    drift = 0.0
+    state, live = out[0].T, valid[0]
+    substeps = len(ts) // 2
+    for b0 in range(1, len(z), ROW_BLOCK):
+        b1 = min(b0 + ROW_BLOCK, len(z))
+        z0, dz = z[b0 - 1:b1 - 1], z[b0:b1] - z[b0 - 1:b1 - 1]
+        pts = z0.ravel() + dz.ravel() * ts[:, None]
+        xi = np.moveaxis(problem.coeff(pts).reshape(pts.shape + (4,)), -1, 0)
+        local, dets = problem.local(np.ascontiguousarray(xi), (dz / substeps).ravel())
+        local = local.reshape(local.shape[:1] + dz.shape)
+        for i in range(b1 - b0):
+            state = problem.step(state, local[:, i])
+            live = live & ok[b0 + i] & np.isfinite(state).all(axis=0)
+            out[b0 + i] = state.T
+            valid[b0 + i] = live
+        bad = np.abs(dets.reshape(dets.shape[:1] + dz.shape) - 1.0) / np.abs(dz)
+        bad = bad[:, valid[b0 - 1:b1 - 1]]
+        drift = max(drift, float(np.max(bad, where=np.isfinite(bad), initial=0.0)))
+    return drift
 
 
-def _solve_on(zs, base, node_ok, frames, integrals, deriv, substeps, renormalize):
-    nr, nc = zs.shape
-    r0, c0 = base
-    nframes = len(frames)
+def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
+                      substeps=4) -> FrameField:
+    """Transport an edge problem along the staircases of the grid.
 
-    frame_vals = [np.full((nr, nc, 2, 2), np.nan, dtype=complex) for _ in frames]
-    int_vals = [np.full((nr, nc) + np.asarray(s.base_value, dtype=complex).shape,
-                        np.nan, dtype=complex) for s in integrals]
-    valid = np.zeros((nr, nc), dtype=bool)
-    drifts = [0.0] * nframes
-
-    def renorm(states, edge_len, ok):
-        for j in range(nframes):
-            d = _det2(states[j])
-            bad = np.abs(d - 1.0)
-            live = ok & np.isfinite(bad)
-            if np.any(live):
-                drifts[j] = max(drifts[j], float(np.max(bad[live])) / edge_len)
-            if renormalize:
-                states[j] = states[j] / np.sqrt(d)[..., None, None]
-        return states
-
-    def state_ok(states):
-        ok = np.ones(states[0].shape[:1], dtype=bool)
-        for s in states:
-            ok &= np.isfinite(s).reshape(s.shape[0], -1).all(axis=1)
-        return ok
-
+    Local solutions are computed for ROW_BLOCK rows of edges per call and
+    composed node by node.  A node is valid when the node before it on its
+    path is, it is unmasked and its state is finite; invalid nodes hold
+    NaN.  values is the problem's first frame, coupled its other matrices.
+    """
+    zs, node_ok, (r0, c0) = _oriented(grid, mask, order)
+    ts = np.arange(2 * substeps + 1) / 2 / substeps
+    out = np.empty(zs.shape + problem.state0.shape, dtype=complex)
+    valid = np.zeros(zs.shape, dtype=bool)
+    out[r0, c0] = problem.state0
+    valid[r0, c0] = node_ok[r0, c0]
+    drift = 0.0
     with np.errstate(all="ignore"):
-        # base-row phase, batch of one
-        states = [np.asarray(s.psi0, dtype=complex)[None, :, :].copy() for s in frames]
-        states += [np.asarray(s.base_value, dtype=complex)[None, ...].copy()
-                   for s in integrals]
-        row_states = {c0: [s.copy() for s in states]}
-        row_live = np.zeros(nc, dtype=bool)
-        row_live[c0] = node_ok[r0, c0]
-        for rng in (range(c0 + 1, nc), range(c0 - 1, -1, -1)):
-            cur = [s.copy() for s in row_states[c0]]
-            live = row_live[c0]
-            prev = c0
-            for c in rng:
-                z0 = np.asarray([zs[r0, prev]])
-                z1 = np.asarray([zs[r0, c]])
-                cur = _rk4_edge(cur, z0, z1, substeps, deriv)
-                cur = renorm(cur, abs(zs[r0, c] - zs[r0, prev]), np.asarray([live]))
-                live = live and node_ok[r0, c] and bool(state_ok(cur)[0])
-                row_live[c] = live
-                row_states[c] = [s.copy() for s in cur]
-                prev = c
-
-        for c in range(nc):
-            st = row_states.get(c)
-            if st is None:
-                continue
-            for j in range(nframes):
-                frame_vals[j][r0, c] = st[j][0]
-            for j in range(len(integrals)):
-                int_vals[j][r0, c] = st[nframes + j][0]
-        valid[r0, :] = row_live
-
-        # vertical phase, batched over all columns
-        col_states = [np.concatenate([row_states[c][k] for c in range(nc)], axis=0)
-                      for k in range(len(states))]
-        for rng in (range(r0 + 1, nr), range(r0 - 1, -1, -1)):
-            cur = [s.copy() for s in col_states]
-            live = row_live.copy()
-            prev = r0
-            for r in rng:
-                z0 = zs[prev, :]
-                z1 = zs[r, :]
-                cur = _rk4_edge(cur, z0, z1, substeps, deriv)
-                cur = renorm(cur, abs(zs[r, 0] - zs[prev, 0]), live)
-                live = live & node_ok[r, :] & state_ok(cur)
-                valid[r, :] = live
-                for j in range(nframes):
-                    frame_vals[j][r, :] = cur[j]
-                for j in range(len(integrals)):
-                    int_vals[j][r, :] = cur[nframes + j]
-                prev = r
-
-    for j in range(nframes):
-        frame_vals[j][~valid] = np.nan
-    for j in range(len(integrals)):
-        int_vals[j][~valid] = np.nan
-    return PathSolution(frames=frame_vals, integrals=int_vals, valid=valid,
-                        det_drifts=drifts)
+        for sl in (np.s_[c0:], np.s_[c0::-1]):
+            drift = max(drift, _walk(problem, ts, zs[r0, sl, None], node_ok[r0, sl, None],
+                                     out[r0, sl, None], valid[r0, sl, None]))
+        for sl in (np.s_[r0:], np.s_[r0::-1]):
+            drift = max(drift, _walk(problem, ts, zs[sl], node_ok[sl], out[sl], valid[sl]))
+    out[~valid] = np.nan
+    mats = out.reshape(zs.shape + (-1, 2, 2))
+    if order is PathOrder.COLUMN_FIRST:
+        mats, valid = np.swapaxes(mats, 0, 1), valid.T
+    return FrameField(grid=grid, values=mats[:, :, 0], valid=valid, m=problem.m,
+                      side=problem.side, det_drift=drift, order=order,
+                      coupled=tuple(mats[:, :, i] for i in range(1, mats.shape[2])))
 
 
 def _xi_inputs(xi, mask):
     from .forms import XiField
-    if isinstance(xi, XiField):
-        fn = xi.fn
-        merged = xi.mask if mask is None else (xi.mask & np.asarray(mask, dtype=bool))
-        return fn, merged
-    return xi, mask
+    if not isinstance(xi, XiField):
+        return xi, mask
+    return xi.fn, xi.mask if mask is None else (xi.mask & np.asarray(mask, dtype=bool))
 
 
 def solve_psi(xi, m, grid, psi0=None, *, side=FrameSide.LEFT, mask=None,
-              order=PathOrder.ROW_FIRST, substeps=4, renormalize=True) -> FrameField:
+              order=PathOrder.ROW_FIRST, substeps=4) -> FrameField:
     """Integrate the frame equation for a matrix density xi.
 
     xi is an XiField or a callable z -> (..., 2, 2); the equation side is
-    dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT).  m = 0 returns
-    the constant frame psi0.
+    dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT).  psi0 must have
+    determinant 1; m = 0 returns the constant frame psi0.
     """
     fn, node_mask = _xi_inputs(xi, mask)
-    if psi0 is None:
-        psi0 = IDENTITY2
-    spec = FrameSpec(coeff=lambda z, _st: fn(z), m=m, side=side,
-                     psi0=np.asarray(psi0, dtype=complex))
-    sol = solve_path_system(grid, [spec], mask=node_mask, order=order,
-                            substeps=substeps, renormalize=renormalize)
-    return FrameField(grid=grid, values=sol.frames[0], valid=sol.valid, m=m,
-                      side=side, det_drift=sol.det_drifts[0], order=order)
+    return solve_path_system(grid, FrameEquation(fn, m, side, psi0), mask=node_mask,
+                             order=order, substeps=substeps)
 
 
 def iteration_law_defect(xi, t, s, grid, *, mask=None, substeps=4):
@@ -380,31 +407,12 @@ def iteration_law_defect(xi, t, s, grid, *, mask=None, substeps=4):
     Frobenius distance from the base-node value.
     """
     fn, node_mask = _xi_inputs(xi, mask)
-
-    def coeff_t(z, _states):
-        return fn(z)
-
-    def coeff_moved(z, states):
-        f_t = states[0]
-        return f_t @ fn(z) @ inv2(f_t)
-
-    specs = [
-        FrameSpec(coeff=coeff_t, m=-t, side=FrameSide.RIGHT),
-        FrameSpec(coeff=coeff_moved, m=-s, side=FrameSide.RIGHT),
-        FrameSpec(coeff=coeff_t, m=-(t + s), side=FrameSide.RIGHT),
-    ]
-    sol = solve_path_system(grid, specs, mask=node_mask, substeps=substeps,
-                            renormalize=True)
-    f_t, f_st, f_ts = sol.frames
+    frames = solve_path_system(grid, IterationLawFrames(fn, t, s), mask=node_mask,
+                               substeps=substeps)
+    f_t, (f_st, f_ts) = frames.values, frames.coupled
     with np.errstate(all="ignore"):
         prod = (f_st @ f_t) @ inv2(f_ts)
-    iv0, iu0 = grid.base_index
-    base = prod[iv0, iu0]
-    diff = prod - base
-    fro = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))
-    if not np.any(sol.valid):
-        return float("nan")
-    return float(np.nanmax(fro[sol.valid]))
+    return _max_frobenius(prod - prod[grid.base_index], frames.valid)
 
 
 def path_independence_check(xi, m, grid, *, mask=None, substeps=4, psi0=None):
@@ -413,9 +421,4 @@ def path_independence_check(xi, m, grid, *, mask=None, substeps=4, psi0=None):
                   substeps=substeps)
     b = solve_psi(xi, m, grid, psi0, mask=mask, order=PathOrder.COLUMN_FIRST,
                   substeps=substeps)
-    both = a.valid & b.valid
-    if not np.any(both):
-        return float("nan")
-    diff = a.values - b.values
-    fro = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))
-    return float(np.max(fro[both]))
+    return _max_frobenius(a.values - b.values, a.valid & b.valid)

@@ -26,7 +26,7 @@ quadric surfaces into affine ones without leaving the grid walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 
 import numpy as np
@@ -35,7 +35,7 @@ from .domain import DomainGrid, SampledData, dilate_mask, grid_line_interpolant
 from .expr import Expr, differentiate, evaluate, parse_expr
 from .fd import central_diff, stencil_valid
 from .forms import build_xi, vec_density_from_matrix, xi_hat_values, zeta_density_fn
-from .integrate import (FrameField, FrameSide, FrameSpec, IntegralSpec, PathOrder,
+from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
 from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type,
                         herm_from_vec, inv2, ip31, vec_from_herm_unchecked)
@@ -192,6 +192,17 @@ def make_affine_surface(data: SampledData, p, base_x=None, *,
                          params={"p": tuple(p), "base_x": tuple(base_x)})
 
 
+def _frame_conjugate(psi, h):
+    """vec(Psi H Psi*) for Hermitian H, entry by entry, broadcasting."""
+    a, b, c, d = psi[..., 0, 0], psi[..., 0, 1], psi[..., 1, 0], psi[..., 1, 1]
+    u0, u1 = a * h[..., 0, 0] + b * h[..., 1, 0], a * h[..., 0, 1] + b * h[..., 1, 1]
+    w0, w1 = c * h[..., 0, 0] + d * h[..., 1, 0], c * h[..., 0, 1] + d * h[..., 1, 1]
+    m00 = (u0 * np.conj(a) + u1 * np.conj(b)).real
+    m11 = (w0 * np.conj(c) + w1 * np.conj(d)).real
+    m01 = u0 * np.conj(c) + u1 * np.conj(d)
+    return np.stack((0.5 * (m00 + m11), m01.real, m01.imag, 0.5 * (m00 - m11)), axis=-1)
+
+
 def make_quadric_surface(data: SampledData, m, mu, *, psi0=None,
                          eps_degenerate=EPS_DEGENERATE, substeps=4,
                          order=PathOrder.ROW_FIRST) -> SurfaceSample:
@@ -205,10 +216,7 @@ def make_quadric_surface(data: SampledData, m, mu, *, psi0=None,
     xi = build_xi(data)
     frame = solve_psi(xi, m, data.grid, psi0, side=FrameSide.LEFT,
                       mask=data.mask, order=order, substeps=substeps)
-    c = np.array([[1.0, 0.0], [0.0, -mu]], dtype=complex)
-    psi = frame.values
-    psi_star = np.conj(np.swapaxes(psi, -1, -2))
-    x = vec_from_herm_unchecked(psi @ c @ psi_star)
+    x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
 
     g = gauss_lift(data.phi)
     xg = ip31(x, g)
@@ -276,30 +284,18 @@ def uy_perturb(data: SampledData, m, mu, base_x=None, *,
     xi = build_xi(data)
     c_mat = np.array([[1.0, 0.0], [0.0, -mu]], dtype=complex)
     c_vec = vec_from_herm_unchecked(c_mat)
-    if base_x is None:
-        base_x = np.zeros(4)
-    base_x = np.asarray(base_x, dtype=float)
-
-    def density(z, states):
-        xim = inv2(states[0]) @ xi.fn(z) @ states[0]
-        return -m * vec_density_from_matrix(xim @ c_mat)
-
-    frame_spec = FrameSpec(coeff=lambda z, _st: xi.fn(z), m=m, side=FrameSide.LEFT)
-    int_spec = IntegralSpec(density=density, base_value=np.zeros(4, dtype=complex))
-    sol = solve_path_system(data.grid, [frame_spec], [int_spec], mask=xi.mask,
-                            order=order, substeps=substeps)
-    frame = FrameField(grid=data.grid, values=sol.frames[0], valid=sol.valid,
-                       m=m, side=FrameSide.LEFT, det_drift=sol.det_drifts[0],
-                       order=order)
-    x = base_x + np.where(np.isfinite(sol.integrals[0].real),
-                          sol.integrals[0].real, np.nan)
+    base_x = np.zeros(4) if base_x is None else np.asarray(base_x, dtype=float)
+    frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
+                              order=order, substeps=substeps)
+    x = base_x + vec_density_from_matrix(frame.coupled[0] @ c_mat).real
+    frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
     gm = gauss_lift(np.where(sec_ok, psi_sec, 0.0))
     gmc = ip31(gm, c_vec)
     degenerate = _degenerate_mask(gmc, (1.0 + np.abs(psi_sec) ** 2) * max(_euclid(c_vec), 1e-30),
                                   eps_degenerate) | dilate_mask(~sec_ok)
-    mask = sol.valid & data.mask & ~degenerate
+    mask = frame.valid & data.mask & ~degenerate
 
     kind = _AFFINE_KIND_BY_CAUSAL[causal_type(c_vec)]
     gauss = _rescaled_gauss(gm, gmc)
@@ -364,12 +360,9 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     inner[..., 0, 1] = (mu + 1.0) * psi_v
     inner[..., 1, 0] = (mu + 1.0) * np.conj(psi_v)
     inner[..., 1, 1] = 1.0 + mu ** 2 * r2
-    psi_m = frame.values
-    psi_star = np.conj(np.swapaxes(psi_m, -1, -2))
     with np.errstate(all="ignore"):
-        x = vec_from_herm_unchecked(psi_m @ inner @ psi_star) / pole[..., None]
-        gtilde = vec_from_herm_unchecked(
-            psi_m @ herm_from_vec(gauss_lift(psi_v)) @ psi_star) / pole[..., None]
+        x = _frame_conjugate(frame.values, inner) / pole[..., None]
+        gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v))) / pole[..., None]
     normal = gtilde - x
 
     surface = SurfaceSample(grid=grid, kind=GeometryKind.LW_BRYANT, x=x,
@@ -377,8 +370,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
                             params={"mu": mu, "m": m},
                             aux={"frame": frame, "psi": psi_v, "eta_hat": eta_v})
 
-    c = np.array([[1.0, 0.0], [0.0, -mu]], dtype=complex)
-    xm = vec_from_herm_unchecked(psi_m @ c @ psi_star)
+    xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
     middle_normal = None if mu == 0 else gtilde + xm / mu
     middle = SurfaceSample(grid=grid, kind=quadric_kind_for(mu), x=xm,
                            mask=surf_mask, gauss=gtilde, normal=middle_normal,

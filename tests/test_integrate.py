@@ -5,9 +5,10 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
-from minksurf.integrate import (FrameSide, PathOrder, integrate_closed_form,
-                                iteration_law_defect, path_independence_check,
-                                plaquette_residuals, solve_psi)
+from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder,
+                                integrate_closed_form, iteration_law_defect,
+                                path_independence_check, plaquette_residuals,
+                                solve_path_system, solve_psi)
 
 
 def test_constant_density_integrates_linearly():
@@ -85,8 +86,18 @@ def test_solve_psi_m_zero_is_constant():
     g = DomainGrid.square(1.0, 9)
     xi = build_xi(sample_data("z", "1", g))
     psi0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
-    ff = solve_psi(xi, 0.0, g, psi0, renormalize=False)
+    ff = solve_psi(xi, 0.0, g, psi0)
     assert np.max(np.abs(ff.values - psi0)) == 0.0
+
+
+@pytest.mark.parametrize("psi0", [2.0 * np.eye(2), np.zeros((2, 2)),
+                                  np.full((2, 2), np.nan), np.eye(3)])
+def test_solve_psi_rejects_a_start_outside_sl2(psi0):
+    # a start with det != 1 would keep its det at the base node only
+    g = DomainGrid.square(1.0, 5)
+    xi = build_xi(sample_data("z", "1", g))
+    with pytest.raises(ValueError, match="determinant 1"):
+        solve_psi(xi, 1.0, g, psi0)
 
 
 def test_solve_psi_nilpotent_closed_form():
@@ -387,8 +398,12 @@ def test_iteration_law_matches_per_node_reference(case):
         return [t * h * (states[0] @ c), s * h * (states[1] @ moved),
                 (t + s) * h * (states[2] @ c)]
 
-    (f_t, f_st, f_ts), valid, _ = _staircase_reference(
+    (f_t, f_st, f_ts), valid, drifts = _staircase_reference(
         g, deriv, [np.eye(2)] * 3, 3, mask=xi.mask)
+    frames = solve_path_system(g, IterationLawFrames(xi.fn, t, s), mask=xi.mask)
+    for got, want in zip((frames.values,) + frames.coupled, (f_t, f_st, f_ts)):
+        _assert_matches(got, want, frames.valid, valid)
+    assert abs(frames.det_drift - max(drifts)) <= 1e-12
     prod = (f_st @ f_t) @ inv2(f_ts)
     fro = np.sqrt(np.sum(np.abs(prod - prod[g.base_index]) ** 2, axis=(-2, -1)))
     want = float(np.max(fro[valid]))
