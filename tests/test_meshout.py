@@ -175,7 +175,9 @@ def test_report_json_deterministic(tmp_path):
 # byte pins: the sha256 of every writer's output on fixed surfaces.  The
 # hashes were recorded with the per-node writers that preceded the array
 # versions; they also pin the geometry, so a change to the builders that
-# moves a single bit of a position moves them too.
+# moves a single bit of a position moves them too.  The frame-built
+# fixtures were re-recorded when frames moved to composed edge propagators
+# (positions moved by at most 1.2e-14, derived curvature fields by 1.2e-12).
 
 def _tied_plane():
     # dyadic grid steps make both diagonals of every cell exactly equal
@@ -215,21 +217,21 @@ GOLDEN_SURFACES = {
 }
 
 GOLDEN = {
-    ('nonfinite-fields', 'csv'): 'e413207bd2a3bc46ef3d440f684c2bb9eb41412720752104d1cc598772676651',
-    ('nonfinite-fields', 'obj'): 'e8cf0d7773a256811daed08b3a6bbba7dcb7cdd4d42b7f01172245aaa9e3f426',
-    ('nonfinite-fields', 'ply'): '35648ca3550db60c7415101ce00fad450f5f69bd3d127744f013213fced99bb0',
+    ('nonfinite-fields', 'csv'): '5224eb0cc04e09084b09bce4ed44a95077bddc1c7be9b052a8e857bada68cc79',
+    ('nonfinite-fields', 'obj'): 'b99422e9e1af7f8475e6f6a56026cb4a893c64953db8fdc0a41232b948f17d3c',
+    ('nonfinite-fields', 'ply'): '4eb23aac69aad1d31ad4d215fa36eb6fa77255cf3ae5c240ecae06f2fb373299',
     ('plane-ties', 'csv'): 'f044bb0be5d70f52d4d5b28ec561d34ec6d1ef6273afc5f56f12f96062f8f900',
     ('plane-ties', 'obj'): '7c89701f82ed55eadf9a0d4c51fa2d5488b05220f9e412f6f3a20fce740271e4',
     ('plane-ties', 'ply'): 'f5ccb33c65e8f58692bcc51a12509883e060cf0e6a3d39a35db05b1aee0b4039',
-    ('quadric-critical', 'csv'): '29c3f9fb6d0a0801db08f9f87853f806e7a204fc2852f7114ef816412dff3936',
-    ('quadric-critical', 'obj'): 'ef2ab772bffc6be91cc22c539719251cad6f224e808148af4de7324a0b346c63',
-    ('quadric-critical', 'ply'): '35a06d4831daead76c526822ab34d546513879a3a6da3644b8a2e3ae9c3ddfc4',
-    ('quadric-nv-ne-nu', 'csv'): '70c4a2e62216f5a7db6cb7fc4a434c712aed0851ae6149d9ae7563877fcb8a9e',
-    ('quadric-nv-ne-nu', 'obj'): '722398cf547b925b60d1494994e77c2d4dd2875fe7ec9d93c09c19987e2da8c4',
-    ('quadric-nv-ne-nu', 'ply'): 'e3fa20cac5e10b5ad0d7688013049464141f6641554087c8197977323c55b4ba',
-    ('quadric-pole', 'csv'): '74ab3c9d9fa3999d08f11301d7de4b5f980803f33bb0115d78017ab9f8e02af2',
-    ('quadric-pole', 'obj'): '801aaae1299c07a3920f291c6741cff783311366170ae0753c81e7a1eee36d8b',
-    ('quadric-pole', 'ply'): 'aa5f85166b4911936650af21a1c860cbd9d2ffdd85f6373a52fbb818ac869e5e',
+    ('quadric-critical', 'csv'): '85264343c215f5fae3ee3d0888ad5b8910d010a150f6ffad6a97862ce3e508d8',
+    ('quadric-critical', 'obj'): 'be47112deb7b8b04a29e45ff7d5307528b2a674c3430dcd7cd118b7db2816430',
+    ('quadric-critical', 'ply'): 'f2648a6688724bac4ce1d0f8bb71e698fa39d1831fc122c2fffdd64740aabae6',
+    ('quadric-nv-ne-nu', 'csv'): 'b7bec08f0f7b20634732a4b652843243993fe3bd5571780946334411750da265',
+    ('quadric-nv-ne-nu', 'obj'): 'ba06e7a74b7db410798799fa723b6dcc997452043e93c6b4982f1ec9b2bcfb62',
+    ('quadric-nv-ne-nu', 'ply'): '1d8eb016c63c94556a2c86149382e507b6ef9390a376f35fc0b5af2e800532b9',
+    ('quadric-pole', 'csv'): '2685bf08c7c60d9ae882f92a4eaae1b3688a1062ee7e48da29150d240a6bf81b',
+    ('quadric-pole', 'obj'): '87f1a8eff6cca861f932d5c7f8a0ebd79a26e2af48cd3be5fb208c6affd42969',
+    ('quadric-pole', 'ply'): 'f5da4c78eed2ce5659018b8abd10838ad1811eeb08a37d491d61fe7a8a69a30a',
 }
 
 
