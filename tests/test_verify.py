@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -257,3 +259,75 @@ def test_residual_names_cover_every_tolerance():
     g = DomainGrid.square(1.0, 9)
     s = make_quadric_surface(sample_data("z", "1", g), 1.0, -1.0)
     assert set(default_tolerances(s)) == set(RESIDUAL_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the sha256 of each report's to_dict() JSON, of every field's
+# bytes and of the interior mask, on one small surface per verifier branch.
+
+def _pin_data(phi="z", omega="1 + 0.1*z^2", half=1.0, n=41):
+    return sample_data(phi, omega, DomainGrid.square(half, n))
+
+
+PIN_SURFACES = {
+    "affine-e3": lambda: make_affine_surface(_pin_data(), E0),
+    "affine-l3": lambda: make_affine_surface(_pin_data(omega="1"), E3),
+    "affine-isotropic": lambda: make_affine_surface(_pin_data(omega="1"),
+                                                    (0.5, 0.0, 0.0, 0.5)),
+    "quadric-h3": lambda: make_quadric_surface(_pin_data(), 1.0, -1.0),
+    "quadric-desitter": lambda: make_quadric_surface(_pin_data(half=0.6), 1.0, 1.0),
+    "quadric-lightcone": lambda: make_quadric_surface(_pin_data(), 1.0, 0.0),
+    "lw-bryant": lambda: make_lw_bryant("z", "0.25", 1.0, -0.5,
+                                       DomainGrid.square(0.6, 41))[0],
+    "uy-perturb-timelike": lambda: uy_perturb(_pin_data(), 1.0, -1.0),
+    "uy-perturb-spacelike": lambda: uy_perturb(_pin_data(), 1.0, 1.0),
+    "uy-perturb-lightlike": lambda: uy_perturb(_pin_data(), 1.0, 0.0),
+    # critical point of phi on a grid node: a masked band through the grid
+    "quadric-h3-critical": lambda: make_quadric_surface(
+        _pin_data(phi="z^2/2 - 0.5*z"), 1.0, -1.0),
+}
+
+REPORT_PINS = {
+    'affine-e3': 'ccfba35a27e41190d67379f52cf54508cd808f0aa4293845240a24d6c1b806cb',
+    'affine-isotropic': 'eb187d6b8472b2a760836b4016a0ddc1f1e0795df74f9cc45ed6fcaba5b2ca18',
+    'affine-l3': '381ce14943e82af6eaf6d7d45ef74b9d1bbdab6ecd46c1982749c9d2d4cbc89a',
+    'lw-bryant': '731ea94abe2b6d9a4cd5f54a9a132f3f3d4ad583f2ac1051a83251eccd8c4739',
+    'quadric-desitter': '077618a2795724c0610edda9ccb5fc85cd384b45e23d5cf582eec805a34c126c',
+    'quadric-h3': '8cdda06933540af91c11bf738d47dd770dffb7c03cccb9770adca53f8561fd29',
+    'quadric-h3-critical': '8de062b6b8e7f0b994cec77bf1252363ab3d1ae0e207fb50534773d4d1f5f285',
+    'quadric-lightcone': '09695843bf69675b9ab8349854bf964516bfb6c0bc04e473dff1bc0006202f6f',
+    'uy-perturb-lightlike': 'd1d9a05036bda5c4bb848f285486165b5839ca09eab8b99a055a051c6285eb35',
+    'uy-perturb-spacelike': 'ebf71ea72b316a9ace81e182171b938ff1bd90d5f3325786c49fc2447e15f94f',
+    'uy-perturb-timelike': 'b9295cb66616cc329ab99e0ae597c2fe5a2efa20ce44d2c70eb1bb72e9a87c8c',
+}
+
+
+def _report_digest(report):
+    h = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+    for name in sorted(report.fields):
+        values = np.asarray(report.fields[name])
+        h.update(f"{name}|{values.dtype.str}|{values.shape}".encode())
+        h.update(values.tobytes())
+    h.update(report.interior.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SURFACES))
+def test_report_bytes_pinned(name):
+    assert _report_digest(verify_surface(PIN_SURFACES[name]())) == REPORT_PINS[name]
+
+
+def test_pinned_surfaces_cover_the_branches():
+    built = {name: make() for name, make in PIN_SURFACES.items()}
+    reports = {name: verify_surface(s) for name, s in built.items()}
+    no_normal = {name for name, s in built.items() if s.normal is None}
+    assert no_normal == {"affine-isotropic", "quadric-lightcone", "uy-perturb-lightlike"}
+    assert "K_int" in reports["quadric-lightcone"].fields
+    assert "linear_weingarten" in reports["lw-bryant"].stats
+    assert "conformality" not in reports["lw-bryant"].stats
+    assert "mean_curvature" in reports["uy-perturb-timelike"].stats
+    for soft in ("uy-perturb-spacelike", "uy-perturb-lightlike"):
+        assert "mean_curvature" not in reports[soft].stats
+        assert "christoffel_pairing" not in reports[soft].stats
+    mask = built["quadric-h3-critical"].mask
+    assert 0 < int(mask.sum()) < mask.size
