@@ -6,6 +6,16 @@ boundary) are excluded rather than treated one-sided.  Residual maxima
 additionally exclude a 2-node ring so every reported number comes from a
 full-quality stencil.
 
+verify_surface takes each derivative once per surface.  One first_form
+call gives the tangents x_u, x_v, the induced metric I and the stencil
+validity, which is also the report's interior; x_uu, x_vv and x_uv are
+taken once, and only when a normal or the marginal-trapping check needs
+them; the Gauss section's tangents are taken once for the Christoffel
+pairing, wedge and scale.  Every residual reads from that jet.  The
+public single-quantity functions (fundamental_forms, conformality_residual,
+marginally_trapped_residual, christoffel_residual) are thin entry points
+to the same private code.
+
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to
 the ambient quadric, so the pairing automatically projects out the
@@ -58,6 +68,13 @@ def first_form(surface: SurfaceSample):
     return i_form, xu, xv, valid
 
 
+def _second_derivatives(x, grid):
+    """(xuu, xvv, xuv): the verifier's only second derivatives of x."""
+    with np.errstate(all="ignore"):
+        return (second_diff(x, grid.du, axis=1), second_diff(x, grid.dv, axis=0),
+                mixed_diff(x, grid.du, grid.dv))
+
+
 def _prepared_normal(surface: SurfaceSample):
     """Unit normal orthogonal to the carrier (hyperplane or quadric)."""
     if surface.normal is None:
@@ -77,25 +94,26 @@ def _prepared_normal(surface: SurfaceSample):
     return n
 
 
+def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
+    """II by pairing the second derivatives with the prepared normal: (II, valid)."""
+    n = _prepared_normal(surface)
+    with np.errstate(all="ignore"):
+        ii_form = np.empty(surface.grid.shape + (2, 2))
+        ii_form[..., 0, 0] = ip31(xuu, n)
+        ii_form[..., 0, 1] = ii_form[..., 1, 0] = ip31(xuv, n)
+        ii_form[..., 1, 1] = ip31(xvv, n)
+    return ii_form, valid & _finite_all(n)
+
+
 def fundamental_forms(surface: SurfaceSample):
     """First and second fundamental forms: (I, II, valid).
 
     The normal is re-orthogonalized against the carrier and normalized to
     |(n, n)| = 1 before pairing with the FD second derivatives.
     """
-    grid = surface.grid
-    i_form, xu, xv, valid = first_form(surface)
-    n = _prepared_normal(surface)
-    x = surface.x
-    with np.errstate(all="ignore"):
-        xuu = second_diff(x, grid.du, axis=1)
-        xvv = second_diff(x, grid.dv, axis=0)
-        xuv = mixed_diff(x, grid.du, grid.dv)
-        ii_form = np.empty(grid.shape + (2, 2))
-        ii_form[..., 0, 0] = ip31(xuu, n)
-        ii_form[..., 0, 1] = ii_form[..., 1, 0] = ip31(xuv, n)
-        ii_form[..., 1, 1] = ip31(xvv, n)
-    valid = valid & _finite_all(n)
+    i_form, _xu, _xv, valid = first_form(surface)
+    ii_form, valid = _second_form(surface, valid,
+                                  *_second_derivatives(surface.x, surface.grid))
     return i_form, ii_form, valid
 
 
@@ -105,12 +123,8 @@ def curvatures(i_form, ii_form, eps=EPS_METRIC, eps_rel=1e-8):
     Nodes with a degenerate metric are masked, judged both absolutely and
     relative to the metric scale (fronts cross genuine det I = 0 curves).
     """
-    e = i_form[..., 0, 0]
-    f = i_form[..., 0, 1]
-    g = i_form[..., 1, 1]
-    l = ii_form[..., 0, 0]
-    m = ii_form[..., 0, 1]
-    n = ii_form[..., 1, 1]
+    e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
+    l, m, n = ii_form[..., 0, 0], ii_form[..., 0, 1], ii_form[..., 1, 1]
     det_i = e * g - f * f
     scale = 0.25 * (np.abs(e) + np.abs(g)) ** 2
     ok = (np.abs(det_i) > eps) & (np.abs(det_i) > eps_rel * scale)
@@ -122,9 +136,7 @@ def curvatures(i_form, ii_form, eps=EPS_METRIC, eps_rel=1e-8):
 
 def intrinsic_curvature(i_form, grid, eps=EPS_METRIC):
     """Gauss curvature of the induced metric via the Brioschi formula."""
-    e = i_form[..., 0, 0]
-    f = i_form[..., 0, 1]
-    g = i_form[..., 1, 1]
+    e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     du, dv = grid.du, grid.dv
     with np.errstate(all="ignore"):
         e_u, e_v = central_diff(e, du, 1), central_diff(e, dv, 0)
@@ -134,26 +146,20 @@ def intrinsic_curvature(i_form, grid, eps=EPS_METRIC):
         g_uu = second_diff(g, du, 1)
         f_uv = mixed_diff(f, du, dv)
 
+    # the two Brioschi determinants share their lower-right 2x2 block, I
     m1 = np.empty(e.shape + (3, 3))
+    m1[..., 1, 1] = e
+    m1[..., 1, 2] = m1[..., 2, 1] = f
+    m1[..., 2, 2] = g
+    m2 = m1.copy()
     m1[..., 0, 0] = -0.5 * e_vv + f_uv - 0.5 * g_uu
     m1[..., 0, 1] = 0.5 * e_u
     m1[..., 0, 2] = f_u - 0.5 * e_v
     m1[..., 1, 0] = f_v - 0.5 * g_u
-    m1[..., 1, 1] = e
-    m1[..., 1, 2] = f
     m1[..., 2, 0] = 0.5 * g_v
-    m1[..., 2, 1] = f
-    m1[..., 2, 2] = g
-    m2 = np.empty_like(m1)
     m2[..., 0, 0] = 0.0
-    m2[..., 0, 1] = 0.5 * e_v
-    m2[..., 0, 2] = 0.5 * g_u
-    m2[..., 1, 0] = 0.5 * e_v
-    m2[..., 1, 1] = e
-    m2[..., 1, 2] = f
-    m2[..., 2, 0] = 0.5 * g_u
-    m2[..., 2, 1] = f
-    m2[..., 2, 2] = g
+    m2[..., 0, 1] = m2[..., 1, 0] = 0.5 * e_v
+    m2[..., 0, 2] = m2[..., 2, 0] = 0.5 * g_u
 
     det_i = e * g - f * f
     ok = np.abs(det_i) > eps
@@ -165,6 +171,14 @@ def intrinsic_curvature(i_form, grid, eps=EPS_METRIC):
     return np.where(ok & ~bad, k_int, np.nan), ok
 
 
+def _duality(xu, xv, su, sv):
+    """Pairing and wedge residuals of a surface pair from both pairs of tangents."""
+    with np.errstate(all="ignore"):
+        pairing = ip31(xu, sv) - ip31(xv, su)
+        wedge = skew_frobenius(wedge_to_skew(xu, sv) - wedge_to_skew(xv, su))
+    return pairing, wedge
+
+
 def christoffel_residual(x, x_star, grid, mask=None):
     """Discretized duality residuals of a surface pair.
 
@@ -174,34 +188,24 @@ def christoffel_residual(x, x_star, grid, mask=None):
     residual, assembled through the skew-endomorphism picture.
     """
     with np.errstate(all="ignore"):
-        xu, xv = _tangents(x, grid)
-        su, sv = _tangents(x_star, grid)
-        pairing = ip31(xu, sv) - ip31(xv, su)
-        wedge = skew_frobenius(wedge_to_skew(xu, sv) - wedge_to_skew(xv, su))
+        tangents = _tangents(x, grid) + _tangents(x_star, grid)
     ok = _finite_all(x) & _finite_all(x_star)
     if mask is not None:
         ok &= np.asarray(mask, dtype=bool)
-    return pairing, wedge, stencil_valid(ok, radius=2)
+    return (*_duality(*tangents), stencil_valid(ok, radius=2))
 
 
-def mean_curvature_vector(surface: SurfaceSample, eps=EPS_METRIC):
-    """Mean curvature vector by metric-traced FD second derivatives.
+def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv, floor_rel=1e-6):
+    """Marginal-trapping residual and Gauss alignment from the derivative jet.
 
-    Returns (hvec, valid); valid requires a spacelike nondegenerate
-    induced metric at full-stencil nodes.
+    The mean curvature vector is the metric-traced second derivative less
+    its tangential part; valid requires a spacelike nondegenerate induced
+    metric at full-stencil nodes.
     """
-    grid = surface.grid
-    i_form, xu, xv, valid = first_form(surface)
-    x = surface.x
-    with np.errstate(all="ignore"):
-        xuu = second_diff(x, grid.du, axis=1)
-        xvv = second_diff(x, grid.dv, axis=0)
-        xuv = mixed_diff(x, grid.du, grid.dv)
-    e = i_form[..., 0, 0]
-    f = i_form[..., 0, 1]
-    g = i_form[..., 1, 1]
+    i_form, xu, xv, valid = first
+    e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     det_i = e * g - f * f
-    ok = valid & (det_i > eps) & (e > 0)
+    ok = valid & (det_i > EPS_METRIC) & (e > 0)
     with np.errstate(all="ignore"):
         lap = (g[..., None] * xuu - 2.0 * f[..., None] * xuv
                + e[..., None] * xvv) / det_i[..., None]
@@ -210,7 +214,19 @@ def mean_curvature_vector(surface: SurfaceSample, eps=EPS_METRIC):
         a1 = (g * b1 - f * b2) / det_i
         a2 = (e * b2 - f * b1) / det_i
         hvec = 0.5 * (lap - a1[..., None] * xu - a2[..., None] * xv)
-    return hvec, ok
+    norm = _enorm(hvec)
+    if not np.any(ok):
+        nanf = np.full(surface.grid.shape, np.nan)
+        return nanf, nanf, ok
+    floor = floor_rel * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
+    denom = np.maximum(norm, floor)
+    with np.errstate(all="ignore"):
+        residual = np.abs(ip31(hvec, hvec)) / denom ** 2
+        alignment = np.full(surface.grid.shape, np.nan)
+        if surface.gauss is not None:
+            gnorm = _enorm(surface.gauss)
+            alignment = np.abs(ip31(hvec, surface.gauss)) / (denom * np.maximum(gnorm, floor))
+    return residual, alignment, ok
 
 
 def marginally_trapped_residual(surface: SurfaceSample, floor_rel=1e-6):
@@ -221,31 +237,19 @@ def marginally_trapped_residual(surface: SurfaceSample, floor_rel=1e-6):
     floor_rel * (1 + max |Hvec|_E), keeping the ratio meaningful when the
     mean curvature vector itself vanishes (affine surfaces).
     """
-    hvec, ok = mean_curvature_vector(surface)
-    norm = np.sqrt(np.sum(hvec ** 2, axis=-1))
-    if not np.any(ok):
-        nanf = np.full(surface.grid.shape, np.nan)
-        return nanf, nanf, ok
-    floor = floor_rel * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
-    denom = np.maximum(norm, floor)
-    with np.errstate(all="ignore"):
-        residual = np.abs(ip31(hvec, hvec)) / denom ** 2
-        alignment = None
-        if surface.gauss is not None:
-            gnorm = np.sqrt(np.sum(surface.gauss ** 2, axis=-1))
-            alignment = np.abs(ip31(hvec, surface.gauss)) / (denom * np.maximum(gnorm, floor))
-    if alignment is None:
-        alignment = np.full(surface.grid.shape, np.nan)
-    return residual, alignment, ok
+    return _trapping(surface, first_form(surface),
+                     *_second_derivatives(surface.x, surface.grid), floor_rel=floor_rel)
+
+
+def _conformality(i_form):
+    """(|E-G|, |F|) of the induced metric."""
+    return np.abs(i_form[..., 0, 0] - i_form[..., 1, 1]), np.abs(i_form[..., 0, 1])
 
 
 def conformality_residual(surface: SurfaceSample):
     """Deviation from isothermal coordinates: (|E-G|, |F|, valid)."""
     i_form, _xu, _xv, valid = first_form(surface)
-    e = i_form[..., 0, 0]
-    f = i_form[..., 0, 1]
-    g = i_form[..., 1, 1]
-    return np.abs(e - g), np.abs(f), valid
+    return (*_conformality(i_form), valid)
 
 
 def lw_residual(h, k, mu):
@@ -346,23 +350,36 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     tol = default_tolerances(surface)
     if tolerances:
         tol.update(tolerances)
-    report = CurvatureReport(kind=surface.kind.value, grid_shape=surface.grid.shape)
-    report.interior = stencil_valid(surface.mask & _finite_all(surface.x), radius=2)
     x = surface.x
     grid = surface.grid
     kind = surface.kind
+    first = first_form(surface)
+    i_form, xu, xv, valid = first
+    # first_form's stencil validity is the interior every residual is gated on
+    report = CurvatureReport(kind=kind.value, grid_shape=grid.shape, interior=valid)
 
     if kind in AFFINE_KINDS:
         p = surface.hyperplane_normal
-        base_iv, base_iu = grid.base_index
-        level = float(ip31(x[base_iv, base_iu], p))
-        report.add("hyperplane", ip31(x, p) - level, tol["hyperplane"],
-                   where=surface.mask)
+        level = float(ip31(x[grid.base_index], p))
+        report.add("hyperplane", ip31(x, p) - level, tol["hyperplane"])
     elif kind is GeometryKind.QUADRIC_LIGHTCONE:
-        report.add("lightcone", ip31(x, x), tol["lightcone"], where=surface.mask)
+        report.add("lightcone", ip31(x, x), tol["lightcone"])
     else:
         mu = -1.0 if kind is GeometryKind.LW_BRYANT else surface.params["mu"]
-        report.add("quadric", ip31(x, x) - mu, tol["quadric"], where=surface.mask)
+        report.add("quadric", ip31(x, x) - mu, tol["quadric"])
+
+    if kind is not GeometryKind.LW_BRYANT:
+        # z is a conformal coordinate for every construction except the
+        # linear Weingarten front itself (only its middle sphere
+        # congruence shares the conformal structure of the Gauss map)
+        eg, f_res = _conformality(i_form)
+        scale = np.maximum(i_form[..., 0, 0] + i_form[..., 1, 1], 1e-30)
+        report.add("conformality", (eg + 2.0 * f_res) / scale, tol["conformality"])
+
+    if kind is GeometryKind.QUADRIC_LIGHTCONE:
+        k_int, k_ok = intrinsic_curvature(i_form, grid)
+        report.fields["K_int"] = k_int
+        report.add("intrinsic_flatness", k_int, tol["intrinsic_flatness"], where=k_ok)
 
     # Perturbed surfaces are transport-based (no polynomial exactness), so
     # near the secondary degenerate band the curvature and dual-section
@@ -370,73 +387,54 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     # timelike case, whose pairing is bounded away from zero everywhere.
     perturbed_soft = surface.aux.get("perturbed") and \
         kind is not GeometryKind.AFFINE_E3
-
-    has_normal = surface.normal is not None
-    if has_normal:
-        i_form, ii_form, ff_valid = fundamental_forms(surface)
-        h, k, c_ok = curvatures(i_form, ii_form)
-        report.fields["H"] = h
-        report.fields["K"] = k
-        if kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) \
-                and not perturbed_soft:
-            report.add("mean_curvature", h, tol["mean_curvature"],
-                       where=ff_valid & c_ok)
-        elif kind is GeometryKind.QUADRIC_H3:
-            target = 1.0 / np.sqrt(-surface.params["mu"])
-            report.add("mean_curvature", h - target, tol["mean_curvature"],
-                       where=ff_valid & c_ok)
-        elif kind is GeometryKind.QUADRIC_DESITTER:
-            target = 1.0 / np.sqrt(surface.params["mu"])
-            report.add("mean_curvature", np.abs(h) - target, tol["mean_curvature"],
-                       where=ff_valid & c_ok)
-        elif kind is GeometryKind.LW_BRYANT:
-            report.add("linear_weingarten",
-                       lw_residual(h, k, surface.params["mu"]),
-                       tol["linear_weingarten"], where=ff_valid & c_ok)
-        if kind is not GeometryKind.LW_BRYANT:
-            # z is a conformal coordinate for every construction except the
-            # linear Weingarten front itself (only its middle sphere
-            # congruence shares the conformal structure of the Gauss map)
-            eg, f_res, conf_valid = conformality_residual(surface)
-            scale = np.maximum(i_form[..., 0, 0] + i_form[..., 1, 1], 1e-30)
-            report.add("conformality", (eg + 2.0 * f_res) / scale,
-                       tol["conformality"], where=conf_valid)
-    else:
-        i_form, _xu, _xv, i_valid = first_form(surface)
-        eg, f_res, conf_valid = conformality_residual(surface)
-        scale = np.maximum(i_form[..., 0, 0] + i_form[..., 1, 1], 1e-30)
-        report.add("conformality", (eg + 2.0 * f_res) / scale, tol["conformality"],
-                   where=conf_valid)
-
-    if kind is GeometryKind.QUADRIC_LIGHTCONE:
-        i_form, _xu, _xv, i_valid = first_form(surface)
-        k_int, k_ok = intrinsic_curvature(i_form, grid)
-        report.fields["K_int"] = k_int
-        report.add("intrinsic_flatness", k_int, tol["intrinsic_flatness"],
-                   where=stencil_valid(surface.mask, radius=2) & k_ok)
-
     # Marginal trapping is gated where the mean curvature vector has scale
     # (quadrics) or vanishes identically in exact arithmetic (the
     # polynomial-exact isotropic case); linear Weingarten surfaces are
     # envelopes, not marginally trapped, so the check is skipped there.
-    if kind in (GeometryKind.AFFINE_ISOTROPIC, GeometryKind.QUADRIC_H3,
-                GeometryKind.QUADRIC_DESITTER, GeometryKind.QUADRIC_LIGHTCONE) \
-            and not perturbed_soft:
-        residual, alignment, mt_ok = marginally_trapped_residual(surface)
-        report.add("marginally_trapped", residual, tol["marginally_trapped"],
-                   where=mt_ok)
-        report.add("gauss_alignment", alignment, tol["gauss_alignment"],
-                   where=mt_ok)
+    trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, GeometryKind.QUADRIC_H3,
+                       GeometryKind.QUADRIC_DESITTER, GeometryKind.QUADRIC_LIGHTCONE) \
+        and not perturbed_soft
+
+    if surface.normal is not None or trapped:
+        d2 = _second_derivatives(x, grid)
+        if surface.normal is not None:
+            ii_form, ff_valid = _second_form(surface, valid, *d2)
+            h, k, c_ok = curvatures(i_form, ii_form)
+            report.fields["H"] = h
+            report.fields["K"] = k
+            mean = None
+            if kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) \
+                    and not perturbed_soft:
+                mean = h
+            elif kind is GeometryKind.QUADRIC_H3:
+                mean = h - 1.0 / np.sqrt(-surface.params["mu"])
+            elif kind is GeometryKind.QUADRIC_DESITTER:
+                mean = np.abs(h) - 1.0 / np.sqrt(surface.params["mu"])
+            elif kind is GeometryKind.LW_BRYANT:
+                report.add("linear_weingarten", lw_residual(h, k, surface.params["mu"]),
+                           tol["linear_weingarten"], where=ff_valid & c_ok)
+            if mean is not None:
+                report.add("mean_curvature", mean, tol["mean_curvature"],
+                           where=ff_valid & c_ok)
+        if trapped:
+            residual, alignment, mt_ok = _trapping(surface, first, *d2)
+            report.add("marginally_trapped", residual, tol["marginally_trapped"],
+                       where=mt_ok)
+            report.add("gauss_alignment", alignment, tol["gauss_alignment"],
+                       where=mt_ok)
+        # the Christoffel stage's 4x4 skew arrays set the peak memory
+        del d2
+
     if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
             and not perturbed_soft:
-        pairing, wedge, ch_valid = christoffel_residual(
-            x, surface.gauss, grid, mask=surface.mask)
-        # gate the scale-free version: the dual section diverges towards
-        # non-immersion loci and would otherwise dominate the raw residual
         with np.errstate(all="ignore"):
-            xu, xv = _tangents(x, grid)
             su, sv = _tangents(surface.gauss, grid)
+            # gate the scale-free version: the dual section diverges towards
+            # non-immersion loci and would otherwise dominate the raw residual
             scale = 1.0 + _enorm(xu) * _enorm(sv) + _enorm(xv) * _enorm(su)
+        pairing, wedge = _duality(xu, xv, su, sv)
+        # the interior already requires an unmasked, finite x on each stencil
+        ch_valid = stencil_valid(_finite_all(surface.gauss), radius=2)
         report.add("christoffel_pairing", pairing / scale,
                    tol["christoffel_pairing"], where=ch_valid)
         report.add("christoffel_wedge", wedge / scale,

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import minksurf.verify as verify
+
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.minkowski import E0, E3, ip31
 from minksurf.surfaces import (GeometryKind, SurfaceSample, make_affine_surface,
@@ -331,3 +333,18 @@ def test_pinned_surfaces_cover_the_branches():
         assert "christoffel_pairing" not in reports[soft].stats
     mask = built["quadric-h3-critical"].mask
     assert 0 < int(mask.sum()) < mask.size
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SURFACES))
+def test_verify_surface_takes_each_derivative_once(monkeypatch, name):
+    surface = PIN_SURFACES[name]()
+    calls = {"first_form": 0, "_second_derivatives": 0}
+    for attr in calls:
+        def counted(*args, _attr=attr, _original=getattr(verify, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(verify, attr, counted)
+    verify_surface(surface)
+    # the lightlike T-transform has no normal and skips marginal trapping
+    second = 0 if name == "uy-perturb-lightlike" else 1
+    assert calls == {"first_form": 1, "_second_derivatives": second}
