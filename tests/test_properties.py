@@ -3,11 +3,14 @@
 Examples are few, so tier-1 stays quick, and no example database is kept.
 """
 
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from minksurf.domain import DomainGrid
-from minksurf.expr import FUNCTIONS, parse_expr, print_expr
+from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
+                           eval_at, parse_expr, print_expr)
 from minksurf.integrate import FrameSide, PathOrder, solve_psi
 
 FEW = settings(max_examples=20, deadline=None, database=None)
@@ -72,13 +75,17 @@ def _exponent(n):
     return str(n) if n >= 0 else f"(-{-n})"
 
 
-sources = st.recursive(atoms, lambda inner: st.one_of(
-    st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
-    inner.map(lambda s: f"-{s}"),
-    inner.map(lambda s: f"({s})"),
-    st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})"),
-    st.tuples(inner, st.integers(-4, 4)).map(lambda t: f"({t[0]})^{_exponent(t[1])}"),
-), max_leaves=12)
+def _grammar(atoms, max_leaves):
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
+        inner.map(lambda s: f"-{s}"),
+        inner.map(lambda s: f"({s})"),
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.integers(-4, 4)).map(lambda t: f"({t[0]})^{_exponent(t[1])}"),
+    ), max_leaves=max_leaves)
+
+
+sources = _grammar(atoms, 12)
 
 
 @FEW
@@ -88,3 +95,69 @@ def test_print_parse_round_trip(source):
     printed = print_expr(ast)
     assert parse_expr(printed) == ast
     assert print_expr(parse_expr(printed)) == printed
+
+
+# small constants keep most trees finite on the sampled square
+smooth_sources = _grammar(st.one_of(st.sampled_from(["z", "i", "pi", "e", ".5"]),
+                                    st.integers(0, 9).map(str)), 8)
+points = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+STEP = 1e-5
+CLEARANCE = 1e3   # distance to a pole or cut, in stencil spreads
+
+
+def _subtrees(e):
+    yield e
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, Expr):
+            yield from _subtrees(child)
+
+
+def _hazards(e):
+    """(subtree, cut): values that must stay clear of 0, or of the cut (-inf, 0]."""
+    for node in _subtrees(e):
+        if isinstance(node, Div):
+            yield node.right, False
+        elif isinstance(node, Pow) and node.exponent < 0:
+            yield node.base, False
+        elif isinstance(node, Call) and node.func in ("log", "sqrt"):
+            yield node.arg, True
+
+
+def _clear_draw(ast, z):
+    """Values on the cross stencil at z, f'(z) and the largest subtree value.
+
+    None when the tree is singular or non-finite there, or its stencil comes
+    within CLEARANCE spreads of a pole or a log/sqrt branch cut.
+    """
+    stencil = [z, z + STEP, z - STEP, z + 1j * STEP, z - 1j * STEP]
+    try:
+        values = [eval_at(ast, p) for p in stencil]
+        derivative = eval_at(differentiate(ast), z)
+        scale = max(abs(eval_at(node, z)) for node in _subtrees(ast))
+        for arg, cut in _hazards(ast):
+            at = [eval_at(arg, p) for p in stencil]
+            spread = max(abs(a - at[0]) for a in at)
+            distance = abs(at[0].imag) if cut and at[0].real < 0 else abs(at[0])
+            if spread > 0.0 and distance <= CLEARANCE * spread:
+                return None
+    except SingularPoint:
+        return None
+    if not (np.isfinite(values + [derivative, scale]).all() and scale < 1e6):
+        return None
+    return values, derivative, scale
+
+
+@FEW
+@given(st.lists(smooth_sources, min_size=32, max_size=32), points)
+def test_differentiate_matches_central_difference(trees, z):
+    # 32 trees per example, so twenty examples reach most rules of differentiate
+    draws = [(source, _clear_draw(parse_expr(source), z)) for source in trees]
+    draws = [(source, draw) for source, draw in draws if draw is not None]
+    assume(draws)
+    for source, (values, derivative, scale) in draws:
+        along_u = (values[1] - values[2]) / (2.0 * STEP)
+        along_v = (values[3] - values[4]) / (2j * STEP)
+        tol = 1e-5 * (1.0 + scale + abs(derivative))
+        assert abs(along_u - derivative) <= tol, (source, z)
+        assert abs(along_v - derivative) <= tol, (source, z)
