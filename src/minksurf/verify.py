@@ -387,6 +387,24 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     # timelike case, whose pairing is bounded away from zero everywhere.
     perturbed_soft = surface.aux.get("perturbed") and \
         kind is not GeometryKind.AFFINE_E3
+
+    # The Christoffel stage's 4x4 skew arrays set the peak memory, so it runs
+    # before the second derivatives exist.
+    if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
+            and not perturbed_soft:
+        with np.errstate(all="ignore"):
+            su, sv = _tangents(surface.gauss, grid)
+            # gate the scale-free version: the dual section diverges towards
+            # non-immersion loci and would otherwise dominate the raw residual
+            scale = 1.0 + _enorm(xu) * _enorm(sv) + _enorm(xv) * _enorm(su)
+        pairing, wedge = _duality(xu, xv, su, sv)
+        # the interior already requires an unmasked, finite x on each stencil
+        ch_valid = stencil_valid(_finite_all(surface.gauss), radius=2)
+        report.add("christoffel_pairing", pairing / scale,
+                   tol["christoffel_pairing"], where=ch_valid)
+        report.add("christoffel_wedge", wedge / scale,
+                   tol["christoffel_wedge"], where=ch_valid)
+
     # Marginal trapping is gated where the mean curvature vector has scale
     # (quadrics) or vanishes identically in exact arithmetic (the
     # polynomial-exact isotropic case); linear Weingarten surfaces are
@@ -422,21 +440,4 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
                        where=mt_ok)
             report.add("gauss_alignment", alignment, tol["gauss_alignment"],
                        where=mt_ok)
-        # the Christoffel stage's 4x4 skew arrays set the peak memory
-        del d2
-
-    if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
-            and not perturbed_soft:
-        with np.errstate(all="ignore"):
-            su, sv = _tangents(surface.gauss, grid)
-            # gate the scale-free version: the dual section diverges towards
-            # non-immersion loci and would otherwise dominate the raw residual
-            scale = 1.0 + _enorm(xu) * _enorm(sv) + _enorm(xv) * _enorm(su)
-        pairing, wedge = _duality(xu, xv, su, sv)
-        # the interior already requires an unmasked, finite x on each stencil
-        ch_valid = stencil_valid(_finite_all(surface.gauss), radius=2)
-        report.add("christoffel_pairing", pairing / scale,
-                   tol["christoffel_pairing"], where=ch_valid)
-        report.add("christoffel_wedge", wedge / scale,
-                   tol["christoffel_wedge"], where=ch_valid)
     return report
