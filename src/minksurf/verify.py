@@ -6,15 +6,11 @@ boundary) are excluded rather than treated one-sided.  Residual maxima
 additionally exclude a 2-node ring so every reported number comes from a
 full-quality stencil.
 
-verify_surface takes each derivative once per surface.  One first_form
-call gives the tangents x_u, x_v, the induced metric I and the stencil
-validity, which is also the report's interior; x_uu, x_vv and x_uv are
-taken once, and only when a normal or the marginal-trapping check needs
-them; the Gauss section's tangents are taken once for the Christoffel
-pairing, wedge and scale.  Every residual reads from that jet.  The
-public single-quantity functions (fundamental_forms, conformality_residual,
-marginally_trapped_residual, christoffel_residual) are thin entry points
-to the same private code.
+verify_surface reads every residual from one derivative jet per surface:
+one first_form call (x_u, x_v, I, and the stencil validity that is also
+the report's interior), one x_uu/x_vv/x_uv when a normal or the trapping
+check needs them, and one pair of Gauss-section tangents.  The public
+single-quantity functions are thin entry points to the same private code.
 
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import minksurf.verify as verify
-
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.minkowski import E0, E3, ip31
 from minksurf.surfaces import (GeometryKind, SurfaceSample, make_affine_surface,
