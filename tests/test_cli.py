@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from minksurf.cli import (EXIT_BASE_MASKED, EXIT_CONFIG, EXIT_OK, EXIT_PARSE,
                           EXIT_VERIFY, main)
 from minksurf.config import ConfigError, parse_config
+from minksurf.surfaces import GeometryKind
 
 
 def _base_config(tmp_path, **overrides):
@@ -205,3 +207,67 @@ def test_nonfinite_base_is_config_error(tmp_path):
     doc = _base_config(tmp_path)
     doc["domain"]["base"] = [float("inf"), 0.0]
     assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+
+
+# byte pins of whole `minksurf run` outputs, one config per kind: the mesh,
+# the curvature CSV and the report JSON, whose `surface` and `mesh` extras
+# no writer-level pin covers
+CLI_PINS = {
+    "affine-e3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
+                   {"kind": "affine-e3", "p": [1.0, 0.0, 0.0, 0.0]}, "obj"),
+                  ("1b86e439c6520d9b4fba56f0c7540958db05896a1d733c83af6941fc9a902168",
+                   "ee4672cef5fd4e5503b9c49632be6a869923b76ac7535fc00318b4e5dfcb24f4",
+                   "78da8814cf03806d925e90c3586d7bb59ca2ae962598fa99c05fae748e883fda")),
+    "affine-l3": (({"phi": "z", "omega": "1"}, 1.0,
+                   {"kind": "affine-l3", "p": [0.0, 0.0, 0.0, 1.0]}, "ply"),
+                  ("593d14e5c0ae6c2cd7cdf1dc3edb97ae9e636ee7842d986ec65af1106aa678a7",
+                   "b2de0197b70d7608abe135c30dbd4f4c0dbc563efbd7140e9ad42f496f487b43",
+                   "73ced2658cefc0ee62b716fe8d9fcb5e69b407d57be91f4c672a9dd654850cd4")),
+    "affine-isotropic": (({"phi": "z", "omega": "1"}, 1.0,
+                          {"kind": "affine-isotropic", "p": [1.0, 0.0, 0.0, 1.0]}, "obj"),
+                         ("75f6e26a3dbbd996b7fcbcbefd631ff05d8f7df5ecb1b6e996ba6f94156c693a",
+                          "04c6790e69000894f9c78426fe9525b34ea2b6dc9c3fbe332de7b87bb06c9a4a",
+                          "fe354a87f9a8a10e160906cf119263a11b41e8fb061ad7a2c57492bd03cd3c01")),
+    "quadric-h3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
+                    {"kind": "quadric-h3", "mu": -1.0, "m": 1.0}, "ply"),
+                   ("7d85407683c4b9eabd07861f5237f699998a43ce50188216c3d5c90f6eed7816",
+                    "94621810e8a6b644e692604a5f9b50f9f73f1004b3580d700dfbd1429fd4e81d",
+                    "26e07a7730680287c78334cbc1c0ba42ea7c17aafa4b756f5943715519e4618c")),
+    "quadric-desitter": (({"phi": "z", "omega": "1"}, 0.6,
+                          {"kind": "quadric-desitter", "mu": 1.0, "m": 1.0}, "obj"),
+                         ("bef9c3acb7f48da580deac12797605c65acc6ddaaeea2d0347644c940d60244f",
+                          "8842a3cef49da6c97542bb737d5ea176988399120b3cce03f19f91dd4f786fb6",
+                          "c57040c8df0a7fc91577f8c36f7167a629e2bb7872b8883f69b6fc33592ec0c6")),
+    "quadric-lightcone": (({"phi": "z", "omega": "1"}, 0.6,
+                           {"kind": "quadric-lightcone", "mu": 0.0, "m": 1.0}, "ply"),
+                          ("46a7cbad1579910cb9f7872ab79bf7b918380a42853bb249c7f73db3757325d8",
+                           "6f9aef9784da8372c11768685bbce024818138fbb247dac49f59bf98b449a0e4",
+                           "517a55de7ba4082be5b39e365cd19cf52b36bc0dda50dbfc6da71c536ece2b9b")),
+    "lw-bryant": (({"psi": "z", "eta": "0.3"}, 0.5,
+                   {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}, "obj"),
+                  ("0c1667ee669a22be44acbf20f08bce1393e5c2acaaf8647c80a5e95e73fd2eec",
+                   "33f2f5270deb521594b8efe40e4f106e5d81193d9a356c80b1743c719add9981",
+                   "c267d105ae550ddcc6002aa541d666c648697b9473c571df1d249ccfa367c6b7")),
+}
+
+
+def _cli_outputs(tmp_path, name):
+    (data, half, target, fmt), _ = CLI_PINS[name]
+    doc = _base_config(tmp_path, data=data, target=target)
+    doc["domain"].update(re_min=-half, re_max=half, im_min=-half, im_max=half)
+    doc["output"].update(mesh_path=str(tmp_path / f"mesh.{fmt}"), mesh_format=fmt)
+    code = main(["run", _write(tmp_path, doc), "--quiet"])
+    return code, tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                       for f in (f"mesh.{fmt}", "curv.csv", "report.json"))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_output_bytes_pinned(tmp_path, name):
+    code, digests = _cli_outputs(tmp_path, name)
+    assert code == EXIT_OK
+    assert digests == CLI_PINS[name][1]
+
+
+def test_cli_pins_cover_every_kind():
+    assert set(CLI_PINS) == {kind.value for kind in GeometryKind}
+    assert {spec[3] for spec, _ in CLI_PINS.values()} == {"obj", "ply"}
