@@ -9,7 +9,7 @@ integrates path-independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,14 +76,6 @@ class DomainGrid:
             raise ValueError(f"point {z} lies outside the grid")
         return (iv, iu)
 
-    def with_resolution(self, nu, nv):
-        """Same rectangle and base location at a different node count."""
-        base_z = self.base_z
-        probe = DomainGrid(self.re_min, self.re_max, self.im_min, self.im_max,
-                           nu, nv, (0, 0))
-        return DomainGrid(self.re_min, self.re_max, self.im_min, self.im_max,
-                          nu, nv, probe.nearest_index(base_z))
-
     @staticmethod
     def square(half_extent, n, base=0j):
         """Centered square [-h, h]^2 with n x n nodes."""
@@ -112,12 +104,13 @@ def dilate_mask(masked, iterations=1):
 
 @dataclass
 class SampledData:
-    """Holomorphic data evaluated over a grid.
+    """The data (phi, omega) evaluated over a grid.
 
     mask is True at usable nodes; it is False at singular evaluations,
     near critical points of phi, and one dilation ring around both.
-    Expression handles are kept so path integrators can evaluate the
-    data between nodes.
+    The expressions are kept so path integrators can evaluate the data
+    between nodes.  The transformed data (psi, eta) are not sampled here:
+    they go to make_lw_bryant directly.
     """
 
     grid: DomainGrid
@@ -125,26 +118,16 @@ class SampledData:
     dphi: np.ndarray
     omega_hat: np.ndarray
     mask: np.ndarray
-    phi_expr: Expr | None = None
-    dphi_expr: Expr | None = None
-    omega_expr: Expr | None = None
-    psi: np.ndarray | None = None
-    dpsi: np.ndarray | None = None
-    eta_hat: np.ndarray | None = None
-    psi_expr: Expr | None = field(default=None, repr=False)
-    eta_expr: Expr | None = field(default=None, repr=False)
-
-    @property
-    def has_secondary(self):
-        return self.psi is not None and self.eta_hat is not None
+    phi_expr: Expr
+    omega_expr: Expr
 
 
 def _as_expr(e):
     return parse_expr(e) if isinstance(e, str) else e
 
 
-def sample_data(phi, omega_hat, grid, psi=None, eta_hat=None, eps_crit=None):
-    """Sample phi, phi', omega (and optional psi, psi', eta) over a grid.
+def sample_data(phi, omega_hat, grid, eps_crit=None):
+    """Sample phi, phi' and omega over a grid.
 
     Nodes are masked at singular evaluations and where |phi'| falls below
     eps_crit (default 1e-8 * grid diameter): critical points of phi are
@@ -163,31 +146,13 @@ def sample_data(phi, omega_hat, grid, psi=None, eta_hat=None, eps_crit=None):
     omega_v, s3 = evaluate(omega_hat, zs)
     bad = s1 | s2 | s3 | (np.abs(dphi_v) < eps_crit)
 
-    data = SampledData(
-        grid=grid, phi=phi_v, dphi=dphi_v, omega_hat=omega_v,
-        mask=np.zeros(grid.shape, dtype=bool),
-        phi_expr=phi, dphi_expr=dphi, omega_expr=omega_hat,
-    )
-
-    if psi is not None or eta_hat is not None:
-        if psi is None or eta_hat is None:
-            raise ValueError("psi and eta_hat must be given together")
-        psi = _as_expr(psi)
-        eta_hat = _as_expr(eta_hat)
-        dpsi = differentiate(psi)
-        psi_v, t1 = evaluate(psi, zs)
-        dpsi_v, t2 = evaluate(dpsi, zs)
-        eta_v, t3 = evaluate(eta_hat, zs)
-        bad = bad | t1 | t2 | t3
-        data.psi, data.dpsi, data.eta_hat = psi_v, dpsi_v, eta_v
-        data.psi_expr, data.eta_expr = psi, eta_hat
-
-    data.mask = ~dilate_mask(bad)
+    mask = ~dilate_mask(bad)
     iv, iu = grid.base_index
-    if not data.mask[iv, iu]:
+    if not mask[iv, iu]:
         raise BasePointMaskedError(
             "base node is masked; choose another base point")
-    return data
+    return SampledData(grid=grid, phi=phi_v, dphi=dphi_v, omega_hat=omega_v,
+                       mask=mask, phi_expr=phi, omega_expr=omega_hat)
 
 
 # barycentric weights for equispaced Lagrange stencils, by stencil size
@@ -195,13 +160,14 @@ _BARY = {n: np.array([(-1.0) ** j * float(math.comb(n - 1, j)) for j in range(n)
          for n in (2, 3, 4, 5, 6)}
 
 
-def _lagrange_1d(samples, t, stencil):
+def _lagrange_1d(samples, t):
     """Barycentric interpolation of rows of samples at fractional index t.
 
-    samples: (q, n) + tail, t: (q,). Uses `stencil` nearest nodes per query.
+    samples: (q, n) + tail, t: (q,). Uses the 6 nearest nodes per query
+    (all n when the line has fewer).
     """
     n = samples.shape[1]
-    stencil = min(stencil, n)
+    stencil = min(6, n)
     w = _BARY[stencil]
     start = np.clip(np.floor(t).astype(int) - (stencil // 2 - 1), 0, n - stencil)
     tt = t - start
@@ -220,12 +186,12 @@ def _lagrange_1d(samples, t, stencil):
     return (vals * coeff).sum(axis=1)
 
 
-def grid_line_interpolant(values, grid, mask=None, stencil=6):
+def grid_line_interpolant(values, grid, mask=None):
     """Wrap per-node samples as a callable for points on grid lines.
 
     Queries must lie on a horizontal or vertical grid line (the staircase
     integrators only ever ask for such points); interpolation is 1D
-    Lagrange on the `stencil` nearest nodes of that line.  Values at
+    Lagrange on the 6 nearest nodes of that line.  Values at
     queries whose stencil touches a masked node come back NaN.
     """
     values = np.asarray(values)
@@ -244,7 +210,7 @@ def grid_line_interpolant(values, grid, mask=None, stencil=6):
         sel = np.nonzero(on_row)[0]
         if sel.size:
             rows = np.clip(np.round(fv[sel]).astype(int), 0, grid.nv - 1)
-            out[sel] = _lagrange_1d(work[rows], fu[sel], stencil)
+            out[sel] = _lagrange_1d(work[rows], fu[sel])
         sel = np.nonzero(~on_row)[0]
         if sel.size:
             fuq = fu[sel]
@@ -252,7 +218,7 @@ def grid_line_interpolant(values, grid, mask=None, stencil=6):
                 raise ValueError("interpolation queries must lie on grid lines")
             cols = np.clip(np.round(fuq).astype(int), 0, grid.nu - 1)
             samples = np.swapaxes(work, 0, 1)[cols]
-            out[sel] = _lagrange_1d(samples, fv[sel], stencil)
+            out[sel] = _lagrange_1d(samples, fv[sel])
         return out.reshape(z.shape + values.shape[2:])
 
     return f

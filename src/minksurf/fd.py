@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .domain import dilate_mask
+
 STENCIL_RADIUS = 2
 
 
@@ -55,28 +57,14 @@ def mixed_diff(field, du, dv):
     return central_diff(central_diff(field, dv, 0), du, 1)
 
 
-def stencil_valid(mask, radius=STENCIL_RADIUS):
-    """True where every node within Chebyshev distance `radius` is valid.
+def stencil_valid(mask):
+    """True where every node within Chebyshev distance STENCIL_RADIUS is valid.
 
-    Grid-boundary nodes within `radius` of the edge are invalid by
+    Grid-boundary nodes within STENCIL_RADIUS of the edge are invalid by
     construction (central stencils only).
     """
-    ok = np.asarray(mask, dtype=bool)
-    out = ok.copy()
-    for _ in range(radius):
-        nxt = out.copy()
-        nxt[1:, :] &= out[:-1, :]
-        nxt[:-1, :] &= out[1:, :]
-        nxt[:, 1:] &= out[:, :-1]
-        nxt[:, :-1] &= out[:, 1:]
-        nxt[1:, 1:] &= out[:-1, :-1]
-        nxt[1:, :-1] &= out[:-1, 1:]
-        nxt[:-1, 1:] &= out[1:, :-1]
-        nxt[:-1, :-1] &= out[1:, 1:]
-        nxt[0, :] = False
-        nxt[-1, :] = False
-        nxt[:, 0] = False
-        nxt[:, -1] = False
-        out = nxt
+    r = STENCIL_RADIUS
+    out = ~dilate_mask(~np.asarray(mask, dtype=bool), r)
+    out[:r] = out[-r:] = False
+    out[:, :r] = out[:, -r:] = False
     return out
-

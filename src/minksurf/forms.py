@@ -22,20 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import DomainGrid, SampledData
+from .domain import SampledData
 from .expr import evaluate
 from .minkowski import herm_from_vec
 
 
 @dataclass
 class XiField:
-    """Per-node matrix density xi_hat with an evaluator for off-node points."""
+    """The matrix density xi_hat as an evaluator, with the usable nodes."""
 
-    grid: DomainGrid
-    values: np.ndarray          # (nv, nu, 2, 2) complex
     mask: np.ndarray            # True at usable nodes
     fn: Callable                # z -> (..., 2, 2) complex, NaN where singular
-    secondary: bool = False
 
 
 def xi_hat_values(phi, omega_hat):
@@ -51,38 +48,24 @@ def xi_hat_values(phi, omega_hat):
 
 
 def _expr_pair_fn(f_expr, g_expr, combine):
+    """z -> combine(f(z), g(z)), NaN over the trailing axes where singular."""
     def fn(z):
         fv, fs = evaluate(f_expr, z)
         gv, gs = evaluate(g_expr, z)
         out = combine(fv, gv)
         bad = fs | gs
         if np.any(bad):
-            out = np.where(bad[..., None, None], np.nan, out)
+            out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)),
+                           np.nan, out)
         return out
     return fn
 
 
-def build_xi(data: SampledData, use_secondary: bool = False) -> XiField:
-    """Assemble the matrix density field from sampled data.
-
-    With use_secondary the (psi, eta) pair is used instead of (phi, omega);
-    raises if the secondary fields are absent.
-    """
-    if use_secondary:
-        if not data.has_secondary:
-            raise ValueError("sampled data carries no secondary (psi, eta) fields")
-        values = xi_hat_values(data.psi, data.eta_hat)
-        fn = _expr_pair_fn(data.psi_expr, data.eta_expr, xi_hat_values) \
-            if data.psi_expr is not None and data.eta_expr is not None else None
-    else:
-        values = xi_hat_values(data.phi, data.omega_hat)
-        fn = _expr_pair_fn(data.phi_expr, data.omega_expr, xi_hat_values) \
-            if data.phi_expr is not None and data.omega_expr is not None else None
-    if fn is None:
-        from .domain import grid_line_interpolant
-        fn = grid_line_interpolant(values, data.grid, mask=data.mask)
-    return XiField(grid=data.grid, values=values, mask=data.mask.copy(),
-                   fn=fn, secondary=use_secondary)
+def build_xi(data: SampledData) -> XiField:
+    """The matrix density of the data (phi, omega), evaluated from their
+    expressions; its mask is the data's."""
+    return XiField(mask=data.mask.copy(),
+                   fn=_expr_pair_fn(data.phi_expr, data.omega_expr, xi_hat_values))
 
 
 def vec_density_from_matrix(m):
@@ -118,17 +101,5 @@ def zeta_apply(data: SampledData, a) -> np.ndarray:
 def zeta_density_fn(data: SampledData, a):
     """Callable z -> w(z) for quadrature between nodes; NaN where singular."""
     a = np.asarray(a, dtype=float)
-    if data.phi_expr is None or data.omega_expr is None:
-        from .domain import grid_line_interpolant
-        return grid_line_interpolant(zeta_apply(data, a), data.grid, mask=data.mask)
-
-    def fn(z):
-        pv, ps = evaluate(data.phi_expr, z)
-        ov, os_ = evaluate(data.omega_expr, z)
-        w = zeta_vector_density(pv, ov, a)
-        bad = ps | os_
-        if np.any(bad):
-            w = np.where(bad[..., None], np.nan, w)
-        return w
-
-    return fn
+    return _expr_pair_fn(data.phi_expr, data.omega_expr,
+                         lambda phi, omega_hat: zeta_vector_density(phi, omega_hat, a))

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import DomainGrid, grid_line_interpolant
+from .domain import DomainGrid
 from .minkowski import EPS_DET, _det2, inv2
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -48,10 +48,7 @@ class FrameField:
     grid: DomainGrid
     values: np.ndarray          # (nv, nu, 2, 2) complex
     valid: np.ndarray           # (nv, nu) bool
-    m: float
-    side: FrameSide
     det_drift: float            # max raw |det P - 1| per unit length of edge
-    order: PathOrder
     coupled: tuple = ()         # further matrices transported with the frame
 
 
@@ -71,12 +68,6 @@ def _max_frobenius(diff, valid):
     if not np.any(valid):
         return float("nan")
     return float(np.nanmax(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))[valid]))
-
-
-def _as_density_fn(density, grid, mask):
-    if callable(density):
-        return density
-    return grid_line_interpolant(np.asarray(density), grid, mask=mask)
 
 
 def _simpson_weights(substeps):
@@ -126,13 +117,13 @@ def _chain_valid(node_ok, edge_ok, i0, axis=0):
     """Reachability along one line: node i0 outward through ok edges/nodes."""
     node_ok = np.moveaxis(np.asarray(node_ok, dtype=bool), axis, 0)
     edge_ok = np.moveaxis(np.asarray(edge_ok, dtype=bool), axis, 0)
-    out = np.zeros_like(node_ok)
-    out[i0] = node_ok[i0]
-    n = node_ok.shape[0]
-    for i in range(i0 + 1, n):
-        out[i] = out[i - 1] & edge_ok[i - 1] & node_ok[i]
-    for i in range(i0 - 1, -1, -1):
-        out[i] = out[i + 1] & edge_ok[i] & node_ok[i]
+    # step[i]: node i is usable and so is the edge to it from the i0 side
+    step = node_ok.copy()
+    step[i0 + 1:] &= edge_ok[i0:]
+    step[:i0] &= edge_ok[:i0]
+    out = np.empty_like(step)
+    out[i0:] = np.logical_and.accumulate(step[i0:], axis=0)
+    out[i0::-1] = np.logical_and.accumulate(step[i0::-1], axis=0)
     return np.moveaxis(out, 0, axis)
 
 
@@ -141,14 +132,13 @@ def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
     """Integrate a closed 1-form density along staircase paths.
 
     density is a callable z -> values (any tail shape, NaN marking
-    singular points) or a per-node array that gets line-interpolated.
-    Returns (field, valid): field[iv, iu] = base_value + integral of
-    density dz from the base node to node (iv, iu); nodes that cannot be
-    reached through unmasked, finite samples are invalid and NaN.
+    singular points).  Returns (field, valid): field[iv, iu] = base_value
+    + integral of density dz from the base node to node (iv, iu); nodes
+    that cannot be reached through unmasked, finite samples are invalid
+    and NaN.
     """
-    f = _as_density_fn(density, grid, mask)
     zs, node_ok, base = _oriented(grid, mask, order)
-    fld, ok = _integrate_on(f, zs, base, node_ok, base_value, substeps)
+    fld, ok = _integrate_on(density, zs, base, node_ok, base_value, substeps)
     if order is PathOrder.COLUMN_FIRST:
         return fld.swapaxes(0, 1), ok.T
     return fld, ok
@@ -171,12 +161,11 @@ def _integrate_on(f, zs, base, node_ok, base_value, substeps):
     return total, valid
 
 
-def plaquette_residuals(density, grid, *, mask=None, substeps=4):
-    """Loop integrals of a density around every grid cell (closedness check)."""
-    f = _as_density_fn(density, grid, mask)
+def plaquette_residuals(density, grid):
+    """Loop integrals of a callable density around every grid cell (closedness check)."""
     zs = grid.zs()
-    eh, _ = _segment_integrals(f, zs[:, :-1], zs[:, 1:], substeps)
-    ev, _ = _segment_integrals(f, zs[:-1, :], zs[1:, :], substeps)
+    eh, _ = _segment_integrals(density, zs[:, :-1], zs[:, 1:], 4)
+    ev, _ = _segment_integrals(density, zs[:-1, :], zs[1:, :], 4)
     return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 
@@ -270,7 +259,6 @@ class FrameWithMovedIntegral:
 
     coeff: Callable
     m: float
-    side = FrameSide.LEFT
     state0 = np.concatenate((IDENTITY2.reshape(4), np.zeros(4)))
 
     def local(self, xi, delta):
@@ -297,9 +285,7 @@ class IterationLawFrames:
     coeff: Callable
     t: float
     s: float
-    side = FrameSide.RIGHT
     state0 = np.tile(IDENTITY2.reshape(4), 3)
-    m = property(lambda self: -self.t)      # of F_t, the field's primary frame
 
     def local(self, xi, delta):
         first = _rk4_substeps(xi * (self.t * delta), False)
@@ -372,8 +358,7 @@ def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
     mats = out.reshape(zs.shape + (-1, 2, 2))
     if order is PathOrder.COLUMN_FIRST:
         mats, valid = np.swapaxes(mats, 0, 1), valid.T
-    return FrameField(grid=grid, values=mats[:, :, 0], valid=valid, m=problem.m,
-                      side=problem.side, det_drift=drift, order=order,
+    return FrameField(grid=grid, values=mats[:, :, 0], valid=valid, det_drift=drift,
                       coupled=tuple(mats[:, :, i] for i in range(1, mats.shape[2])))
 
 
@@ -397,7 +382,7 @@ def solve_psi(xi, m, grid, psi0=None, *, side=FrameSide.LEFT, mask=None,
                              order=order, substeps=substeps)
 
 
-def iteration_law_defect(xi, t, s, grid, *, mask=None, substeps=4):
+def iteration_law_defect(xi, t, s, grid):
     """Defect of composing trivializing gauges: F^t_s F_t against F_{t+s}.
 
     F_t solves dF = t F xi; the second-stage gauge F^t_s solves
@@ -406,19 +391,16 @@ def iteration_law_defect(xi, t, s, grid, *, mask=None, substeps=4):
     should be a constant matrix over the grid; returns its maximum
     Frobenius distance from the base-node value.
     """
-    fn, node_mask = _xi_inputs(xi, mask)
-    frames = solve_path_system(grid, IterationLawFrames(fn, t, s), mask=node_mask,
-                               substeps=substeps)
+    fn, node_mask = _xi_inputs(xi, None)
+    frames = solve_path_system(grid, IterationLawFrames(fn, t, s), mask=node_mask)
     f_t, (f_st, f_ts) = frames.values, frames.coupled
     with np.errstate(all="ignore"):
         prod = (f_st @ f_t) @ inv2(f_ts)
     return _max_frobenius(prod - prod[grid.base_index], frames.valid)
 
 
-def path_independence_check(xi, m, grid, *, mask=None, substeps=4, psi0=None):
+def path_independence_check(xi, m, grid):
     """Max Frobenius deviation between row-first and column-first transport."""
-    a = solve_psi(xi, m, grid, psi0, mask=mask, order=PathOrder.ROW_FIRST,
-                  substeps=substeps)
-    b = solve_psi(xi, m, grid, psi0, mask=mask, order=PathOrder.COLUMN_FIRST,
-                  substeps=substeps)
+    a = solve_psi(xi, m, grid, order=PathOrder.ROW_FIRST)
+    b = solve_psi(xi, m, grid, order=PathOrder.COLUMN_FIRST)
     return _max_frobenius(a.values - b.values, a.valid & b.valid)

@@ -28,7 +28,8 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
 
-# Default tolerances; every function taking an eps accepts an override.
+# Tolerances of the checks below: null band, Hermitian, unit-determinant,
+# trace-free and skew defects.
 EPS_NULL = 1e-9
 EPS_HERM = 1e-9
 EPS_DET = 1e-8
@@ -52,18 +53,21 @@ def ip31(u, v):
             + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
 
 
-def causal_type(v, eps=None):
+def enorm(v):
+    """Euclidean norm over the last axis, broadcasting."""
+    return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
+
+
+def causal_type(v):
     """Classify a single vector as timelike, spacelike or lightlike.
 
-    The null band is |(v,v)| <= eps * max(1, |v|_E^2) with the Euclidean
-    norm as scale; eps defaults to EPS_NULL.
+    The null band is |(v,v)| <= EPS_NULL * max(1, |v|_E^2) with the
+    Euclidean norm as scale.
     """
     v = np.asarray(v, dtype=float)
-    if eps is None:
-        eps = EPS_NULL
     q = float(ip31(v, v))
     scale = max(1.0, float(np.dot(v, v)))
-    if abs(q) <= eps * scale:
+    if abs(q) <= EPS_NULL * scale:
         return LIGHTLIKE
     return TIMELIKE if q < 0.0 else SPACELIKE
 
@@ -79,21 +83,19 @@ def herm_from_vec(v):
     return out
 
 
-def vec_from_herm(a, eps=None):
+def vec_from_herm(a):
     """Inverse of herm_from_vec; rejects non-Hermitian input.
 
-    Hermitian defect is measured entrywise against eps * (1 + max |a|).
+    Hermitian defect is measured entrywise against EPS_HERM * (1 + max |a|).
     """
     a = np.asarray(a, dtype=complex)
-    if eps is None:
-        eps = EPS_HERM
     scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
     defect = max(
         float(np.max(np.abs(a[..., 1, 0] - np.conj(a[..., 0, 1]))) if a.size else 0.0),
         float(np.max(np.abs(a[..., 0, 0].imag)) if a.size else 0.0),
         float(np.max(np.abs(a[..., 1, 1].imag)) if a.size else 0.0),
     )
-    if defect > eps * scale:
+    if defect > EPS_HERM * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance ({defect:.3e})")
     return vec_from_herm_unchecked(a)
 
@@ -125,32 +127,28 @@ def inv2(a):
         return out / _det2(a)[..., None, None]
 
 
-def sl2_act_vec(a, v, eps=None):
+def sl2_act_vec(a, v):
     """Action of A in SL(2,C) on R^{3,1}: v -> vec(A herm(v) A*).
 
-    Raises if |det A - 1| exceeds eps (default EPS_DET) anywhere.
+    Raises if |det A - 1| exceeds EPS_DET anywhere.
     """
     a = np.asarray(a, dtype=complex)
-    if eps is None:
-        eps = EPS_DET
     defect = float(np.max(np.abs(_det2(a) - 1.0)))
-    if defect > eps:
+    if defect > EPS_DET:
         raise ValueError(f"matrix is not unit-determinant within tolerance ({defect:.3e})")
     h = herm_from_vec(v)
     astar = np.conj(np.swapaxes(a, -1, -2))
     return vec_from_herm_unchecked(a @ h @ astar)
 
 
-def sl2alg_act_vec(b, v, eps=None):
+def sl2alg_act_vec(b, v):
     """Infinitesimal action of B in sl(2,C): v -> vec(B herm(v) + herm(v) B*).
 
-    Raises if |tr B| exceeds eps (default EPS_TRACE) anywhere.
+    Raises if |tr B| exceeds EPS_TRACE anywhere.
     """
     b = np.asarray(b, dtype=complex)
-    if eps is None:
-        eps = EPS_TRACE
     defect = float(np.max(np.abs(b[..., 0, 0] + b[..., 1, 1])))
-    if defect > eps:
+    if defect > EPS_TRACE:
         raise ValueError(f"matrix is not trace-free within tolerance ({defect:.3e})")
     h = herm_from_vec(v)
     bstar = np.conj(np.swapaxes(b, -1, -2))
@@ -166,14 +164,12 @@ def wedge_to_skew(a, b):
     return -(w * ETA)
 
 
-def is_skew31(w, eps=None):
-    """True where eta*W is antisymmetric within eps, i.e. (Wu,v) = -(u,Wv)."""
+def is_skew31(w):
+    """True where eta*W is antisymmetric within EPS_SKEW, i.e. (Wu,v) = -(u,Wv)."""
     w = np.asarray(w)
-    if eps is None:
-        eps = EPS_SKEW
     ew = ETA[:, None] * w
     scale = 1.0 + (np.max(np.abs(w)) if w.size else 0.0)
-    return float(np.max(np.abs(ew + np.swapaxes(ew, -1, -2)))) <= eps * scale
+    return float(np.max(np.abs(ew + np.swapaxes(ew, -1, -2)))) <= EPS_SKEW * scale
 
 
 def skew_frobenius(w):
@@ -198,14 +194,14 @@ SL2_WEDGE_TABLE = {
 }
 
 
-def skew_to_sl2(w, eps=None):
+def skew_to_sl2(w):
     """Convert a skew endomorphism to the sl(2,C) element with the same action.
 
     Decomposes W over the basis e_i ^ e_j (coefficient c_ij = eta_i * W[j, i])
     and sums the tabulated sl(2,C) images.  Raises on non-skew input.
     """
     w = np.asarray(w, dtype=float)
-    if not is_skew31(w, eps=eps):
+    if not is_skew31(w):
         raise ValueError("matrix is not skew-symmetric with respect to the Minkowski form")
     out = np.zeros(w.shape[:-2] + (2, 2), dtype=complex)
     for (i, j), bij in SL2_WEDGE_TABLE.items():

@@ -37,11 +37,12 @@ from .fd import central_diff, stencil_valid
 from .forms import build_xi, vec_density_from_matrix, xi_hat_values, zeta_density_fn
 from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
-from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type,
+from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type, enorm,
                         herm_from_vec, inv2, ip31, vec_from_herm_unchecked)
 
 EPS_DEGENERATE = 0.02   # relative threshold for non-immersion masking
 EPS_LW_POLE = 1e-6      # relative threshold on |1 - mu |psi|^2|
+BASE_X = np.zeros(4)    # position of the base node for the affine families
 
 
 class GeometryKind(str, Enum):
@@ -139,13 +140,8 @@ def gauss_lift(phi):
     return out
 
 
-def _euclid(v):
-    return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
-
-
-def _degenerate_mask(pairing, scale, eps):
-    bad = np.abs(pairing) < eps * scale
-    return dilate_mask(bad)
+def _degenerate_mask(pairing, scale):
+    return dilate_mask(np.abs(pairing) < EPS_DEGENERATE * scale)
 
 
 def _rescaled_gauss(g, pairing):
@@ -154,10 +150,8 @@ def _rescaled_gauss(g, pairing):
         return g * (-1.0 / pairing)[..., None]
 
 
-def make_affine_surface(data: SampledData, p, base_x=None, *,
-                        eps_degenerate=EPS_DEGENERATE, substeps=4,
-                        order=PathOrder.ROW_FIRST) -> SurfaceSample:
-    """Integrate dx = -(zeta p) into the affine hyperplane normal to p.
+def make_affine_surface(data: SampledData, p) -> SurfaceSample:
+    """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p.
 
     Masks nodes where the Gauss direction is orthogonal to p (x fails to
     immerse there).  For non-lightlike p a normal g - p is attached, with
@@ -167,20 +161,15 @@ def make_affine_surface(data: SampledData, p, base_x=None, *,
     if not np.any(p):
         raise ValueError("hyperplane normal p must be non-zero")
     kind = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
-    if base_x is None:
-        base_x = np.zeros(4)
-    base_x = np.asarray(base_x, dtype=float)
 
     density = zeta_density_fn(data, p)
     integral, valid = integrate_closed_form(
-        density, data.grid, base_value=np.zeros(4, dtype=complex),
-        mask=data.mask, order=order, substeps=substeps)
-    x = base_x - np.where(np.isfinite(integral.real), integral.real, np.nan)
+        density, data.grid, base_value=np.zeros(4, dtype=complex), mask=data.mask)
+    x = BASE_X - np.where(np.isfinite(integral.real), integral.real, np.nan)
 
     g = gauss_lift(data.phi)
     gp = ip31(g, p)
-    degenerate = _degenerate_mask(gp, (1.0 + np.abs(data.phi) ** 2) * max(_euclid(p), 1e-30),
-                                  eps_degenerate)
+    degenerate = _degenerate_mask(gp, (1.0 + np.abs(data.phi) ** 2) * max(enorm(p), 1e-30))
     mask = valid & data.mask & ~degenerate
 
     gauss = _rescaled_gauss(g, gp)
@@ -189,7 +178,7 @@ def make_affine_surface(data: SampledData, p, base_x=None, *,
         normal = gauss - p
     return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=mask, gauss=gauss,
                          normal=normal,
-                         params={"p": tuple(p), "base_x": tuple(base_x)})
+                         params={"p": tuple(p), "base_x": tuple(BASE_X)})
 
 
 def _frame_conjugate(psi, h):
@@ -203,9 +192,7 @@ def _frame_conjugate(psi, h):
     return np.stack((0.5 * (m00 + m11), m01.real, m01.imag, 0.5 * (m00 - m11)), axis=-1)
 
 
-def make_quadric_surface(data: SampledData, m, mu, *, psi0=None,
-                         eps_degenerate=EPS_DEGENERATE, substeps=4,
-                         order=PathOrder.ROW_FIRST) -> SurfaceSample:
+def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     """Frame transport x = Psi diag(1, -mu) Psi* with (x, x) = mu.
 
     Masks nodes where x is orthogonal to the Gauss direction.  For mu != 0
@@ -214,15 +201,13 @@ def make_quadric_surface(data: SampledData, m, mu, *, psi0=None,
     if m == 0:
         raise ValueError("m must be non-zero")
     xi = build_xi(data)
-    frame = solve_psi(xi, m, data.grid, psi0, side=FrameSide.LEFT,
-                      mask=data.mask, order=order, substeps=substeps)
+    frame = solve_psi(xi, m, data.grid, side=FrameSide.LEFT, mask=data.mask)
     x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
 
     g = gauss_lift(data.phi)
     xg = ip31(x, g)
-    scale = np.maximum(_euclid(x), 1e-30) * _euclid(g)
-    degenerate = _degenerate_mask(np.where(np.isfinite(xg), xg, 0.0), scale,
-                                  eps_degenerate)
+    scale = np.maximum(enorm(x), 1e-30) * enorm(g)
+    degenerate = _degenerate_mask(np.where(np.isfinite(xg), xg, 0.0), scale)
     mask = frame.valid & data.mask & ~degenerate
 
     gauss = _rescaled_gauss(g, xg)
@@ -270,31 +255,28 @@ def gauge_transformed_density(frame: FrameField, xi_hat):
     return inv2(psi) @ np.asarray(xi_hat, dtype=complex) @ psi
 
 
-def uy_perturb(data: SampledData, m, mu, base_x=None, *,
-               eps_degenerate=EPS_DEGENERATE, substeps=4,
-               order=PathOrder.ROW_FIRST) -> SurfaceSample:
+def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> SurfaceSample:
     """T-transform of the quadric surface: a zero-mean-curvature affine surface.
 
     Couples the frame transport to the quadrature of the gauge-moved form
     applied to the quadric anchor diag(1, -mu); the result lies in the
-    affine hyperplane Minkowski-normal to that anchor vector.
+    affine hyperplane Minkowski-normal to that anchor vector, through BASE_X.
     """
     if m == 0:
         raise ValueError("m must be non-zero")
     xi = build_xi(data)
     c_mat = np.array([[1.0, 0.0], [0.0, -mu]], dtype=complex)
     c_vec = vec_from_herm_unchecked(c_mat)
-    base_x = np.zeros(4) if base_x is None else np.asarray(base_x, dtype=float)
     frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
-                              order=order, substeps=substeps)
-    x = base_x + vec_density_from_matrix(frame.coupled[0] @ c_mat).real
+                              order=order)
+    x = BASE_X + vec_density_from_matrix(frame.coupled[0] @ c_mat).real
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
     gm = gauss_lift(np.where(sec_ok, psi_sec, 0.0))
     gmc = ip31(gm, c_vec)
-    degenerate = _degenerate_mask(gmc, (1.0 + np.abs(psi_sec) ** 2) * max(_euclid(c_vec), 1e-30),
-                                  eps_degenerate) | dilate_mask(~sec_ok)
+    degenerate = _degenerate_mask(gmc, (1.0 + np.abs(psi_sec) ** 2) * max(enorm(c_vec), 1e-30)) \
+        | dilate_mask(~sec_ok)
     mask = frame.valid & data.mask & ~degenerate
 
     kind = _AFFINE_KIND_BY_CAUSAL[causal_type(c_vec)]
@@ -305,7 +287,7 @@ def uy_perturb(data: SampledData, m, mu, base_x=None, *,
     return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=mask, gauss=gauss,
                          normal=normal,
                          params={"p": tuple(c_vec), "mu": mu, "m": m,
-                                 "base_x": tuple(base_x)},
+                                 "base_x": tuple(BASE_X)},
                          aux={"frame": frame, "psi": psi_sec, "perturbed": True})
 
 
@@ -327,8 +309,7 @@ def _as_field_and_fn(obj, grid, mask):
 
 
 def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
-                   psi0=None, eps_pole=EPS_LW_POLE, substeps=4,
-                   order=PathOrder.ROW_FIRST):
+                   eps_pole=EPS_LW_POLE):
     """Linear Weingarten surface of Bryant type plus its middle sphere.
 
     psi and eta_hat may be expressions/text or per-node sampled arrays
@@ -347,8 +328,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     node_ok = np.isfinite(psi_v) & np.isfinite(eta_v)
     if mask is not None:
         node_ok &= np.asarray(mask, dtype=bool)
-    frame = solve_psi(coeff, m, grid, psi0, side=FrameSide.RIGHT, mask=node_ok,
-                      order=order, substeps=substeps)
+    frame = solve_psi(coeff, m, grid, side=FrameSide.RIGHT, mask=node_ok)
 
     r2 = np.abs(psi_v) ** 2
     pole = 1.0 - mu * r2
@@ -379,7 +359,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     return surface, middle
 
 
-def h_frame_check(frame: FrameField, psi, eta_hat, m, *, dpsi=None):
+def h_frame_check(frame: FrameField, psi, eta_hat, m):
     """Residual of the null-curve frame equation for the LW pipeline.
 
     Builds H = Psi [[i psi, i], [i, 0]] nodewise, finite-differences
@@ -389,9 +369,7 @@ def h_frame_check(frame: FrameField, psi, eta_hat, m, *, dpsi=None):
     grid = frame.grid
     psi_v, _, psi_expr = _as_field_and_fn(psi, grid, None)
     eta_v, _, _ = _as_field_and_fn(eta_hat, grid, None)
-    if dpsi is not None:
-        dpsi_v, _, _ = _as_field_and_fn(dpsi, grid, None)
-    elif psi_expr is not None:
+    if psi_expr is not None:
         dpsi_v, sing = evaluate(differentiate(psi_expr), grid.zs())
         dpsi_v = np.where(sing, np.nan, dpsi_v)
     else:
@@ -417,7 +395,7 @@ def h_frame_check(frame: FrameField, psi, eta_hat, m, *, dpsi=None):
     dev_u = np.sqrt(np.sum(np.abs(au - expected) ** 2, axis=(-2, -1)))
     dev_v = np.sqrt(np.sum(np.abs(av - 1j * expected) ** 2, axis=(-2, -1)))
     ok = stencil_valid(frame.valid & np.isfinite(psi_v) & np.isfinite(eta_v)
-                       & np.isfinite(dpsi_v), radius=2)
+                       & np.isfinite(dpsi_v))
     if not np.any(ok):
         return float("nan")
     return float(np.max(np.maximum(dev_u, dev_v)[ok]))

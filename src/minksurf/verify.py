@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fd import central_diff, mixed_diff, second_diff, stencil_valid
-from .minkowski import ip31, skew_frobenius, wedge_to_skew
+from .minkowski import enorm, ip31, skew_frobenius, wedge_to_skew
 from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
@@ -43,10 +43,6 @@ def _finite_all(a):
     return np.isfinite(a).all(axis=-1)
 
 
-def _enorm(v):
-    return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
-
-
 def _tangents(x, grid):
     return (central_diff(x, grid.du, axis=1), central_diff(x, grid.dv, axis=0))
 
@@ -60,7 +56,7 @@ def first_form(surface: SurfaceSample):
         i_form[..., 0, 0] = ip31(xu, xu)
         i_form[..., 0, 1] = i_form[..., 1, 0] = ip31(xu, xv)
         i_form[..., 1, 1] = ip31(xv, xv)
-    valid = stencil_valid(surface.mask & _finite_all(surface.x), radius=2)
+    valid = stencil_valid(surface.mask & _finite_all(surface.x))
     return i_form, xu, xv, valid
 
 
@@ -113,24 +109,25 @@ def fundamental_forms(surface: SurfaceSample):
     return i_form, ii_form, valid
 
 
-def curvatures(i_form, ii_form, eps=EPS_METRIC, eps_rel=1e-8):
+def curvatures(i_form, ii_form):
     """Mean and extrinsic Gauss curvature: H = tr(I^-1 II)/2, K = det(I^-1 II).
 
-    Nodes with a degenerate metric are masked, judged both absolutely and
-    relative to the metric scale (fronts cross genuine det I = 0 curves).
+    Nodes with a degenerate metric are masked, judged both absolutely
+    (|det I| <= EPS_METRIC) and relative to the metric scale (|det I| <=
+    1e-8 of it), since fronts cross genuine det I = 0 curves.
     """
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     l, m, n = ii_form[..., 0, 0], ii_form[..., 0, 1], ii_form[..., 1, 1]
     det_i = e * g - f * f
     scale = 0.25 * (np.abs(e) + np.abs(g)) ** 2
-    ok = (np.abs(det_i) > eps) & (np.abs(det_i) > eps_rel * scale)
+    ok = (np.abs(det_i) > EPS_METRIC) & (np.abs(det_i) > 1e-8 * scale)
     with np.errstate(all="ignore"):
         h = np.where(ok, (e * n - 2.0 * f * m + g * l) / (2.0 * det_i), np.nan)
         k = np.where(ok, (l * n - m * m) / det_i, np.nan)
     return h, k, ok
 
 
-def intrinsic_curvature(i_form, grid, eps=EPS_METRIC):
+def intrinsic_curvature(i_form, grid):
     """Gauss curvature of the induced metric via the Brioschi formula."""
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     du, dv = grid.du, grid.dv
@@ -158,7 +155,7 @@ def intrinsic_curvature(i_form, grid, eps=EPS_METRIC):
     m2[..., 0, 2] = m2[..., 2, 0] = 0.5 * g_u
 
     det_i = e * g - f * f
-    ok = np.abs(det_i) > eps
+    ok = np.abs(det_i) > EPS_METRIC
     bad = ~np.isfinite(m1).all(axis=(-2, -1))
     m1[bad] = np.eye(3)
     m2[bad] = np.eye(3)
@@ -188,10 +185,10 @@ def christoffel_residual(x, x_star, grid, mask=None):
     ok = _finite_all(x) & _finite_all(x_star)
     if mask is not None:
         ok &= np.asarray(mask, dtype=bool)
-    return (*_duality(*tangents), stencil_valid(ok, radius=2))
+    return (*_duality(*tangents), stencil_valid(ok))
 
 
-def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv, floor_rel=1e-6):
+def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv):
     """Marginal-trapping residual and Gauss alignment from the derivative jet.
 
     The mean curvature vector is the metric-traced second derivative less
@@ -210,31 +207,31 @@ def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv, floor_rel=1e-6):
         a1 = (g * b1 - f * b2) / det_i
         a2 = (e * b2 - f * b1) / det_i
         hvec = 0.5 * (lap - a1[..., None] * xu - a2[..., None] * xv)
-    norm = _enorm(hvec)
+    norm = enorm(hvec)
     if not np.any(ok):
         nanf = np.full(surface.grid.shape, np.nan)
         return nanf, nanf, ok
-    floor = floor_rel * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
+    floor = 1e-6 * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
     denom = np.maximum(norm, floor)
     with np.errstate(all="ignore"):
         residual = np.abs(ip31(hvec, hvec)) / denom ** 2
         alignment = np.full(surface.grid.shape, np.nan)
         if surface.gauss is not None:
-            gnorm = _enorm(surface.gauss)
+            gnorm = enorm(surface.gauss)
             alignment = np.abs(ip31(hvec, surface.gauss)) / (denom * np.maximum(gnorm, floor))
     return residual, alignment, ok
 
 
-def marginally_trapped_residual(surface: SurfaceSample, floor_rel=1e-6):
+def marginally_trapped_residual(surface: SurfaceSample):
     """Nullity of the mean curvature vector, plus its Gauss alignment.
 
     residual = |(Hvec, Hvec)| / max(|Hvec|_E, floor)^2 and
     alignment = |(Hvec, g)| / (max(|Hvec|_E, floor) * |g|_E); the floor is
-    floor_rel * (1 + max |Hvec|_E), keeping the ratio meaningful when the
+    1e-6 * (1 + max |Hvec|_E), keeping the ratio meaningful when the
     mean curvature vector itself vanishes (affine surfaces).
     """
     return _trapping(surface, first_form(surface),
-                     *_second_derivatives(surface.x, surface.grid), floor_rel=floor_rel)
+                     *_second_derivatives(surface.x, surface.grid))
 
 
 def _conformality(i_form):
@@ -392,10 +389,10 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
             su, sv = _tangents(surface.gauss, grid)
             # gate the scale-free version: the dual section diverges towards
             # non-immersion loci and would otherwise dominate the raw residual
-            scale = 1.0 + _enorm(xu) * _enorm(sv) + _enorm(xv) * _enorm(su)
+            scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
         pairing, wedge = _duality(xu, xv, su, sv)
         # the interior already requires an unmasked, finite x on each stencil
-        ch_valid = stencil_valid(_finite_all(surface.gauss), radius=2)
+        ch_valid = stencil_valid(_finite_all(surface.gauss))
         report.add("christoffel_pairing", pairing / scale,
                    tol["christoffel_pairing"], where=ch_valid)
         report.add("christoffel_wedge", wedge / scale,

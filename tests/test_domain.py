@@ -27,12 +27,6 @@ def test_grid_coordinates():
     assert g.nearest_index(0.45 + 0.55j) == (3, 3)
 
 
-def test_with_resolution_keeps_base_location():
-    g = DomainGrid(-1.0, 1.0, -0.5, 0.5, 21, 11, (5, 10))
-    fine = g.with_resolution(41, 21)
-    assert abs(fine.base_z - g.base_z) < 1e-12
-
-
 def test_sample_data_all_valid():
     g = DomainGrid.square(1.0, 11)
     data = sample_data("z", "1", g)
@@ -74,16 +68,6 @@ def test_mask_monotone_under_refinement():
         assert not data.mask[iv + 1, iu]
         assert not data.mask[iv, iu + 1]
         assert not data.mask[iv - 1, iu - 1]
-
-
-def test_secondary_fields_sampled_together():
-    g = DomainGrid.square(1.0, 7)
-    data = sample_data("z", "1", g, psi="z^2 + 1", eta_hat="0.5")
-    assert data.has_secondary
-    assert np.allclose(data.psi, g.zs() ** 2 + 1)
-    assert np.allclose(data.dpsi, 2 * g.zs())
-    with pytest.raises(ValueError):
-        sample_data("z", "1", g, psi="z")
 
 
 def test_dilate_mask():

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 
 from minksurf.domain import DomainGrid, sample_data
-from minksurf.forms import (build_xi, vec_density_from_matrix, xi_hat_values,
-                            zeta_apply, zeta_density_fn)
+from minksurf.forms import (vec_density_from_matrix, xi_hat_values, zeta_apply,
+                            zeta_density_fn)
 from minksurf.minkowski import E0, E3, herm_from_vec, ip31, sl2_act_vec
 
 
@@ -22,16 +21,6 @@ def test_xi_trace_free_and_nilpotent():
     scale = 1 + np.abs(phi) ** 2 * np.abs(om)
     assert np.max(np.abs(tr)) == 0.0
     assert np.max(np.abs(det) / scale ** 2) < 1e-15
-
-
-def test_build_xi_requires_secondary_fields():
-    g = DomainGrid.square(1.0, 5)
-    data = sample_data("z", "1", g)
-    with pytest.raises(ValueError):
-        build_xi(data, use_secondary=True)
-    data2 = sample_data("z", "1", g, psi="z", eta_hat="2")
-    xi2 = build_xi(data2, use_secondary=True)
-    assert np.allclose(xi2.values, xi_hat_values(g.zs(), 2.0 * np.ones(g.shape)))
 
 
 def _lift_pair(phi):

@@ -5,7 +5,7 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
-from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder,
+from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder, _chain_valid,
                                 integrate_closed_form, iteration_law_defect,
                                 path_independence_check, plaquette_residuals,
                                 solve_path_system, solve_psi)
@@ -64,6 +64,47 @@ def test_mask_blocks_paths():
     assert np.isnan(fld[8, 3])
 
 
+def test_singular_edge_blocks_paths():
+    # every node is finite; a NaN at the midpoint of an edge cuts the paths
+    # through that edge, on both sides of the base and along rows and columns
+    g = DomainGrid.square(1.0, 5)       # nodes at -1, -0.5, 0, 0.5, 1; base 0
+    poles = np.array([0.25, -0.75, -0.5 + 0.25j, -0.75j])
+
+    def density(z):
+        near = np.abs(np.asarray(z)[..., None] - poles).min(axis=-1) < 1e-12
+        return np.where(near, np.nan, 1.0 + 0j)
+
+    fld, ok = integrate_closed_form(density, g)
+    want = np.zeros(g.shape, dtype=bool)
+    want[:3, 1] = True                  # rows of im -1 .. 0 in the column re = -0.5
+    want[1:, 2] = True                  # rows of im -0.5 .. 1 in the base column
+    assert np.array_equal(ok, want)
+    assert np.isnan(fld[~ok]).all()
+
+
+def _chain_valid_loop(node_ok, edge_ok, i0):
+    # per-node reference: walk out from i0, one node at a time
+    out = np.zeros_like(node_ok)
+    out[i0] = node_ok[i0]
+    for i in range(i0 + 1, len(node_ok)):
+        out[i] = out[i - 1] & edge_ok[i - 1] & node_ok[i]
+    for i in range(i0 - 1, -1, -1):
+        out[i] = out[i + 1] & edge_ok[i] & node_ok[i]
+    return out
+
+
+def test_chain_valid_matches_per_node_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n, lines = int(rng.integers(2, 14)), int(rng.integers(1, 5))
+        p = rng.uniform(0.6, 1.0)
+        node_ok = rng.random((n, lines)) < p
+        edge_ok = rng.random((n - 1, lines)) < p
+        i0 = int(rng.integers(0, n))
+        assert np.array_equal(_chain_valid(node_ok, edge_ok, i0),
+                              _chain_valid_loop(node_ok, edge_ok, i0))
+
+
 def test_column_first_order_walks_transposed():
     g = DomainGrid.square(1.0, 11)
     mask = np.ones(g.shape, dtype=bool)
@@ -72,14 +113,6 @@ def test_column_first_order_walks_transposed():
                                      order=PathOrder.COLUMN_FIRST)
     assert not ok[:, 7:].any()
     assert ok[:, :7].all()
-
-
-def test_array_density_is_interpolated():
-    g = DomainGrid.square(1.0, 21)
-    values = g.zs() ** 2
-    fld, ok = integrate_closed_form(values, g)
-    expect = g.zs() ** 3 / 3
-    assert np.max(np.abs(fld - expect)[ok]) < 1e-12
 
 
 def test_solve_psi_m_zero_is_constant():
@@ -129,15 +162,16 @@ def test_solve_psi_constant_phi_closed_form():
 
 
 def _ode_residual(ff, xi_fn, g, side):
-    # central first difference along u equals the equation's right side
+    # central first difference along u equals the equation's right side;
+    # the frames are solved with m = 1
     vals = ff.values
     du = g.du
     lhs = (vals[:, 2:, :, :] - vals[:, :-2, :, :]) / (2 * du)
     coeff = xi_fn(g.zs()[:, 1:-1])
     if side is FrameSide.LEFT:
-        rhs = -ff.m * coeff @ vals[:, 1:-1]
+        rhs = -coeff @ vals[:, 1:-1]
     else:
-        rhs = -ff.m * vals[:, 1:-1] @ coeff
+        rhs = -vals[:, 1:-1] @ coeff
     return np.max(np.abs(lhs - rhs))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.fd import central_diff, stencil_valid
-from minksurf.integrate import FrameField, FrameSide, PathOrder
+from minksurf.integrate import FrameField
 from minksurf.minkowski import E0, E1, E3, ip31
 from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
                                h_frame_check, make_affine_surface, make_lw_bryant,
@@ -169,8 +169,7 @@ def test_uy_m_scaling_oracle():
 def test_secondary_gauss_identity_frame():
     g = DomainGrid.square(1.0, 9)
     vals = np.broadcast_to(np.eye(2, dtype=complex), g.shape + (2, 2)).copy()
-    frame = FrameField(grid=g, values=vals, valid=np.ones(g.shape, bool), m=1.0,
-                       side=FrameSide.LEFT, det_drift=0.0, order=PathOrder.ROW_FIRST)
+    frame = FrameField(grid=g, values=vals, valid=np.ones(g.shape, bool), det_drift=0.0)
     phi = g.zs() ** 2
     psi, ok = secondary_gauss(frame, phi)
     assert ok.all()
@@ -184,8 +183,7 @@ def test_secondary_gauss_moebius_formula():
     vals[..., 0, 0] = 1.0
     vals[..., 1, 0] = zs
     vals[..., 1, 1] = 1.0
-    frame = FrameField(grid=g, values=vals, valid=np.ones(g.shape, bool), m=1.0,
-                       side=FrameSide.LEFT, det_drift=0.0, order=PathOrder.ROW_FIRST)
+    frame = FrameField(grid=g, values=vals, valid=np.ones(g.shape, bool), det_drift=0.0)
     phi = np.full(g.shape, 0.3 + 0.1j)
     psi, ok = secondary_gauss(frame, phi)
     expect = phi / (1 - zs * phi)
@@ -203,7 +201,7 @@ def test_secondary_gauss_is_holomorphic():
         du_ = central_diff(psi, g.du, axis=1)
         dv_ = central_diff(psi, g.dv, axis=0)
         cr = du_ + 1j * dv_  # d/dx + i d/dy kills holomorphic samples
-        sel = stencil_valid(ok, radius=2)
+        sel = stencil_valid(ok)
         res.append(np.nanmax(np.abs(cr)[sel]))
     assert res[0] < 1e-3
     assert res[1] < 0.3 * res[0]
