@@ -62,8 +62,10 @@ def _expr_pair_fn(f_expr, g_expr, combine):
 
 
 def build_xi(data: SampledData) -> XiField:
-    """The matrix density of the data (phi, omega), evaluated from their
-    expressions; its mask is the data's."""
+    """Matrix density of the data (phi, omega), evaluated from their expressions.
+
+    The field's mask is a copy of the data's.
+    """
     return XiField(mask=data.mask.copy(),
                    fn=_expr_pair_fn(data.phi_expr, data.omega_expr, xi_hat_values))
 

@@ -164,8 +164,8 @@ def _integrate_on(f, zs, base, node_ok, base_value, substeps):
 def plaquette_residuals(density, grid):
     """Loop integrals of a callable density around every grid cell (closedness check)."""
     zs = grid.zs()
-    eh, _ = _segment_integrals(density, zs[:, :-1], zs[:, 1:], 4)
-    ev, _ = _segment_integrals(density, zs[:-1, :], zs[1:, :], 4)
+    eh, _ = _segment_integrals(density, zs[:, :-1], zs[:, 1:], substeps=4)
+    ev, _ = _segment_integrals(density, zs[:-1, :], zs[1:, :], substeps=4)
     return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 

@@ -275,8 +275,8 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
     gm = gauss_lift(np.where(sec_ok, psi_sec, 0.0))
     gmc = ip31(gm, c_vec)
-    degenerate = _degenerate_mask(gmc, (1.0 + np.abs(psi_sec) ** 2) * max(enorm(c_vec), 1e-30)) \
-        | dilate_mask(~sec_ok)
+    scale = (1.0 + np.abs(psi_sec) ** 2) * max(enorm(c_vec), 1e-30)
+    degenerate = _degenerate_mask(gmc, scale) | dilate_mask(~sec_ok)
     mask = frame.valid & data.mask & ~degenerate
 
     kind = _AFFINE_KIND_BY_CAUSAL[causal_type(c_vec)]
