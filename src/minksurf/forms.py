@@ -24,7 +24,6 @@ import numpy as np
 
 from .domain import SampledData
 from .expr import evaluate
-from .minkowski import herm_from_vec
 
 
 @dataclass
@@ -86,9 +85,24 @@ def vec_density_from_matrix(m):
 
 
 def zeta_vector_density(phi, omega_hat, a):
-    """Density w of (zeta a) from sampled phi, omega_hat and a fixed vector a."""
-    xh = xi_hat_values(phi, omega_hat)
-    return vec_density_from_matrix(xh @ herm_from_vec(np.asarray(a, dtype=float)))
+    """Density w of (zeta a) from sampled phi, omega_hat and a fixed vector a.
+
+    w is vec_density_from_matrix(xi_hat herm(a)), written out entry by
+    entry.  Each entry is grouped so that the trace-free cancellations stay
+    exact: w0 = 0 for a along e0 and w3 = 0 for a along e3.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    omega_hat = np.asarray(omega_hat, dtype=complex)
+    a0, a1, a2, a3 = (float(c) for c in a)
+    h00, h01, h10, h11 = a0 + a3, complex(a1, a2), complex(a1, -a2), a0 - a3
+    phi2 = phi * phi
+    w = np.empty(np.broadcast_shapes(phi.shape, omega_hat.shape) + (4,), dtype=complex)
+    w[..., 0] = phi * (h11 - h00) + phi2 * h10 - h01
+    w[..., 1] = phi * (h10 - h01) + phi2 * h11 - h00
+    w[..., 2] = -1j * (phi2 * h11 + h00 - phi * (h01 + h10))
+    w[..., 3] = phi2 * h10 + h01 - phi * (h00 + h11)
+    w *= omega_hat[..., None]
+    return w
 
 
 def zeta_apply(data: SampledData, a) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Staircase integration over a grid: closed-form quadrature and frame transport.
+"""Staircase integration over a grid: one walker for frames and quadrature.
 
 Every field on a DomainGrid is integrated along canonical staircase
 paths: from the base node along its row, then vertically along each
-column (PathOrder.ROW_FIRST), or the transpose (COLUMN_FIRST).  Closed
-1-form densities are integrated with composite Simpson per grid edge.
+column (PathOrder.ROW_FIRST), or the transpose (COLUMN_FIRST).  Each
+integration is an edge problem: a local solution per grid edge, from
+samples of a coefficient, and a rule that composes it into the state.
 
 Frames solve the flat-connection equation in one of two shapes,
 
@@ -16,7 +17,9 @@ for a block of edges in one batched call, and the walk composes
 Psi_next = P Psi (LEFT) or Psi P (RIGHT).  Every P is divided by the
 principal square root of its determinant; its raw |det P - 1| per unit
 length is the recorded drift.  The T-transform and the iteration law solve
-coupled local problems on the same edges.
+coupled local problems on the same edges.  A closed 1-form density is one
+more edge problem: RK4 on dy = f dz is composite Simpson, so each edge
+adds its Simpson sum to the state.
 """
 
 from __future__ import annotations
@@ -70,107 +73,8 @@ def _max_frobenius(diff, valid):
     return float(np.nanmax(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1)))[valid]))
 
 
-def _simpson_weights(substeps):
-    if substeps % 2 != 0 or substeps < 2:
-        raise ValueError("substeps must be even and >= 2")
-    w = np.ones(substeps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / (3.0 * substeps)
-
-
-def _segment_integrals(f, p0, p1, substeps):
-    """Composite Simpson along straight segments p0 -> p1 (complex arrays).
-
-    Returns (integrals, ok): integrals has shape p0.shape + tail; ok flags
-    segments whose every sample came back finite.
-    """
-    p0 = np.asarray(p0, dtype=complex)
-    p1 = np.asarray(p1, dtype=complex)
-    w = _simpson_weights(substeps)
-    ts = np.linspace(0.0, 1.0, substeps + 1)
-    zs = p0[..., None] + (p1 - p0)[..., None] * ts
-    vals = np.asarray(f(zs))
-    tail = vals.shape[zs.ndim:]
-    ok = np.isfinite(vals).reshape(zs.shape + (-1,)).all(axis=-1).all(axis=-1)
-    wfull = w.reshape(w.shape + (1,) * len(tail))
-    seg = (vals * wfull).sum(axis=zs.ndim - 1)
-    dz = (p1 - p0).reshape((p1 - p0).shape + (1,) * len(tail))
-    return seg * dz, ok
-
-
-def _directional_cumsum(edges, i0, axis=0):
-    """Signed cumulative sums of edge integrals, measured from node i0.
-
-    edges has n-1 entries along `axis` for n nodes; result has n entries:
-    out[i] = integral from node i0 to node i along that line.
-    """
-    edges = np.moveaxis(np.asarray(edges), axis, 0)
-    n = edges.shape[0] + 1
-    c = np.zeros((n,) + edges.shape[1:], dtype=edges.dtype)
-    np.cumsum(edges, axis=0, out=c[1:])
-    out = c - c[i0]
-    return np.moveaxis(out, 0, axis)
-
-
-def _chain_valid(node_ok, edge_ok, i0, axis=0):
-    """Reachability along one line: node i0 outward through ok edges/nodes."""
-    node_ok = np.moveaxis(np.asarray(node_ok, dtype=bool), axis, 0)
-    edge_ok = np.moveaxis(np.asarray(edge_ok, dtype=bool), axis, 0)
-    # step[i]: node i is usable and so is the edge to it from the i0 side
-    step = node_ok.copy()
-    step[i0 + 1:] &= edge_ok[i0:]
-    step[:i0] &= edge_ok[:i0]
-    out = np.empty_like(step)
-    out[i0:] = np.logical_and.accumulate(step[i0:], axis=0)
-    out[i0::-1] = np.logical_and.accumulate(step[i0::-1], axis=0)
-    return np.moveaxis(out, 0, axis)
-
-
-def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
-                          order=PathOrder.ROW_FIRST, substeps=4):
-    """Integrate a closed 1-form density along staircase paths.
-
-    density is a callable z -> values (any tail shape, NaN marking
-    singular points).  Returns (field, valid): field[iv, iu] = base_value
-    + integral of density dz from the base node to node (iv, iu); nodes
-    that cannot be reached through unmasked, finite samples are invalid
-    and NaN.
-    """
-    zs, node_ok, base = _oriented(grid, mask, order)
-    fld, ok = _integrate_on(density, zs, base, node_ok, base_value, substeps)
-    if order is PathOrder.COLUMN_FIRST:
-        return fld.swapaxes(0, 1), ok.T
-    return fld, ok
-
-
-def _integrate_on(f, zs, base, node_ok, base_value, substeps):
-    r0, c0 = base
-    nr, nc = zs.shape
-    eh, eh_ok = _segment_integrals(f, zs[r0, :-1], zs[r0, 1:], substeps)
-    ev, ev_ok = _segment_integrals(f, zs[:-1, :], zs[1:, :], substeps)
-    tail = eh.shape[1:]
-
-    along_row = _directional_cumsum(eh, c0, axis=0)          # (nc,) + tail
-    along_col = _directional_cumsum(ev, r0, axis=0)          # (nr, nc) + tail
-    total = np.asarray(base_value, dtype=complex) + along_row[None, ...] + along_col
-
-    row_valid = _chain_valid(node_ok[r0], eh_ok, c0, axis=0)
-    valid = _chain_valid(node_ok, ev_ok, r0, axis=0) & row_valid[None, :]
-    total = np.where(valid.reshape(valid.shape + (1,) * len(tail)), total, np.nan)
-    return total, valid
-
-
-def plaquette_residuals(density, grid):
-    """Loop integrals of a callable density around every grid cell (closedness check)."""
-    zs = grid.zs()
-    eh, _ = _segment_integrals(density, zs[:, :-1], zs[:, 1:], substeps=4)
-    ev, _ = _segment_integrals(density, zs[:-1, :], zs[1:, :], substeps=4)
-    return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
-
-
 # ---------------------------------------------------------------------------
-# frame transport
+# the staircase walker
 #
 # A batch of 2x2 matrices is a (4, ...) array of the entries 00, 01, 10, 11;
 # products are written out entry by entry, since numpy's matmul on
@@ -221,11 +125,12 @@ def _rk4_substeps(a, left):
         yield p, stages, slopes
 
 
-# Edge problems: a frame equation plus what rides on it, state0 at the base
-# node.  local(xi, delta) solves it from the identity on a batch of edges,
-# given xi at every sample point (4, points, edges) and each edge's substep,
-# and returns the local solutions and the frame propagators' raw
-# determinants; step(state, local) composes one edge into the state.
+# Edge problems: a frame equation plus what rides on it, or a quadrature,
+# with state0 at the base node.  local(xi, delta) solves it on a batch of
+# edges, given the coefficient at every sample point (entries, points,
+# edges) and each edge's RK4 substep, and returns the local solutions and
+# the raw determinants of its frame propagators (none for a quadrature);
+# step(state, local) composes one edge into the state.
 
 @dataclass
 class FrameEquation:
@@ -304,7 +209,45 @@ class IterationLawFrames:
                                _mul(f3, local[8:])))
 
 
-def _walk(problem, ts, z, ok, out, valid):
+@dataclass
+class _Quadrature:
+    """dy = f dz from state0.  f does not depend on y, so RK4 is Simpson's
+    rule on each substep's end and mid points: an edge adds delta (w . f)
+    with w the _simpson_weights of its sample points.  No propagator, so
+    no determinants."""
+
+    coeff: Callable
+    state0: np.ndarray
+    weights: np.ndarray
+
+    def local(self, f, delta):
+        return (f * self.weights[:, None]).sum(axis=1) * delta, np.empty((0, delta.size))
+
+    def step(self, state, local):
+        return state + local
+
+
+def _simpson_weights(substeps):
+    """Composite Simpson weights over `substeps` (even, >= 2) intervals of an
+    edge, for a step of two intervals: the edge integral is delta (w . f)."""
+    if substeps % 2 != 0 or substeps < 2:
+        raise ValueError("substeps must be even and >= 2")
+    w = np.ones(substeps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w / 6.0
+
+
+def _edge_samples(coeff, z0, z1, substeps):
+    """coeff at the 2*substeps + 1 sample points of the edges z0 -> z1, as
+    (entries, points, edges), and each edge's RK4 substep."""
+    dz = z1 - z0
+    pts = z0.ravel() + dz.ravel() * (np.arange(2 * substeps + 1) / 2 / substeps)[:, None]
+    f = np.moveaxis(np.reshape(coeff(pts), pts.shape + (-1,)), -1, 0)
+    return np.ascontiguousarray(f), (dz / substeps).ravel()
+
+
+def _walk(problem, substeps, z, ok, out, valid):
     """Compose edge solutions forward along axis 0 of one set of lines.
 
     z, ok and valid are (nodes, batch) views, out is (nodes, batch,
@@ -313,36 +256,30 @@ def _walk(problem, ts, z, ok, out, valid):
     """
     drift = 0.0
     state, live = out[0].T, valid[0]
-    substeps = len(ts) // 2
     for b0 in range(1, len(z), ROW_BLOCK):
         b1 = min(b0 + ROW_BLOCK, len(z))
-        z0, dz = z[b0 - 1:b1 - 1], z[b0:b1] - z[b0 - 1:b1 - 1]
-        pts = z0.ravel() + dz.ravel() * ts[:, None]
-        xi = np.moveaxis(problem.coeff(pts).reshape(pts.shape + (4,)), -1, 0)
-        local, dets = problem.local(np.ascontiguousarray(xi), (dz / substeps).ravel())
-        local = local.reshape(local.shape[:1] + dz.shape)
+        z0, z1 = z[b0 - 1:b1 - 1], z[b0:b1]
+        local, dets = problem.local(*_edge_samples(problem.coeff, z0, z1, substeps))
+        local = local.reshape(local.shape[:1] + z0.shape)
         for i in range(b1 - b0):
             state = problem.step(state, local[:, i])
             live = live & ok[b0 + i] & np.isfinite(state).all(axis=0)
             out[b0 + i] = state.T
             valid[b0 + i] = live
-        bad = np.abs(dets.reshape(dets.shape[:1] + dz.shape) - 1.0) / np.abs(dz)
+        bad = np.abs(dets.reshape(dets.shape[:1] + z0.shape) - 1.0) / np.abs(z1 - z0)
         bad = bad[:, valid[b0 - 1:b1 - 1]]
         drift = max(drift, float(np.max(bad, where=np.isfinite(bad), initial=0.0)))
     return drift
 
 
-def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
-                      substeps=4) -> FrameField:
-    """Transport an edge problem along the staircases of the grid.
+def _walk_staircases(grid, problem, mask, order, substeps):
+    """States of an edge problem at every node, their validity and the drift.
 
     Local solutions are computed for ROW_BLOCK rows of edges per call and
     composed node by node.  A node is valid when the node before it on its
-    path is, it is unmasked and its state is finite; invalid nodes hold
-    NaN.  values is the problem's first frame, coupled its other matrices.
+    path is, it is unmasked and its state is finite; invalid nodes hold NaN.
     """
     zs, node_ok, (r0, c0) = _oriented(grid, mask, order)
-    ts = np.arange(2 * substeps + 1) / 2 / substeps
     out = np.empty(zs.shape + problem.state0.shape, dtype=complex)
     valid = np.zeros(zs.shape, dtype=bool)
     out[r0, c0] = problem.state0
@@ -350,16 +287,60 @@ def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
     drift = 0.0
     with np.errstate(all="ignore"):
         for sl in (np.s_[c0:], np.s_[c0::-1]):
-            drift = max(drift, _walk(problem, ts, zs[r0, sl, None], node_ok[r0, sl, None],
-                                     out[r0, sl, None], valid[r0, sl, None]))
+            drift = max(drift, _walk(problem, substeps, zs[r0, sl, None],
+                                     node_ok[r0, sl, None], out[r0, sl, None],
+                                     valid[r0, sl, None]))
         for sl in (np.s_[r0:], np.s_[r0::-1]):
-            drift = max(drift, _walk(problem, ts, zs[sl], node_ok[sl], out[sl], valid[sl]))
+            drift = max(drift, _walk(problem, substeps, zs[sl], node_ok[sl], out[sl], valid[sl]))
     out[~valid] = np.nan
-    mats = out.reshape(zs.shape + (-1, 2, 2))
     if order is PathOrder.COLUMN_FIRST:
-        mats, valid = np.swapaxes(mats, 0, 1), valid.T
+        return np.swapaxes(out, 0, 1), valid.T, drift
+    return out, valid, drift
+
+
+def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
+                      substeps=4) -> FrameField:
+    """Transport an edge problem along the staircases of the grid, with
+    `substeps` RK4 substeps per edge.  values is the problem's first frame,
+    coupled its other matrices."""
+    out, valid, drift = _walk_staircases(grid, problem, mask, order, substeps)
+    mats = out.reshape(out.shape[:2] + (-1, 2, 2))
     return FrameField(grid=grid, values=mats[:, :, 0], valid=valid, det_drift=drift,
                       coupled=tuple(mats[:, :, i] for i in range(1, mats.shape[2])))
+
+
+def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
+                          order=PathOrder.ROW_FIRST, substeps=4):
+    """Integrate a closed 1-form density along staircase paths.
+
+    density is a callable z -> values (any tail shape, NaN marking
+    singular points).  Returns (field, valid): field[iv, iu] = base_value
+    + integral of density dz from the base node to node (iv, iu), composite
+    Simpson over `substeps` intervals per edge; nodes that cannot be
+    reached through unmasked, finite samples are invalid and NaN.
+    """
+    weights = _simpson_weights(substeps)
+    tail = np.broadcast_shapes(np.shape(base_value),
+                               np.shape(density(np.array([grid.base_z])))[1:])
+    state0 = np.broadcast_to(np.asarray(base_value, dtype=complex), tail).ravel()
+    out, valid, _ = _walk_staircases(grid, _Quadrature(density, state0, weights),
+                                     mask, order, substeps // 2)
+    return out.reshape(grid.shape + tail), valid
+
+
+def plaquette_residuals(density, grid):
+    """Loop integrals of a callable density around every grid cell (closedness check)."""
+    zs = grid.zs()
+    tail = np.shape(density(zs[0, :1]))[1:]
+    quad = _Quadrature(density, None, _simpson_weights(4))
+
+    def edge_integrals(z0, z1):        # 4 Simpson intervals: 2 RK4 substeps
+        local, _ = quad.local(*_edge_samples(density, z0, z1, 2))
+        return np.moveaxis(local, 0, -1).reshape(z0.shape + tail)
+
+    eh = edge_integrals(zs[:, :-1], zs[:, 1:])
+    ev = edge_integrals(zs[:-1, :], zs[1:, :])
+    return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 
 def _xi_inputs(xi, mask):

@@ -165,7 +165,7 @@ def make_affine_surface(data: SampledData, p) -> SurfaceSample:
     density = zeta_density_fn(data, p)
     integral, valid = integrate_closed_form(
         density, data.grid, base_value=np.zeros(4, dtype=complex), mask=data.mask)
-    x = BASE_X - np.where(np.isfinite(integral.real), integral.real, np.nan)
+    x = BASE_X - integral.real
 
     g = gauss_lift(data.phi)
     gp = ip31(g, p)

@@ -209,6 +209,15 @@ def test_nonfinite_base_is_config_error(tmp_path):
     assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
 
 
+def test_pole_behind_base_run_meshes(tmp_path):
+    # a pole on the Simpson midpoint of the edge left of the base node
+    doc = _base_config(tmp_path, data={"phi": "z", "omega": "1 + 0.0001/(z + 0.0625)"})
+    doc["domain"].update(nu=17, nv=17)
+    assert main(["run", _write(tmp_path, doc), "--quiet"]) == EXIT_OK
+    mesh = json.loads((tmp_path / "report.json").read_text())["mesh"]
+    assert (mesh["vertices"], mesh["faces"]) == (153, 256)
+
+
 # byte pins of whole `minksurf run` outputs, one config per kind: the mesh,
 # the curvature CSV and the report JSON, whose `surface` and `mesh` extras
 # no writer-level pin covers

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from minksurf.domain import DomainGrid
 from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
                            eval_at, parse_expr, print_expr)
-from minksurf.integrate import FrameSide, PathOrder, solve_psi
+from minksurf.integrate import FrameSide, PathOrder, integrate_closed_form, solve_psi
 
 FEW = settings(max_examples=20, deadline=None, database=None)
 
@@ -64,6 +64,28 @@ def test_transport_composes_with_the_start(solve, entries):
     got = solve(g).values
     scale = np.max(np.abs(from_identity.values)) * np.max(np.abs(g))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@FEW
+@given(st.lists(entry, min_size=4, max_size=4), st.integers(2, 9), st.integers(2, 9),
+       st.data())
+def test_quadrature_is_exact_on_cubics(coefs, nu, nv, data):
+    # Simpson is exact on cubics, so every node, reached forwards or
+    # backwards along either path order, holds the exact antiderivative
+    base = (data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nu - 1)))
+    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, base)
+    c = np.array(coefs)
+
+    def antiderivative(z):
+        return sum(ck * z ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+    zs = grid.zs()
+    want = antiderivative(zs) - antiderivative(zs[base])
+    scale = 1.0 + np.max(np.abs(want))
+    for order in PathOrder:
+        fld, ok = integrate_closed_form(lambda z: np.polyval(c[::-1], z), grid, order=order)
+        assert ok.all()
+        assert np.max(np.abs(fld - want)) <= 1e-12 * scale
 
 
 numbers = st.one_of(st.integers(0, 1000).map(str),

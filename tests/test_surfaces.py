@@ -89,6 +89,26 @@ def test_affine_hyperplane_constraint_exact():
     assert np.nanmax(np.abs(lev - lev[g.base_index])) < 1e-12
 
 
+def test_affine_coordinate_hyperplanes_hold_exactly():
+    # the trace-free cancellation leaves the coordinate along p exactly zero
+    g = DomainGrid.square(1.0, 81)
+    data = sample_data("z", "1 + 0.1*z^2", g)
+    for p, axis in ((E0, 0), (E3, 3)):
+        s = make_affine_surface(data, p)
+        assert s.mask.sum() > 0.8 * s.mask.size
+        assert np.all(s.x[s.mask][:, axis] == 0.0)
+
+
+def test_affine_pole_behind_base_keeps_positions():
+    # the pole sits at the Simpson midpoint of the edge left of the base;
+    # it cuts only the paths through that edge, not the whole base row
+    g = DomainGrid.square(1.0, 17)
+    data = sample_data("z", "1 + 0.01/(z + 0.0625)", g)
+    s = make_affine_surface(data, E0)
+    assert s.mask.sum() == 153
+    assert np.isfinite(s.x[s.mask]).all()
+
+
 def test_affine_gauss_pairing_is_minus_one():
     g = DomainGrid.square(1.0, 11)
     data = sample_data("z", "1", g)
