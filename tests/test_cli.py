@@ -224,19 +224,19 @@ def test_pole_behind_base_run_meshes(tmp_path):
 CLI_PINS = {
     "affine-e3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
                    {"kind": "affine-e3", "p": [1.0, 0.0, 0.0, 0.0]}, "obj"),
-                  ("1b86e439c6520d9b4fba56f0c7540958db05896a1d733c83af6941fc9a902168",
-                   "ee4672cef5fd4e5503b9c49632be6a869923b76ac7535fc00318b4e5dfcb24f4",
-                   "78da8814cf03806d925e90c3586d7bb59ca2ae962598fa99c05fae748e883fda")),
+                  ("f9a61793771378f8d78055cde7a7a5d0115a40378eab99a5fb320bd8b05beec1",
+                   "982cc07b123325a2e48d4afde7ccfa63ef7086a81c9963c5cf0841eb5e94e9ea",
+                   "e658642bf055b1ba03664f567f9c85bc28fb1d7303c54def9999c2a3f5eb638a")),
     "affine-l3": (({"phi": "z", "omega": "1"}, 1.0,
                    {"kind": "affine-l3", "p": [0.0, 0.0, 0.0, 1.0]}, "ply"),
-                  ("593d14e5c0ae6c2cd7cdf1dc3edb97ae9e636ee7842d986ec65af1106aa678a7",
-                   "b2de0197b70d7608abe135c30dbd4f4c0dbc563efbd7140e9ad42f496f487b43",
-                   "73ced2658cefc0ee62b716fe8d9fcb5e69b407d57be91f4c672a9dd654850cd4")),
+                  ("2062af86e2ea31d14aee455703bd3a10fe22f612ee98a9e3f164e29d5237f2f7",
+                   "83c42493a22a9d929c7685c007696d60e6c1da206b012b9bd9cf1b0ed4cd5a12",
+                   "d40a72581028f29df0f1dcb6807b745d4cceda1e8d69e7333b4c3e612958cea5")),
     "affine-isotropic": (({"phi": "z", "omega": "1"}, 1.0,
                           {"kind": "affine-isotropic", "p": [1.0, 0.0, 0.0, 1.0]}, "obj"),
-                         ("75f6e26a3dbbd996b7fcbcbefd631ff05d8f7df5ecb1b6e996ba6f94156c693a",
-                          "04c6790e69000894f9c78426fe9525b34ea2b6dc9c3fbe332de7b87bb06c9a4a",
-                          "fe354a87f9a8a10e160906cf119263a11b41e8fb061ad7a2c57492bd03cd3c01")),
+                         ("d7dc760dda9e0b6d88ff0bd7645bb594dffdb5467e4cdeb450b809cb5d6cd620",
+                          "b33e9dc6375d506fdc0f586f199eb4291f9e3bf0410d1367388a5129a383373f",
+                          "4d6a457ed9023fc9e41309c6c18871c1cffe62d4ffd28866c8533590890dec25")),
     "quadric-h3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
                     {"kind": "quadric-h3", "mu": -1.0, "m": 1.0}, "ply"),
                    ("7d85407683c4b9eabd07861f5237f699998a43ce50188216c3d5c90f6eed7816",

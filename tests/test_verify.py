@@ -289,9 +289,9 @@ PIN_SURFACES = {
 }
 
 REPORT_PINS = {
-    'affine-e3': 'ccfba35a27e41190d67379f52cf54508cd808f0aa4293845240a24d6c1b806cb',
-    'affine-isotropic': 'eb187d6b8472b2a760836b4016a0ddc1f1e0795df74f9cc45ed6fcaba5b2ca18',
-    'affine-l3': '381ce14943e82af6eaf6d7d45ef74b9d1bbdab6ecd46c1982749c9d2d4cbc89a',
+    'affine-e3': 'fa3c809cefdec160fabb7d22a72762bd8750786e38c48b932da138db4e72c04b',
+    'affine-isotropic': 'ffc1608fb5e3405da6a77e054a42746c6479965b20fa51b99c1aef3d921bcf56',
+    'affine-l3': '288205349b77f4194c46229846178e6b644e6f85c32d91805b6d233b1cd2b7fc',
     'lw-bryant': '731ea94abe2b6d9a4cd5f54a9a132f3f3d4ad583f2ac1051a83251eccd8c4739',
     'quadric-desitter': '077618a2795724c0610edda9ccb5fc85cd384b45e23d5cf582eec805a34c126c',
     'quadric-h3': '8cdda06933540af91c11bf738d47dd770dffb7c03cccb9770adca53f8561fd29',
