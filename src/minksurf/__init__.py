@@ -13,13 +13,11 @@ promises.
 from .domain import BasePointMaskedError, DomainGrid, SampledData, sample_data
 from .expr import (ExprSyntaxError, SingularPoint, differentiate, eval_at,
                    evaluate, parse_expr, print_expr)
-from .forms import XiField, build_xi, zeta_apply, zeta_density_fn
+from .forms import XiField, build_xi, zeta_density_fn
 from .integrate import (FrameField, FrameSide, PathOrder, integrate_closed_form,
                         iteration_law_defect, path_independence_check,
                         plaquette_residuals, solve_psi)
-from .minkowski import (E0, E1, E2, E3, causal_type, herm_from_vec, ip31,
-                        skew_to_sl2, sl2_act_vec, sl2alg_act_vec, vec_from_herm,
-                        wedge_to_skew)
+from .minkowski import E0, E1, E2, E3, causal_type, herm_from_vec, ip31
 from .surfaces import (GeometryKind, SurfaceSample, TargetGeometry, gauss_lift,
                        h_frame_check, make_affine_surface, make_lw_bryant,
                        make_quadric_surface, secondary_form, secondary_gauss,

@@ -105,15 +105,6 @@ def zeta_vector_density(phi, omega_hat, a):
     return w
 
 
-def zeta_apply(data: SampledData, a) -> np.ndarray:
-    """Per-node density of the 1-form (zeta a); see module docstring for sign.
-
-    Returns the (nv, nu, 4) complex field w with (zeta a) = Re{w dz}.
-    Surface factories integrating dx = -zeta p apply the minus sign.
-    """
-    return zeta_vector_density(data.phi, data.omega_hat, np.asarray(a, dtype=float))
-
-
 def zeta_density_fn(data: SampledData, a):
     """Callable z -> w(z) for quadrature between nodes; NaN where singular."""
     a = np.asarray(a, dtype=float)

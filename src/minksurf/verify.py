@@ -23,11 +23,12 @@ standard horosphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
 from .fd import central_diff, mixed_diff, second_diff, stencil_valid
-from .minkowski import enorm, ip31, skew_frobenius, wedge_to_skew
+from .minkowski import enorm, ip31
 from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
@@ -165,10 +166,20 @@ def intrinsic_curvature(i_form, grid):
 
 
 def _duality(xu, xv, su, sv):
-    """Pairing and wedge residuals of a surface pair from both pairs of tangents."""
+    """Pairing and wedge residuals of a surface pair from both pairs of tangents.
+
+    The wedge is the Frobenius norm of xu^sv - xv^su, sqrt(2 sum_{i<j} A_ij^2)
+    over its six bivector components
+    A_ij = xu_i sv_j - xu_j sv_i - (xv_i su_j - xv_j su_i).
+    """
     with np.errstate(all="ignore"):
         pairing = ip31(xu, sv) - ip31(xv, su)
-        wedge = skew_frobenius(wedge_to_skew(xu, sv) - wedge_to_skew(xv, su))
+        sq = 0.0
+        for i, j in combinations(range(4), 2):
+            a_ij = (xu[..., i] * sv[..., j] - xu[..., j] * sv[..., i]
+                    - (xv[..., i] * su[..., j] - xv[..., j] * su[..., i]))
+            sq = sq + a_ij * a_ij
+        wedge = np.sqrt(2.0 * sq)
     return pairing, wedge
 
 
@@ -177,8 +188,8 @@ def christoffel_residual(x, x_star, grid, mask=None):
 
     Returns (pairing, wedge, valid): pairing is the scalar antisymmetric
     residual (dx(X), dx*(Y)) - (dx(Y), dx*(X)) on coordinate directions;
-    wedge is the Frobenius norm of the corresponding 2-vector-valued
-    residual, assembled through the skew-endomorphism picture.
+    wedge is the Frobenius norm of the corresponding bivector-valued
+    residual dx(X)^dx*(Y) - dx(Y)^dx*(X).
     """
     with np.errstate(all="ignore"):
         tangents = _tangents(x, grid) + _tangents(x_star, grid)
@@ -381,8 +392,6 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     perturbed_soft = surface.aux.get("perturbed") and \
         kind is not GeometryKind.AFFINE_E3
 
-    # The Christoffel stage's 4x4 skew arrays set the peak memory, so it runs
-    # before the second derivatives exist.
     if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
             and not perturbed_soft:
         with np.errstate(all="ignore"):

@@ -1,9 +1,10 @@
 import numpy as np
 
 from minksurf.domain import DomainGrid, sample_data
-from minksurf.forms import (vec_density_from_matrix, xi_hat_values, zeta_apply,
-                            zeta_density_fn)
-from minksurf.minkowski import E0, E3, herm_from_vec, ip31, sl2_act_vec
+from minksurf.forms import (vec_density_from_matrix, xi_hat_values, zeta_density_fn,
+                            zeta_vector_density)
+from minksurf.minkowski import E0, E3, herm_from_vec, ip31
+from minksurf.surfaces import _frame_conjugate
 
 
 def test_xi_hat_simple_values():
@@ -41,7 +42,7 @@ def _zeta_density_direct(phi, om, vec):
 def test_zeta_density_weierstrass_component():
     g = DomainGrid.square(1.0, 9)
     data = sample_data("z", "1", g)
-    w = zeta_apply(data, E0)
+    w = zeta_vector_density(data.phi, data.omega_hat, E0)
     zs = g.zs()
     # -(zeta e0) must be ((1 - z^2), i(1 + z^2), 2z) in the spatial slots
     assert np.max(np.abs(w[..., 0])) < 1e-14
@@ -53,7 +54,7 @@ def test_zeta_density_weierstrass_component():
 def test_zeta_density_maximal_component():
     g = DomainGrid.square(1.0, 9)
     data = sample_data("z", "1", g)
-    w = zeta_apply(data, E3)
+    w = zeta_vector_density(data.phi, data.omega_hat, E3)
     zs = g.zs()
     assert np.allclose(-w[..., 0], 2 * zs)
     assert np.allclose(-w[..., 1], 1 + zs ** 2)
@@ -77,7 +78,7 @@ def test_zeta_density_fn_matches_node_values():
     g = DomainGrid.square(1.0, 7, base=1 + 1j)  # phi' vanishes at 0
     data = sample_data("z^2 + i", "exp(z)", g)
     fn = zeta_density_fn(data, E0)
-    assert np.allclose(fn(g.zs()), zeta_apply(data, E0))
+    assert np.allclose(fn(g.zs()), zeta_vector_density(data.phi, data.omega_hat, E0))
 
 
 def test_zeta_ad_equivariance():
@@ -89,10 +90,11 @@ def test_zeta_ad_equivariance():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     a = a / np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     vec = np.array([0.2, 1.0, -0.5, 0.3])
-    vec_moved = sl2_act_vec(a, vec)
+    vec_moved = _frame_conjugate(a, herm_from_vec(vec))
     xh = xi_hat_values(phi, om)
     xh_moved = a @ xh @ np.linalg.inv(a)
     w_moved = vec_density_from_matrix(xh_moved @ herm_from_vec(vec_moved))
     w = vec_density_from_matrix(xh @ herm_from_vec(vec))
-    expect = (sl2_act_vec(a, w.real) + 1j * sl2_act_vec(a, w.imag))
+    expect = (_frame_conjugate(a, herm_from_vec(w.real))
+              + 1j * _frame_conjugate(a, herm_from_vec(w.imag)))
     assert np.max(np.abs(w_moved - expect)) < 1e-10 * (1 + np.max(np.abs(w)))

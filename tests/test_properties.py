@@ -8,11 +8,14 @@ from functools import partial
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minksurf.domain import DomainGrid
 from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
                            eval_at, parse_expr, print_expr)
 from minksurf.integrate import FrameSide, PathOrder, integrate_closed_form, solve_psi
+from minksurf.minkowski import E0, E1, enorm, ip31
+from minksurf.verify import _duality
 
 FEW = settings(max_examples=20, deadline=None, database=None)
 
@@ -184,3 +187,45 @@ def test_differentiate_matches_central_difference(trees, z):
         tol = 1e-5 * (1.0 + scale + abs(derivative))
         assert abs(along_u - derivative) <= tol, (source, z)
         assert abs(along_v - derivative) <= tol, (source, z)
+
+
+ETA = np.array([-1.0, 1.0, 1.0, 1.0])
+
+
+def _wedge_to_skew(a, b):
+    # reference: a^b as the 4x4 endomorphism v -> (a, v) b - (b, v) a;
+    # column k carries eta_k (a_k b_i - b_k a_i)
+    w = a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
+    return -(w * ETA)
+
+
+def _skew_frobenius(w):
+    return np.sqrt(np.sum(w * w, axis=(-2, -1)))
+
+
+def test_wedge_to_skew_defining_formula():
+    assert np.allclose(_wedge_to_skew(E0, E1) @ E0, -E1)
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        a = rng.normal(size=4)
+        b = rng.normal(size=4)
+        v = rng.normal(size=4)
+        w = _wedge_to_skew(a, b)
+        ew = ETA[:, None] * w
+        assert np.array_equal(ew, -ew.T)  # skew for the Minkowski form
+        expect = ip31(a, v) * b - ip31(b, v) * a
+        assert np.max(np.abs(w @ v - expect)) < 1e-12
+
+
+tangent = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@FEW
+@given(st.integers(1, 8).flatmap(lambda n: hnp.arrays(float, (4, n, 4), elements=tangent)))
+def test_duality_wedge_matches_the_skew_reference(tangents):
+    # the six bivector components give the Frobenius norm of the 4x4 picture
+    xu, xv, su, sv = tangents
+    _pairing, wedge = _duality(xu, xv, su, sv)
+    want = _skew_frobenius(_wedge_to_skew(xu, sv) - _wedge_to_skew(xv, su))
+    scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
+    assert np.all(np.abs(wedge - want) <= 1e-12 * scale)
