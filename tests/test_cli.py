@@ -225,32 +225,32 @@ CLI_PINS = {
     "affine-e3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
                    {"kind": "affine-e3", "p": [1.0, 0.0, 0.0, 0.0]}, "obj"),
                   ("f9a61793771378f8d78055cde7a7a5d0115a40378eab99a5fb320bd8b05beec1",
-                   "982cc07b123325a2e48d4afde7ccfa63ef7086a81c9963c5cf0841eb5e94e9ea",
+                   "5902ee9af01abc2d298783e4f4fd00d7d542fed9cb0fe4645bc62e45f7ecffd5",
                    "e658642bf055b1ba03664f567f9c85bc28fb1d7303c54def9999c2a3f5eb638a")),
     "affine-l3": (({"phi": "z", "omega": "1"}, 1.0,
                    {"kind": "affine-l3", "p": [0.0, 0.0, 0.0, 1.0]}, "ply"),
                   ("2062af86e2ea31d14aee455703bd3a10fe22f612ee98a9e3f164e29d5237f2f7",
-                   "83c42493a22a9d929c7685c007696d60e6c1da206b012b9bd9cf1b0ed4cd5a12",
+                   "821ea215f63628458039cf7b7efee2829f6a8f08b0fd0dec2408956d478dfced",
                    "d40a72581028f29df0f1dcb6807b745d4cceda1e8d69e7333b4c3e612958cea5")),
     "affine-isotropic": (({"phi": "z", "omega": "1"}, 1.0,
                           {"kind": "affine-isotropic", "p": [1.0, 0.0, 0.0, 1.0]}, "obj"),
                          ("d7dc760dda9e0b6d88ff0bd7645bb594dffdb5467e4cdeb450b809cb5d6cd620",
-                          "b33e9dc6375d506fdc0f586f199eb4291f9e3bf0410d1367388a5129a383373f",
+                          "f5bf50976c098925216d64cc3e133121b123c4c9b5696d91f77c6134de21aec7",
                           "4d6a457ed9023fc9e41309c6c18871c1cffe62d4ffd28866c8533590890dec25")),
     "quadric-h3": (({"phi": "z", "omega": "1 + 0.1*z^2"}, 1.0,
                     {"kind": "quadric-h3", "mu": -1.0, "m": 1.0}, "ply"),
                    ("7d85407683c4b9eabd07861f5237f699998a43ce50188216c3d5c90f6eed7816",
-                    "94621810e8a6b644e692604a5f9b50f9f73f1004b3580d700dfbd1429fd4e81d",
-                    "26e07a7730680287c78334cbc1c0ba42ea7c17aafa4b756f5943715519e4618c")),
+                    "016c60d79edf8bb7a823e6eec5d59d46f5fb178a152eb51f47dfc5bde3653d6b",
+                    "6c1fc59acc934846730924c0580d5623ced23854dc2da4ae3704373b743d2e65")),
     "quadric-desitter": (({"phi": "z", "omega": "1"}, 0.6,
                           {"kind": "quadric-desitter", "mu": 1.0, "m": 1.0}, "obj"),
                          ("bef9c3acb7f48da580deac12797605c65acc6ddaaeea2d0347644c940d60244f",
-                          "8842a3cef49da6c97542bb737d5ea176988399120b3cce03f19f91dd4f786fb6",
+                          "d21905119aa2621347b136604f431cd7367f00770ee2ddf9d67a00a2e1514a8a",
                           "c57040c8df0a7fc91577f8c36f7167a629e2bb7872b8883f69b6fc33592ec0c6")),
     "quadric-lightcone": (({"phi": "z", "omega": "1"}, 0.6,
                            {"kind": "quadric-lightcone", "mu": 0.0, "m": 1.0}, "ply"),
                           ("46a7cbad1579910cb9f7872ab79bf7b918380a42853bb249c7f73db3757325d8",
-                           "6f9aef9784da8372c11768685bbce024818138fbb247dac49f59bf98b449a0e4",
+                           "8040dba038a290c7683844b6faa7217f5bb3342c24aad33fdb48f48a89b257a4",
                            "517a55de7ba4082be5b39e365cd19cf52b36bc0dda50dbfc6da71c536ece2b9b")),
     "lw-bryant": (({"psi": "z", "eta": "0.3"}, 0.5,
                    {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}, "obj"),

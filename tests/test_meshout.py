@@ -178,6 +178,9 @@ def test_report_json_deterministic(tmp_path):
 # moves a single bit of a position moves them too.  The frame-built
 # fixtures were re-recorded when frames moved to composed edge propagators
 # (positions moved by at most 1.2e-14, derived curvature fields by 1.2e-12).
+# The CSV pins were re-recorded when the Christoffel wedge moved to six
+# bivector components (only christoffel_wedge moved, by at most 8.7e-19,
+# under 4e-16 of its value).
 
 def _tied_plane():
     # dyadic grid steps make both diagonals of every cell exactly equal
@@ -217,19 +220,19 @@ GOLDEN_SURFACES = {
 }
 
 GOLDEN = {
-    ('nonfinite-fields', 'csv'): '5224eb0cc04e09084b09bce4ed44a95077bddc1c7be9b052a8e857bada68cc79',
+    ('nonfinite-fields', 'csv'): '2d7f851d8f67396aa74a532db7cd2bce0fba85e4f0683b0ffca7c0b319b7f8aa',
     ('nonfinite-fields', 'obj'): 'b99422e9e1af7f8475e6f6a56026cb4a893c64953db8fdc0a41232b948f17d3c',
     ('nonfinite-fields', 'ply'): '4eb23aac69aad1d31ad4d215fa36eb6fa77255cf3ae5c240ecae06f2fb373299',
     ('plane-ties', 'csv'): 'f044bb0be5d70f52d4d5b28ec561d34ec6d1ef6273afc5f56f12f96062f8f900',
     ('plane-ties', 'obj'): '7c89701f82ed55eadf9a0d4c51fa2d5488b05220f9e412f6f3a20fce740271e4',
     ('plane-ties', 'ply'): 'f5ccb33c65e8f58692bcc51a12509883e060cf0e6a3d39a35db05b1aee0b4039',
-    ('quadric-critical', 'csv'): '85264343c215f5fae3ee3d0888ad5b8910d010a150f6ffad6a97862ce3e508d8',
+    ('quadric-critical', 'csv'): 'adb738f8537f9a4c4f87d443d92fa9b0cf70456af4332334995cec1043462eca',
     ('quadric-critical', 'obj'): 'be47112deb7b8b04a29e45ff7d5307528b2a674c3430dcd7cd118b7db2816430',
     ('quadric-critical', 'ply'): 'f2648a6688724bac4ce1d0f8bb71e698fa39d1831fc122c2fffdd64740aabae6',
-    ('quadric-nv-ne-nu', 'csv'): 'b7bec08f0f7b20634732a4b652843243993fe3bd5571780946334411750da265',
+    ('quadric-nv-ne-nu', 'csv'): 'e25c92c7b51f93c59447fb59048a46c3afb8e34548c58c56124f70d2ed24ad7e',
     ('quadric-nv-ne-nu', 'obj'): 'ba06e7a74b7db410798799fa723b6dcc997452043e93c6b4982f1ec9b2bcfb62',
     ('quadric-nv-ne-nu', 'ply'): '1d8eb016c63c94556a2c86149382e507b6ef9390a376f35fc0b5af2e800532b9',
-    ('quadric-pole', 'csv'): '2685bf08c7c60d9ae882f92a4eaae1b3688a1062ee7e48da29150d240a6bf81b',
+    ('quadric-pole', 'csv'): 'c7918b01477240e12c4c1ce5b1eae1f53ec3651af40a12d1771b69450d6b3525',
     ('quadric-pole', 'obj'): '87f1a8eff6cca861f932d5c7f8a0ebd79a26e2af48cd3be5fb208c6affd42969',
     ('quadric-pole', 'ply'): 'f5da4c78eed2ce5659018b8abd10838ad1811eeb08a37d491d61fe7a8a69a30a',
 }

@@ -289,17 +289,17 @@ PIN_SURFACES = {
 }
 
 REPORT_PINS = {
-    'affine-e3': 'fa3c809cefdec160fabb7d22a72762bd8750786e38c48b932da138db4e72c04b',
-    'affine-isotropic': 'ffc1608fb5e3405da6a77e054a42746c6479965b20fa51b99c1aef3d921bcf56',
-    'affine-l3': '288205349b77f4194c46229846178e6b644e6f85c32d91805b6d233b1cd2b7fc',
+    'affine-e3': '0f8cb7f0a748043ad0ed7e16869788c6af0f4b85af7ea694aee1683231c6834d',
+    'affine-isotropic': '01442435da9a9ec3d24efe4562ff1417eee75e445361a68a83fda05fc330b8c2',
+    'affine-l3': '9284007bc258bdfc113bcbe1b5059ee7d5acc52627c368d949de63f18ef234d7',
     'lw-bryant': '731ea94abe2b6d9a4cd5f54a9a132f3f3d4ad583f2ac1051a83251eccd8c4739',
-    'quadric-desitter': '077618a2795724c0610edda9ccb5fc85cd384b45e23d5cf582eec805a34c126c',
-    'quadric-h3': '8cdda06933540af91c11bf738d47dd770dffb7c03cccb9770adca53f8561fd29',
-    'quadric-h3-critical': '8de062b6b8e7f0b994cec77bf1252363ab3d1ae0e207fb50534773d4d1f5f285',
-    'quadric-lightcone': '09695843bf69675b9ab8349854bf964516bfb6c0bc04e473dff1bc0006202f6f',
+    'quadric-desitter': 'ddb8188768df3924983da527fc34ecc84a1cd3b74069fed98fa0f789b781ce37',
+    'quadric-h3': '2be2f6559317a97cb9485809ce31d0085560377d6dee58c846507fa388df35cf',
+    'quadric-h3-critical': '58c3c91805f29e295d5c3bd46a5e3b0dc337756472bfcb458028b126e7f85dd9',
+    'quadric-lightcone': '97a2b68cb61bdb00938c52b841c8f3668b9c5d3c849c195d80840eb773a192d1',
     'uy-perturb-lightlike': 'd1d9a05036bda5c4bb848f285486165b5839ca09eab8b99a055a051c6285eb35',
     'uy-perturb-spacelike': 'ebf71ea72b316a9ace81e182171b938ff1bd90d5f3325786c49fc2447e15f94f',
-    'uy-perturb-timelike': 'b9295cb66616cc329ab99e0ae597c2fe5a2efa20ce44d2c70eb1bb72e9a87c8c',
+    'uy-perturb-timelike': 'd31ba0a3b4c10a7dd2e3cbe09af5e7c669cd3271e074481f84257206415d31ff',
 }
 
 
