@@ -33,6 +33,7 @@ import math
 
 from .surfaces import GeometryKind, TargetGeometry
 from .domain import DomainGrid
+from .meshout import PROJECTIONS
 from .verify import RESIDUAL_NAMES
 
 
@@ -181,7 +182,8 @@ def parse_config(doc) -> RunConfig:
     proj = doc.get("projection", {})
     _check_keys("projection", proj)
     model = proj.get("model", "default")
-    _require(isinstance(model, str), "projection.model must be text")
+    allowed = ("default", *sorted(PROJECTIONS))
+    _require(model in allowed, f"projection.model must be one of {allowed}")
     cfg.projection = model
     return cfg
 

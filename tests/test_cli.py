@@ -191,6 +191,15 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("model", ["nope", 3, ["euclid-123"]])
+def test_unknown_projection_model_rejected(tmp_path, capsys, model):
+    doc = _base_config(tmp_path, projection={"model": model})
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "projection.model" in err and "poincare-ball" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("key,value", [("re_max", float("inf")),
                                        ("im_min", float("-inf")),
                                        ("re_min", float("nan"))])
