@@ -15,13 +15,14 @@ The three families:
     x = Psi diag(1, -mu) Psi*, giving (x, x) = mu (CMC surfaces in H^3
     or S^{2,1}, intrinsically flat surfaces in the lightcone).
   * linear-Weingarten: transport dPsi = -m Psi xi_m from secondary data
-    (psi, eta) -- note the opposite multiplication side -- and assemble
-    the explicit position; the companion middle-sphere congruence is the
-    quadric formula in the same frame.
+    (psi, eta) -- note the opposite multiplication side.  The middle-sphere
+    congruence x_m is the quadric formula in that frame, and the front is
+    x_m moved along its Gauss section: x = x_m + (mu+1)/2 g~.
 
 The T-transform perturbation couples the frame to the quadrature of
 dx_m = -m (Ad_Psi^{-1} xi) applied to the quadric anchor, turning
-quadric surfaces into affine ones without leaving the grid walk.
+quadric surfaces into affine ones without leaving the grid walk; the
+result is assembled as the affine surface of the secondary Gauss map.
 """
 
 from __future__ import annotations
@@ -140,45 +141,49 @@ def gauss_lift(phi):
     return out
 
 
-def _degenerate_mask(pairing, scale):
-    return dilate_mask(np.abs(pairing) < EPS_DEGENERATE * scale)
+def _gauss_section(g, pairing, scale):
+    """Rescale a lift to pairing -1 and mask where that pairing degenerates.
 
-
-def _rescaled_gauss(g, pairing):
-    """Rescale a lift so the recorded pairing becomes -1; NaN where it can't."""
+    Returns (section, degenerate): the section is NaN where the pairing is
+    zero, and degenerate marks |pairing| < EPS_DEGENERATE * scale (a
+    non-finite pairing reads as zero) dilated by one ring.
+    """
     with np.errstate(all="ignore"):
-        return g * (-1.0 / pairing)[..., None]
+        section = g * (-1.0 / pairing)[..., None]
+    pairing = np.where(np.isfinite(pairing), pairing, 0.0)
+    return section, dilate_mask(np.abs(pairing) < EPS_DEGENERATE * scale)
 
 
-def make_affine_surface(data: SampledData, p) -> SurfaceSample:
-    """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p.
+def _affine_sample(data: SampledData, x, valid, phi, p, params, aux=None):
+    """Affine-family sample: x lies in the hyperplane normal to p, Gauss map phi.
 
     Masks nodes where the Gauss direction is orthogonal to p (x fails to
     immerse there).  For non-lightlike p a normal g - p is attached, with
     the Gauss section rescaled to pairing -1 against p.
     """
+    kind = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
+    g = gauss_lift(phi)
+    gauss, degenerate = _gauss_section(
+        g, ip31(g, p), (1.0 + np.abs(phi) ** 2) * max(enorm(p), 1e-30))
+    normal = None if kind is GeometryKind.AFFINE_ISOTROPIC else gauss - p
+    return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=valid & data.mask & ~degenerate,
+                         gauss=gauss, normal=normal,
+                         params={"p": tuple(p), **params, "base_x": tuple(BASE_X)},
+                         aux=aux or {})
+
+
+def make_affine_surface(data: SampledData, p) -> SurfaceSample:
+    """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p.
+
+    The Gauss map is phi; see _affine_sample for the mask, section and normal.
+    """
     p = np.asarray(p, dtype=float)
     if not np.any(p):
         raise ValueError("hyperplane normal p must be non-zero")
-    kind = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
-
     density = zeta_density_fn(data, p)
     integral, valid = integrate_closed_form(
         density, data.grid, base_value=np.zeros(4, dtype=complex), mask=data.mask)
-    x = BASE_X - integral.real
-
-    g = gauss_lift(data.phi)
-    gp = ip31(g, p)
-    degenerate = _degenerate_mask(gp, (1.0 + np.abs(data.phi) ** 2) * max(enorm(p), 1e-30))
-    mask = valid & data.mask & ~degenerate
-
-    gauss = _rescaled_gauss(g, gp)
-    normal = None
-    if kind is not GeometryKind.AFFINE_ISOTROPIC:
-        normal = gauss - p
-    return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=mask, gauss=gauss,
-                         normal=normal,
-                         params={"p": tuple(p), "base_x": tuple(BASE_X)})
+    return _affine_sample(data, BASE_X - integral.real, valid, data.phi, p, {})
 
 
 def _frame_conjugate(psi, h):
@@ -205,12 +210,8 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
 
     g = gauss_lift(data.phi)
-    xg = ip31(x, g)
-    scale = np.maximum(enorm(x), 1e-30) * enorm(g)
-    degenerate = _degenerate_mask(np.where(np.isfinite(xg), xg, 0.0), scale)
+    gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask & ~degenerate
-
-    gauss = _rescaled_gauss(g, xg)
     normal = None if mu == 0 else gauss + x / mu
     return SurfaceSample(grid=data.grid, kind=quadric_kind_for(mu), x=x, mask=mask,
                          gauss=gauss, normal=normal,
@@ -238,21 +239,16 @@ def secondary_gauss(frame: FrameField, phi):
 def secondary_form(frame: FrameField, data: SampledData):
     """Secondary 1-form density eta and psi via the gauge-moved matrix density.
 
-    Conjugating the matrix density by the frame gives the secondary
-    density [[-psi, psi^2], [-1, psi]] * eta nodewise; eta is read off
-    the (1,0) entry, psi from the entry ratio.
+    Conjugating the matrix density by the frame, Psi^{-1} xi Psi, gives
+    the secondary density [[-psi, psi^2], [-1, psi]] * eta nodewise; eta
+    is read off the (1,0) entry, psi from the entry ratio.
     """
-    xim = gauge_transformed_density(frame, xi_hat_values(data.phi, data.omega_hat))
+    psi_m = frame.values
+    xim = inv2(psi_m) @ xi_hat_values(data.phi, data.omega_hat) @ psi_m
     eta = -xim[..., 1, 0]
     with np.errstate(all="ignore"):
         psi = np.where(np.abs(eta) > 0, xim[..., 0, 0] / xim[..., 1, 0], np.nan)
     return psi, eta
-
-
-def gauge_transformed_density(frame: FrameField, xi_hat):
-    """Ad-action of the inverse frame on a matrix density: Psi^{-1} xi Psi."""
-    psi = frame.values
-    return inv2(psi) @ np.asarray(xi_hat, dtype=complex) @ psi
 
 
 def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> SurfaceSample:
@@ -260,7 +256,9 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
 
     Couples the frame transport to the quadrature of the gauge-moved form
     applied to the quadric anchor diag(1, -mu); the result lies in the
-    affine hyperplane Minkowski-normal to that anchor vector, through BASE_X.
+    affine hyperplane Minkowski-normal to that anchor vector, through BASE_X,
+    and its Gauss map is the secondary psi (nodes where the Moebius
+    denominator fails are masked with their ring).
     """
     if m == 0:
         raise ValueError("m must be non-zero")
@@ -273,22 +271,9 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
-    gm = gauss_lift(np.where(sec_ok, psi_sec, 0.0))
-    gmc = ip31(gm, c_vec)
-    scale = (1.0 + np.abs(psi_sec) ** 2) * max(enorm(c_vec), 1e-30)
-    degenerate = _degenerate_mask(gmc, scale) | dilate_mask(~sec_ok)
-    mask = frame.valid & data.mask & ~degenerate
-
-    kind = _AFFINE_KIND_BY_CAUSAL[causal_type(c_vec)]
-    gauss = _rescaled_gauss(gm, gmc)
-    normal = None
-    if kind is not GeometryKind.AFFINE_ISOTROPIC:
-        normal = gauss - c_vec
-    return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=mask, gauss=gauss,
-                         normal=normal,
-                         params={"p": tuple(c_vec), "mu": mu, "m": m,
-                                 "base_x": tuple(BASE_X)},
-                         aux={"frame": frame, "psi": psi_sec, "perturbed": True})
+    valid = frame.valid & ~dilate_mask(~sec_ok)
+    return _affine_sample(data, x, valid, np.where(sec_ok, psi_sec, 0.0), c_vec,
+                          {"mu": mu, "m": m}, aux={"frame": frame, "perturbed": True})
 
 
 def _as_field_and_fn(obj, grid, mask):
@@ -314,8 +299,10 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
 
     psi and eta_hat may be expressions/text or per-node sampled arrays
     (sampled data is line-interpolated for the transport).  The frame
-    solves dPsi = -m Psi xi -- coefficient on the right.  Nodes where
-    1 - mu |psi|^2 nearly vanishes are masked.  Returns (surface, middle).
+    solves dPsi = -m Psi xi -- coefficient on the right.  The front is
+    x = x_m + (mu+1)/2 g~ with the middle sphere x_m = Psi diag(1, -mu) Psi*
+    and g~ the frame image of the lift of psi over 1 - mu |psi|^2.  Nodes
+    where that denominator nearly vanishes are masked.  Returns (surface, middle).
     """
     if m == 0:
         raise ValueError("m must be non-zero")
@@ -335,22 +322,14 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     pole_bad = dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
     surf_mask = frame.valid & node_ok & ~pole_bad
 
-    inner = np.empty(grid.shape + (2, 2), dtype=complex)
-    inner[..., 0, 0] = 1.0 + r2
-    inner[..., 0, 1] = (mu + 1.0) * psi_v
-    inner[..., 1, 0] = (mu + 1.0) * np.conj(psi_v)
-    inner[..., 1, 1] = 1.0 + mu ** 2 * r2
+    xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
     with np.errstate(all="ignore"):
-        x = _frame_conjugate(frame.values, inner) / pole[..., None]
         gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v))) / pole[..., None]
-    normal = gtilde - x
-
+        x = xm + 0.5 * (mu + 1.0) * gtilde
+        normal = gtilde - x
     surface = SurfaceSample(grid=grid, kind=GeometryKind.LW_BRYANT, x=x,
                             mask=surf_mask, gauss=gtilde, normal=normal,
-                            params={"mu": mu, "m": m},
-                            aux={"frame": frame, "psi": psi_v, "eta_hat": eta_v})
-
-    xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
+                            params={"mu": mu, "m": m}, aux={"frame": frame})
     middle_normal = None if mu == 0 else gtilde + xm / mu
     middle = SurfaceSample(grid=grid, kind=quadric_kind_for(mu), x=xm,
                            mask=surf_mask, gauss=gtilde, normal=middle_normal,

@@ -260,11 +260,24 @@ def test_lw_mu_minus_one_is_frame_square():
 
 
 def test_lw_middle_sphere_relation():
+    # the front is built as x_m + (mu+1)/2 g~; check it against the direct
+    # form Psi [[1+|psi|^2, (mu+1) psi], [(mu+1) conj(psi), 1+mu^2 |psi|^2]] Psi*
+    # / (1 - mu |psi|^2)
+    from minksurf.minkowski import vec_from_herm_unchecked
     g = DomainGrid.square(0.8, 21)
+    psi = g.zs()
+    r2 = np.abs(psi) ** 2
     for mu in (-0.5, 0.0, 0.5):
         s, mid = make_lw_bryant("z", "0.3", 1.0, mu, g)
-        recon = mid.x + 0.5 * (mu + 1.0) * s.gauss
-        assert np.nanmax(np.abs(s.x - recon)[s.mask]) < 1e-12
+        inner = np.empty(g.shape + (2, 2), dtype=complex)
+        inner[..., 0, 0] = 1.0 + r2
+        inner[..., 0, 1] = (mu + 1.0) * psi
+        inner[..., 1, 0] = (mu + 1.0) * np.conj(psi)
+        inner[..., 1, 1] = 1.0 + mu ** 2 * r2
+        psi_m = s.aux["frame"].values
+        direct = psi_m @ inner @ np.conj(np.swapaxes(psi_m, -1, -2))
+        expect = vec_from_herm_unchecked(direct) / (1.0 - mu * r2)[..., None]
+        assert np.nanmax(np.abs(s.x - expect)[s.mask]) < 1e-12
         assert np.nanmax(np.abs(ip31(mid.x, mid.x) - mu)[mid.mask]) < 1e-12
         assert mid.kind is (GeometryKind.QUADRIC_H3 if mu < 0 else
                             GeometryKind.QUADRIC_DESITTER if mu > 0 else
