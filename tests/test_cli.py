@@ -263,9 +263,9 @@ CLI_PINS = {
                            "517a55de7ba4082be5b39e365cd19cf52b36bc0dda50dbfc6da71c536ece2b9b")),
     "lw-bryant": (({"psi": "z", "eta": "0.3"}, 0.5,
                    {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}, "obj"),
-                  ("0c1667ee669a22be44acbf20f08bce1393e5c2acaaf8647c80a5e95e73fd2eec",
-                   "33f2f5270deb521594b8efe40e4f106e5d81193d9a356c80b1743c719add9981",
-                   "c267d105ae550ddcc6002aa541d666c648697b9473c571df1d249ccfa367c6b7")),
+                  ("598745f9b8c95aea3233cf3c471017915b1c5196c9c4936373411499ba6771b9",
+                   "25cdca77514b3dfb52423981ec3bec8a323c020a689afe6b66a223c27ce4758d",
+                   "4650165ce4d8f575574c0ae1aafc920eecc3776e5653c12a0727fa9a7bb8e410")),
 }
 
 

@@ -292,7 +292,7 @@ REPORT_PINS = {
     'affine-e3': '0f8cb7f0a748043ad0ed7e16869788c6af0f4b85af7ea694aee1683231c6834d',
     'affine-isotropic': '01442435da9a9ec3d24efe4562ff1417eee75e445361a68a83fda05fc330b8c2',
     'affine-l3': '9284007bc258bdfc113bcbe1b5059ee7d5acc52627c368d949de63f18ef234d7',
-    'lw-bryant': '731ea94abe2b6d9a4cd5f54a9a132f3f3d4ad583f2ac1051a83251eccd8c4739',
+    'lw-bryant': 'fcd025bc40ac3c225233168b40425b951eebbb2536fd8b765931ab8cffe3bae5',
     'quadric-desitter': 'ddb8188768df3924983da527fc34ecc84a1cd3b74069fed98fa0f789b781ce37',
     'quadric-h3': '2be2f6559317a97cb9485809ce31d0085560377d6dee58c846507fa388df35cf',
     'quadric-h3-critical': '58c3c91805f29e295d5c3bd46a5e3b0dc337756472bfcb458028b126e7f85dd9',
