@@ -72,26 +72,28 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
     report_path = report_path or cfg.report_path
     extra = {"surface": {"kind": surface.kind.value,
                          "params": {k: v for k, v in sorted(surface.params.items())}}}
-    if not verify_only:
+    meshable = True   # when nothing is, the CSV and the report are still written
+    if not verify_only and mesh_path:
         try:
-            if mesh_path:
-                nverts, nfaces = export_mesh(
-                    surface, mesh_path, projection=cfg.projection,
-                    mesh_format=cfg.mesh_format,
-                    quality=report.fields.get("H"))
-                extra["mesh"] = {"vertices": nverts, "faces": nfaces,
-                                 "format": cfg.mesh_format}
-                say(f"mesh: {mesh_path} ({nverts} vertices, {nfaces} faces)")
-            if cfg.curvature_csv_path:
-                write_curvature_csv(surface, report, cfg.curvature_csv_path)
-                say(f"curvature csv: {cfg.curvature_csv_path}")
+            nverts, nfaces = export_mesh(
+                surface, mesh_path, projection=cfg.projection,
+                mesh_format=cfg.mesh_format,
+                quality=report.fields.get("H"))
+            extra["mesh"] = {"vertices": nverts, "faces": nfaces,
+                             "format": cfg.mesh_format}
+            say(f"mesh: {mesh_path} ({nverts} vertices, {nfaces} faces)")
         except MeshExportError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+            meshable = False
+    if not verify_only and cfg.curvature_csv_path:
+        write_curvature_csv(surface, report, cfg.curvature_csv_path)
+        say(f"curvature csv: {cfg.curvature_csv_path}")
     if report_path:
         write_report(report, report_path, extra=extra)
         say(f"report: {report_path}")
 
+    if not meshable:
+        return EXIT_VERIFY
     if not report.passed:
         say("verification FAILED")
         return EXIT_VERIFY

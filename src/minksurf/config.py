@@ -178,6 +178,8 @@ def parse_config(doc) -> RunConfig:
     unknown = set(tols) - set(RESIDUAL_NAMES)
     _require(not unknown, f"unknown keys in 'verify.tolerances': {sorted(unknown)}")
     cfg.tolerances = {k: _number(v, f"verify.tolerances.{k}") for k, v in tols.items()}
+    for k, v in cfg.tolerances.items():
+        _require(v >= 0, f"verify.tolerances.{k} must be non-negative")
 
     proj = doc.get("projection", {})
     _check_keys("projection", proj)

@@ -10,7 +10,7 @@ Grammar (EBNF, whitespace insensitive):
     atom     = NUMBER | "z" | "i" | "pi" | "e"
              | FUNC "(" expr ")" | "(" expr ")" ;
     FUNC     = "exp" | "log" | "sin" | "cos" | "sqrt" ;
-    NUMBER   = decimal literal, e.g. 2, 0.5, .5, 1e-3 ;
+    NUMBER   = decimal literal in ASCII digits, e.g. 2, 0.5, .5, 1e-3 ;
 
 log and sqrt use the principal branch.  Exponents are integer literals
 (chained "^" is rejected).  Evaluation is deterministic and vectorized;
@@ -26,6 +26,7 @@ import numpy as np
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 CONSTANTS = {"i": 1j, "pi": complex(np.pi), "e": complex(np.e)}
+_DIGITS = frozenset("0123456789")   # str.isdigit() also accepts "²" and "٣"
 
 
 class ExprSyntaxError(ValueError):
@@ -117,21 +118,21 @@ def _tokenize(source):
             tokens.append((c, c, k))
             k += 1
             continue
-        if c.isdigit() or (c == "." and k + 1 < n and source[k + 1].isdigit()):
+        if c in _DIGITS or (c == "." and k + 1 < n and source[k + 1] in _DIGITS):
             j = k
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 j2 = j + 1
                 if j2 < n and source[j2] in "+-":
                     j2 += 1
-                if j2 < n and source[j2].isdigit():
+                if j2 < n and source[j2] in _DIGITS:
                     j = j2
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             tokens.append(("num", source[k:j], k))
             k = j

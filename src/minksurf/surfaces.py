@@ -173,10 +173,7 @@ def _affine_sample(data: SampledData, x, valid, phi, p, params, aux=None):
 
 
 def make_affine_surface(data: SampledData, p) -> SurfaceSample:
-    """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p.
-
-    The Gauss map is phi; see _affine_sample for the mask, section and normal.
-    """
+    """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p."""
     p = np.asarray(p, dtype=float)
     if not np.any(p):
         raise ValueError("hyperplane normal p must be non-zero")
@@ -243,8 +240,7 @@ def secondary_form(frame: FrameField, data: SampledData):
     the secondary density [[-psi, psi^2], [-1, psi]] * eta nodewise; eta
     is read off the (1,0) entry, psi from the entry ratio.
     """
-    psi_m = frame.values
-    xim = inv2(psi_m) @ xi_hat_values(data.phi, data.omega_hat) @ psi_m
+    xim = inv2(frame.values) @ xi_hat_values(data.phi, data.omega_hat) @ frame.values
     eta = -xim[..., 1, 0]
     with np.errstate(all="ignore"):
         psi = np.where(np.abs(eta) > 0, xim[..., 0, 0] / xim[..., 1, 0], np.nan)
@@ -257,8 +253,7 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     Couples the frame transport to the quadrature of the gauge-moved form
     applied to the quadric anchor diag(1, -mu); the result lies in the
     affine hyperplane Minkowski-normal to that anchor vector, through BASE_X,
-    and its Gauss map is the secondary psi (nodes where the Moebius
-    denominator fails are masked with their ring).
+    with the secondary psi as Gauss map.
     """
     if m == 0:
         raise ValueError("m must be non-zero")
@@ -299,10 +294,10 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
 
     psi and eta_hat may be expressions/text or per-node sampled arrays
     (sampled data is line-interpolated for the transport).  The frame
-    solves dPsi = -m Psi xi -- coefficient on the right.  The front is
-    x = x_m + (mu+1)/2 g~ with the middle sphere x_m = Psi diag(1, -mu) Psi*
-    and g~ the frame image of the lift of psi over 1 - mu |psi|^2.  Nodes
-    where that denominator nearly vanishes are masked.  Returns (surface, middle).
+    solves dPsi = -m Psi xi -- coefficient on the right.  The front is the
+    middle sphere x_m moved along g~ = Psi lift(psi) Psi* / (1 - mu |psi|^2):
+    x = x_m + (mu+1)/2 g~.  Nodes where the denominator nearly vanishes are
+    masked.  Returns (surface, middle).
     """
     if m == 0:
         raise ValueError("m must be non-zero")

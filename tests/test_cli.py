@@ -78,6 +78,14 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["run", _write(tmp_path, doc)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("phi", ["z^²", "²*z", "٣*z"])
+def test_non_ascii_digit_is_parse_error(tmp_path, capsys, phi):
+    doc = _base_config(tmp_path)
+    doc["data"]["phi"] = phi
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_PARSE
+    assert "position" in capsys.readouterr().err
+
+
 def test_masked_base_exit_code(tmp_path):
     doc = _base_config(tmp_path)
     doc["data"]["phi"] = "1/z"
@@ -189,6 +197,33 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
     assert "mean_curvatur" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [-1.0, -1e-300])
+def test_negative_tolerance_rejected(tmp_path, capsys, value):
+    doc = _base_config(tmp_path)
+    doc["verify"] = {"tolerances": {"hyperplane": value}}
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert "verify.tolerances.hyperplane" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_zero_tolerance_allowed(tmp_path):
+    doc = _base_config(tmp_path)
+    doc["verify"] = {"tolerances": {"hyperplane": 0}}
+    assert parse_config(doc).tolerances == {"hyperplane": 0.0}
+
+
+def test_unmeshable_run_writes_csv_and_report(tmp_path, capsys):
+    # lightcone-slice divides by x0, which is 0 on the whole affine-e3 surface
+    doc = _base_config(tmp_path, projection={"model": "lightcone-slice"})
+    (tmp_path / "report.json").write_text("left by an earlier run")
+    assert main(["run", _write(tmp_path, doc), "--quiet"]) == EXIT_VERIFY
+    assert "no unmasked projectable nodes" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is True and "mesh" not in report
+    assert len((tmp_path / "curv.csv").read_text().splitlines()) > 1
+    assert not (tmp_path / "mesh.obj").exists()
 
 
 @pytest.mark.parametrize("model", ["nope", 3, ["euclid-123"]])

@@ -55,6 +55,14 @@ def test_unknown_identifier():
     assert err.value.pos == 2
 
 
+@pytest.mark.parametrize("text,pos", [("z^²", 2), ("²*z", 0), ("٣*z", 0), ("z^(٣)", 3)])
+def test_only_ascii_digits(text, pos):
+    # str.isdigit() is true for superscripts and other scripts' digits
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
 def test_integer_exponents_only():
     with pytest.raises(ExprSyntaxError):
         parse_expr("z^2.5")
