@@ -7,7 +7,7 @@ from dataclasses import fields
 from functools import partial
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from minksurf.domain import DomainGrid
@@ -128,6 +128,8 @@ smooth_sources = _grammar(st.one_of(st.sampled_from(["z", "i", "pi", "e", ".5"])
                                     st.integers(0, 9).map(str)), 8)
 points = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
 STEP = 1e-5
+# +-STEP then +-STEP/2 along u, then the same along v
+OFFSETS = (STEP, -STEP, STEP / 2, -STEP / 2, 1j * STEP, -1j * STEP, 0.5j * STEP, -0.5j * STEP)
 CLEARANCE = 1e3   # distance to a pole or cut, in stencil spreads
 
 
@@ -156,7 +158,7 @@ def _clear_draw(ast, z):
     None when the tree is singular or non-finite there, or its stencil comes
     within CLEARANCE spreads of a pole or a log/sqrt branch cut.
     """
-    stencil = [z, z + STEP, z - STEP, z + 1j * STEP, z - 1j * STEP]
+    stencil = [z] + [z + d for d in OFFSETS]
     try:
         values = [eval_at(ast, p) for p in stencil]
         derivative = eval_at(differentiate(ast), z)
@@ -174,16 +176,28 @@ def _clear_draw(ast, z):
     return values, derivative, scale
 
 
+def _richardson(f, step):
+    """f'(z) from central differences at step and step/2: O(step^4) error.
+
+    f holds the values at z + step, z - step, z + step/2, z - step/2.
+    """
+    coarse = (f[0] - f[1]) / (2.0 * step)
+    fine = (f[2] - f[3]) / step
+    return (4.0 * fine - coarse) / 3.0
+
+
 @FEW
 @given(st.lists(smooth_sources, min_size=32, max_size=32), points)
+# a single STEP difference is off by 8.2e-3 here, against a tolerance of 4.7e-3
+@example(["sin((z)^(-2))"], 0.125 + 0j)
 def test_differentiate_matches_central_difference(trees, z):
     # 32 trees per example, so twenty examples reach most rules of differentiate
     draws = [(source, _clear_draw(parse_expr(source), z)) for source in trees]
     draws = [(source, draw) for source, draw in draws if draw is not None]
     assume(draws)
     for source, (values, derivative, scale) in draws:
-        along_u = (values[1] - values[2]) / (2.0 * STEP)
-        along_v = (values[3] - values[4]) / (2j * STEP)
+        along_u = _richardson(values[1:5], STEP)
+        along_v = _richardson(values[5:9], 1j * STEP)
         tol = 1e-5 * (1.0 + scale + abs(derivative))
         assert abs(along_u - derivative) <= tol, (source, z)
         assert abs(along_v - derivative) <= tol, (source, z)
