@@ -72,7 +72,7 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
     report_path = report_path or cfg.report_path
     extra = {"surface": {"kind": surface.kind.value,
                          "params": {k: v for k, v in sorted(surface.params.items())}}}
-    meshable = True   # when nothing is, the CSV and the report are still written
+    meshable = True   # an unmeshable run still writes the CSV and the report
     if not verify_only and mesh_path:
         try:
             nverts, nfaces = export_mesh(

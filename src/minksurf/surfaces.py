@@ -144,9 +144,9 @@ def gauss_lift(phi):
 def _gauss_section(g, pairing, scale):
     """Rescale a lift to pairing -1 and mask where that pairing degenerates.
 
-    Returns (section, degenerate): the section is NaN where the pairing is
-    zero, and degenerate marks |pairing| < EPS_DEGENERATE * scale (a
-    non-finite pairing reads as zero) dilated by one ring.
+    Returns (section, degenerate): the section is non-finite where the
+    pairing is zero, and degenerate marks |pairing| < EPS_DEGENERATE * scale
+    (a non-finite pairing reads as zero) dilated by one ring.
     """
     with np.errstate(all="ignore"):
         section = g * (-1.0 / pairing)[..., None]
