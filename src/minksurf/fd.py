@@ -21,9 +21,7 @@ STENCIL_RADIUS = 2
 
 def _work(field):
     f = np.asarray(field)
-    if f.dtype.kind != "c":
-        f = f.astype(float)
-    return f
+    return f if f.dtype.kind == "c" else np.asarray(f, dtype=float)
 
 
 def central_diff(field, step, axis):

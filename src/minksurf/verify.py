@@ -9,8 +9,9 @@ full-quality stencil.
 verify_surface reads every residual from one derivative jet per surface:
 one first_form call (x_u, x_v, I, and the stencil validity that is also
 the report's interior), one x_uu/x_vv/x_uv when a normal or the trapping
-check needs them, and one pair of Gauss-section tangents.  The public
-single-quantity functions are thin entry points to the same private code.
+check needs them (x_uv from that x_v), and one pair of Gauss-section
+tangents.  The public single-quantity functions are thin entry points to
+the same private code.
 
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to
@@ -61,18 +62,18 @@ def first_form(surface: SurfaceSample):
     return i_form, xu, xv, valid
 
 
-def _second_derivatives(x, grid):
-    """(xuu, xvv, xuv): the verifier's only second derivatives of x."""
+def _second_derivatives(x, xv, grid):
+    """(xuu, xvv, xuv): the verifier's only second derivatives of x; xuv from x_v."""
     with np.errstate(all="ignore"):
         return (second_diff(x, grid.du, axis=1), second_diff(x, grid.dv, axis=0),
-                mixed_diff(x, grid.du, grid.dv))
+                central_diff(xv, grid.du, axis=1))
 
 
-def _prepared_normal(surface: SurfaceSample):
-    """Unit normal orthogonal to the carrier (hyperplane or quadric)."""
+def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
+    """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric)."""
     if surface.normal is None:
         raise ValueError(f"{surface.kind.value} surface carries no normal field")
-    n = surface.normal.copy()
+    n = surface.normal
     with np.errstate(all="ignore"):
         if surface.kind in AFFINE_KINDS:
             p = surface.hyperplane_normal
@@ -82,15 +83,7 @@ def _prepared_normal(surface: SurfaceSample):
         else:
             xx = ip31(surface.x, surface.x)
             n = n - surface.x * (ip31(n, surface.x) / xx)[..., None]
-        q = ip31(n, n)
-        n = n / np.sqrt(np.abs(q))[..., None]
-    return n
-
-
-def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
-    """II by pairing the second derivatives with the prepared normal: (II, valid)."""
-    n = _prepared_normal(surface)
-    with np.errstate(all="ignore"):
+        n = n / np.sqrt(np.abs(ip31(n, n)))[..., None]
         ii_form = np.empty(surface.grid.shape + (2, 2))
         ii_form[..., 0, 0] = ip31(xuu, n)
         ii_form[..., 0, 1] = ii_form[..., 1, 0] = ip31(xuv, n)
@@ -104,9 +97,9 @@ def fundamental_forms(surface: SurfaceSample):
     The normal is re-orthogonalized against the carrier and normalized to
     |(n, n)| = 1 before pairing with the FD second derivatives.
     """
-    i_form, _xu, _xv, valid = first_form(surface)
+    i_form, _xu, xv, valid = first_form(surface)
     ii_form, valid = _second_form(surface, valid,
-                                  *_second_derivatives(surface.x, surface.grid))
+                                  *_second_derivatives(surface.x, xv, surface.grid))
     return i_form, ii_form, valid
 
 
@@ -139,30 +132,18 @@ def intrinsic_curvature(i_form, grid):
         e_vv = second_diff(e, dv, 0)
         g_uu = second_diff(g, du, 1)
         f_uv = mixed_diff(f, du, dv)
-
-    # the two Brioschi determinants share their lower-right 2x2 block, I
-    m1 = np.empty(e.shape + (3, 3))
-    m1[..., 1, 1] = e
-    m1[..., 1, 2] = m1[..., 2, 1] = f
-    m1[..., 2, 2] = g
-    m2 = m1.copy()
-    m1[..., 0, 0] = -0.5 * e_vv + f_uv - 0.5 * g_uu
-    m1[..., 0, 1] = 0.5 * e_u
-    m1[..., 0, 2] = f_u - 0.5 * e_v
-    m1[..., 1, 0] = f_v - 0.5 * g_u
-    m1[..., 2, 0] = 0.5 * g_v
-    m2[..., 0, 0] = 0.0
-    m2[..., 0, 1] = m2[..., 1, 0] = 0.5 * e_v
-    m2[..., 0, 2] = m2[..., 2, 0] = 0.5 * g_u
-
-    det_i = e * g - f * f
+        # det M1 - det M2 of the two Brioschi matrices, which share their
+        # lower-right 2x2 block I, expanded along their first rows
+        a = -0.5 * e_vv + f_uv - 0.5 * g_uu
+        c = f_u - 0.5 * e_v
+        d = f_v - 0.5 * g_u
+        det_i = e * g - f * f
+        brioschi = (a * det_i - 0.5 * e_u * (d * g - 0.5 * g_v * f)
+                    + c * (d * f - 0.5 * g_v * e)
+                    + 0.25 * (e_v * e_v * g - 2.0 * e_v * g_u * f + g_u * g_u * e))
+        k_int = brioschi / det_i ** 2
     ok = np.abs(det_i) > EPS_METRIC
-    bad = ~np.isfinite(m1).all(axis=(-2, -1))
-    m1[bad] = np.eye(3)
-    m2[bad] = np.eye(3)
-    with np.errstate(all="ignore"):
-        k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det_i ** 2
-    return np.where(ok & ~bad, k_int, np.nan), ok
+    return np.where(ok & np.isfinite(k_int), k_int, np.nan), ok
 
 
 def _duality(xu, xv, su, sv):
@@ -241,8 +222,8 @@ def marginally_trapped_residual(surface: SurfaceSample):
     1e-6 * (1 + max |Hvec|_E), keeping the ratio meaningful when the
     mean curvature vector itself vanishes (affine surfaces).
     """
-    return _trapping(surface, first_form(surface),
-                     *_second_derivatives(surface.x, surface.grid))
+    first = first_form(surface)
+    return _trapping(surface, first, *_second_derivatives(surface.x, first[2], surface.grid))
 
 
 def _conformality(i_form):
@@ -416,7 +397,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
         and not perturbed_soft
 
     if surface.normal is not None or trapped:
-        d2 = _second_derivatives(x, grid)
+        d2 = _second_derivatives(x, xv, grid)
         if surface.normal is not None:
             ii_form, ff_valid = _second_form(surface, valid, *d2)
             h, k, c_ok = curvatures(i_form, ii_form)

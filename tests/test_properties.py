@@ -11,11 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from minksurf.domain import DomainGrid
+from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
                            eval_at, parse_expr, print_expr)
 from minksurf.integrate import FrameSide, PathOrder, integrate_closed_form, solve_psi
 from minksurf.minkowski import E0, E1, enorm, ip31
-from minksurf.verify import _duality
+from minksurf.verify import _duality, intrinsic_curvature
 
 FEW = settings(max_examples=20, deadline=None, database=None)
 
@@ -243,3 +244,50 @@ def test_duality_wedge_matches_the_skew_reference(tangents):
     want = _skew_frobenius(_wedge_to_skew(xu, sv) - _wedge_to_skew(xv, su))
     scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
     assert np.all(np.abs(wedge - want) <= 1e-12 * scale)
+
+
+def _brioschi_reference(i_form, grid):
+    """K_int from the two 3x3 Brioschi determinants off the 2-node rim, and its scale."""
+    e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
+    du, dv = grid.du, grid.dv
+    m1 = np.empty(e.shape + (3, 3))
+    m1[..., 1, 1] = e
+    m1[..., 1, 2] = m1[..., 2, 1] = f
+    m1[..., 2, 2] = g
+    m2 = m1.copy()
+    m1[..., 0, 0] = (-0.5 * second_diff(e, dv, 0) + mixed_diff(f, du, dv)
+                     - 0.5 * second_diff(g, du, 1))
+    m1[..., 0, 1] = 0.5 * central_diff(e, du, 1)
+    m1[..., 0, 2] = central_diff(f, du, 1) - 0.5 * central_diff(e, dv, 0)
+    m1[..., 1, 0] = central_diff(f, dv, 0) - 0.5 * central_diff(g, du, 1)
+    m1[..., 2, 0] = 0.5 * central_diff(g, dv, 0)
+    m2[..., 0, 0] = 0.0
+    m2[..., 0, 1] = m2[..., 1, 0] = 0.5 * central_diff(e, dv, 0)
+    m2[..., 0, 2] = m2[..., 2, 0] = 0.5 * central_diff(g, du, 1)
+    m1, m2, det_i = m1[2:-2, 2:-2], m2[2:-2, 2:-2], (e * g - f * f)[2:-2, 2:-2]
+    with np.errstate(all="ignore"):   # det I = 0 where ok is False
+        k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det_i ** 2
+        scale = (1.0 + np.max(np.abs(m1), axis=(-2, -1))) ** 3 / det_i ** 2
+    return k_int, scale
+
+
+coefficient = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@FEW
+@given(st.lists(coefficient, min_size=30, max_size=30), st.integers(5, 13))
+def test_brioschi_closed_form_matches_the_determinants(coefs, n):
+    # E, F, G are random cubics in (u, v); the metric may be indefinite
+    grid = DomainGrid.square(1.0, n)
+    zs = grid.zs()
+    u, v = zs.real, zs.imag
+    monomials = np.stack([u ** i * v ** (k - i) for k in range(4) for i in range(k + 1)])
+    e, f, g = np.tensordot(np.reshape(coefs, (3, 10)), monomials, axes=1)
+    i_form = np.stack([np.stack([e, f], axis=-1), np.stack([f, g], axis=-1)], axis=-2)
+    k_int, ok = intrinsic_curvature(i_form, grid)
+    want, scale = _brioschi_reference(i_form, grid)
+    inner = k_int[2:-2, 2:-2]
+    assert np.count_nonzero(np.isfinite(k_int)) == np.count_nonzero(np.isfinite(inner))
+    assert np.array_equal(np.isfinite(inner), ok[2:-2, 2:-2])
+    sel = ok[2:-2, 2:-2]
+    assert np.all(np.abs(inner - want)[sel] <= 1e-13 * scale[sel])

@@ -343,7 +343,15 @@ def test_verify_surface_takes_each_derivative_once(monkeypatch, name):
             calls[_attr] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(verify, attr, counted)
+    mixed = []
+
+    def recorded(field, *args, _original=verify.mixed_diff, **kwargs):
+        mixed.append(np.shape(field))
+        return _original(field, *args, **kwargs)
+    monkeypatch.setattr(verify, "mixed_diff", recorded)
     verify_surface(surface)
     # the lightlike T-transform has no normal and skips marginal trapping
     second = 0 if name == "uy-perturb-lightlike" else 1
     assert calls == {"first_form": 1, "_second_derivatives": second}
+    # x_uv comes from first_form's x_v: x itself is differenced along v once
+    assert all(shape[-1:] != (4,) for shape in mixed), mixed
