@@ -266,7 +266,7 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
-    valid = frame.valid & ~dilate_mask(~sec_ok)
+    valid = frame.valid & ~dilate_mask(frame.valid & ~sec_ok)
     return _affine_sample(data, x, valid, np.where(sec_ok, psi_sec, 0.0), c_vec,
                           {"mu": mu, "m": m}, aux={"frame": frame, "perturbed": True})
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minksurf.domain import DomainGrid, sample_data
+from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, stencil_valid
 from minksurf.integrate import FrameField
 from minksurf.minkowski import E0, E1, E3, ip31
@@ -9,6 +9,7 @@ from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
                                h_frame_check, make_affine_surface, make_lw_bryant,
                                make_quadric_surface, secondary_form,
                                secondary_gauss, uy_perturb)
+from minksurf.verify import verify_surface
 
 
 def test_gauss_lift_values():
@@ -174,6 +175,19 @@ def test_uy_hyperplane_and_kind():
         c = np.asarray(s.params["p"])
         lev = ip31(s.x, c)
         assert np.nanmax(np.abs(lev - lev[g.base_index])[s.mask]) < 1e-9
+
+
+def test_uy_keeps_reachable_nodes_next_to_unreachable_ones():
+    # a critical point of phi on the base row cuts off part of the grid; only
+    # Moebius-denominator failures get a ring, the unreachable nodes do not
+    data = sample_data("z^2/2 - 0.5*z", "1", DomainGrid.square(1.0, 41))
+    s = uy_perturb(data, 1.0, -1.0)
+    reached = s.aux["frame"].valid
+    ring = reached & dilate_mask(~reached)
+    assert ring.sum() == 41
+    assert s.mask[ring].all()
+    assert make_quadric_surface(data, 1.0, -1.0).mask[ring].all()
+    assert verify_surface(s).passed
 
 
 def test_uy_m_scaling_oracle():
