@@ -10,7 +10,7 @@ Grammar (EBNF, whitespace insensitive):
     atom     = NUMBER | "z" | "i" | "pi" | "e"
              | FUNC "(" expr ")" | "(" expr ")" ;
     FUNC     = "exp" | "log" | "sin" | "cos" | "sqrt" ;
-    NUMBER   = decimal literal in ASCII digits, e.g. 2, 0.5, .5, 1e-3 ;
+    NUMBER   = finite decimal literal in ASCII digits, e.g. 2, 0.5, .5, 1e-3 ;
 
 log and sqrt use the principal branch.  Exponents are integer literals
 (chained "^" is rejected).  Evaluation is deterministic and vectorized;
@@ -231,7 +231,10 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return Const(complex(float(text)))
+            value = float(text)
+            if not np.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} overflows a float", pos)
+            return Const(complex(value))
         if kind == "(":
             e = self.expr()
             self.expect(")")

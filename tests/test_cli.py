@@ -86,6 +86,15 @@ def test_non_ascii_digit_is_parse_error(tmp_path, capsys, phi):
     assert "position" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["phi", "omega"])
+def test_overflowing_literal_is_parse_error(tmp_path, capsys, key):
+    doc = _base_config(tmp_path)
+    doc["data"][key] = "1e999"
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_PARSE
+    assert "position 0" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.obj").exists()
+
+
 def test_masked_base_exit_code(tmp_path):
     doc = _base_config(tmp_path)
     doc["data"]["phi"] = "1/z"

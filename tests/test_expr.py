@@ -63,6 +63,18 @@ def test_only_ascii_digits(text, pos):
     assert err.value.pos == pos
 
 
+@pytest.mark.parametrize("text,pos", [("1e999", 0), ("2*1e400 + z", 2), ("z^2 - 1e309", 6)])
+def test_overflowing_literal_is_syntax_error(text, pos):
+    # float() reads these as inf, which evaluate would pass on unflagged
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
+def test_underflowing_literal_reads_zero():
+    assert eval_at(parse_expr("1e-999 + z"), 2.0) == 2.0
+
+
 def test_integer_exponents_only():
     with pytest.raises(ExprSyntaxError):
         parse_expr("z^2.5")
