@@ -303,8 +303,8 @@ CLI_PINS = {
     "quadric-lightcone": (({"phi": "z", "omega": "1"}, 0.6,
                            {"kind": "quadric-lightcone", "mu": 0.0, "m": 1.0}, "ply"),
                           ("46a7cbad1579910cb9f7872ab79bf7b918380a42853bb249c7f73db3757325d8",
-                           "8040dba038a290c7683844b6faa7217f5bb3342c24aad33fdb48f48a89b257a4",
-                           "517a55de7ba4082be5b39e365cd19cf52b36bc0dda50dbfc6da71c536ece2b9b")),
+                           "e5334e8904eb721e5793cf83c4c53e5a11a346d4c4fb283063401f13ccda1660",
+                           "542aa91d64a8e872a8111f257510f28db2a9ea9911fec9eae1dc6ef172ae74c1")),
     "lw-bryant": (({"psi": "z", "eta": "0.3"}, 0.5,
                    {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}, "obj"),
                   ("598745f9b8c95aea3233cf3c471017915b1c5196c9c4936373411499ba6771b9",

@@ -296,7 +296,7 @@ REPORT_PINS = {
     'quadric-desitter': 'ddb8188768df3924983da527fc34ecc84a1cd3b74069fed98fa0f789b781ce37',
     'quadric-h3': '2be2f6559317a97cb9485809ce31d0085560377d6dee58c846507fa388df35cf',
     'quadric-h3-critical': '58c3c91805f29e295d5c3bd46a5e3b0dc337756472bfcb458028b126e7f85dd9',
-    'quadric-lightcone': '97a2b68cb61bdb00938c52b841c8f3668b9c5d3c849c195d80840eb773a192d1',
+    'quadric-lightcone': '57a4737a7405d16f8d562357aca348f3512b5c5e96d7cbe9073158913fc6f8f0',
     'uy-perturb-lightlike': 'd1d9a05036bda5c4bb848f285486165b5839ca09eab8b99a055a051c6285eb35',
     'uy-perturb-spacelike': 'ebf71ea72b316a9ace81e182171b938ff1bd90d5f3325786c49fc2447e15f94f',
     'uy-perturb-timelike': 'd31ba0a3b4c10a7dd2e3cbe09af5e7c669cd3271e074481f84257206415d31ff',
