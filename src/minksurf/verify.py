@@ -8,10 +8,9 @@ full-quality stencil.
 
 verify_surface reads every residual from one derivative jet per surface:
 one first_form call (x_u, x_v, I, and the stencil validity that is also
-the report's interior), one x_uu/x_vv/x_uv when a normal or the trapping
-check needs them (x_uv from that x_v), and one pair of Gauss-section
-tangents.  The public single-quantity functions are thin entry points to
-the same private code.
+the report's interior), one x_uu/x_vv/x_uv (x_uv from that x_v) when a
+normal or the trapping check needs them, and one Gauss-section tangent
+pair.  The public single-quantity functions share the same private code.
 
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to
@@ -122,7 +121,7 @@ def curvatures(i_form, ii_form):
 
 
 def intrinsic_curvature(i_form, grid):
-    """Gauss curvature of the induced metric via the Brioschi formula."""
+    """Gauss curvature of the induced metric: the Brioschi formula in closed form."""
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     du, dv = grid.du, grid.dv
     with np.errstate(all="ignore"):
@@ -132,8 +131,7 @@ def intrinsic_curvature(i_form, grid):
         e_vv = second_diff(e, dv, 0)
         g_uu = second_diff(g, du, 1)
         f_uv = mixed_diff(f, du, dv)
-        # det M1 - det M2 of the two Brioschi matrices, which share their
-        # lower-right 2x2 block I, expanded along their first rows
+        # det M1 - det M2 of the Brioschi matrices, expanded along their first rows
         a = -0.5 * e_vv + f_uv - 0.5 * g_uu
         c = f_u - 0.5 * e_v
         d = f_v - 0.5 * g_u
