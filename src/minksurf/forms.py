@@ -35,15 +35,20 @@ class XiField:
 
 
 def xi_hat_values(phi, omega_hat):
-    """Matrix density from sampled phi and omega_hat, broadcasting."""
+    """Matrix density from sampled phi and omega_hat, broadcasting.
+
+    The entries are stored first, so the (..., 2, 2) result is a view whose
+    entry planes are contiguous; the walker reads them without a copy.
+    """
     phi = np.asarray(phi, dtype=complex)
     omega_hat = np.asarray(omega_hat, dtype=complex)
-    out = np.empty(phi.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = -phi
-    out[..., 0, 1] = phi * phi
-    out[..., 1, 0] = -1.0
-    out[..., 1, 1] = phi
-    return out * omega_hat[..., None, None]
+    out = np.empty((2, 2) + np.broadcast_shapes(phi.shape, omega_hat.shape), dtype=complex)
+    out[0, 0] = -phi
+    out[0, 1] = phi * phi
+    out[1, 0] = -1.0
+    out[1, 1] = phi
+    out *= omega_hat
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _expr_pair_fn(f_expr, g_expr, combine):
@@ -69,27 +74,12 @@ def build_xi(data: SampledData) -> XiField:
                    fn=_expr_pair_fn(data.phi_expr, data.omega_expr, xi_hat_values))
 
 
-def vec_density_from_matrix(m):
-    """Complex 4-vector density w of the Hermitian-valued form M dz + (M dz)*.
-
-    For any complex matrix density M, the real 1-form X -> vec(M dz(X) +
-    (M dz(X))*) equals Re{w dz} with w as returned here.
-    """
-    m = np.asarray(m)
-    w = np.empty(m.shape[:-2] + (4,), dtype=complex)
-    w[..., 0] = m[..., 0, 0] + m[..., 1, 1]
-    w[..., 1] = m[..., 0, 1] + m[..., 1, 0]
-    w[..., 2] = -1j * (m[..., 0, 1] - m[..., 1, 0])
-    w[..., 3] = m[..., 0, 0] - m[..., 1, 1]
-    return w
-
-
 def zeta_vector_density(phi, omega_hat, a):
     """Density w of (zeta a) from sampled phi, omega_hat and a fixed vector a.
 
-    w is vec_density_from_matrix(xi_hat herm(a)), written out entry by
-    entry.  Each entry is grouped so that the trace-free cancellations stay
-    exact: w0 = 0 for a along e0 and w3 = 0 for a along e3.
+    w is the density of M dz + (M dz)* with M = xi_hat herm(a), written
+    out entry by entry.  Each entry is grouped so that the trace-free
+    cancellations stay exact: w0 = 0 for a along e0 and w3 = 0 for a along e3.
     """
     phi = np.asarray(phi, dtype=complex)
     omega_hat = np.asarray(omega_hat, dtype=complex)

@@ -35,7 +35,7 @@ import numpy as np
 from .domain import DomainGrid, SampledData, dilate_mask, grid_line_interpolant
 from .expr import Expr, differentiate, evaluate, parse_expr
 from .fd import central_diff, stencil_valid
-from .forms import build_xi, vec_density_from_matrix, xi_hat_values, zeta_density_fn
+from .forms import build_xi, xi_hat_values, zeta_density_fn
 from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
 from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type, enorm,
@@ -262,7 +262,12 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     c_vec = vec_from_herm_unchecked(c_mat)
     frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
                               order=order)
-    x = BASE_X + vec_density_from_matrix(frame.coupled[0] @ c_mat).real
+    # x = vec(M C + (M C)*) with C = diag(1, -mu), from M's entries; M is
+    # NaN + 0j at invalid nodes, so x is set to NaN there
+    m00, m01, m10, m11 = (frame.coupled[0][..., i, j] for i in (0, 1) for j in (0, 1))
+    x = BASE_X + np.stack((m00.real - mu * m11.real, m10.real - mu * m01.real,
+                           -mu * m01.imag - m10.imag, m00.real + mu * m11.real), axis=-1)
+    x[~frame.valid] = np.nan
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)

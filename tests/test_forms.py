@@ -1,10 +1,10 @@
 import numpy as np
 
 from minksurf.domain import DomainGrid, sample_data
-from minksurf.forms import (vec_density_from_matrix, xi_hat_values, zeta_density_fn,
-                            zeta_vector_density)
+from minksurf.forms import xi_hat_values, zeta_density_fn, zeta_vector_density
 from minksurf.minkowski import E0, E3, herm_from_vec, ip31
 from minksurf.surfaces import _frame_conjugate
+from reference import vec_density_from_matrix
 
 
 def test_xi_hat_simple_values():

@@ -9,6 +9,7 @@ from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder,
                                 integrate_closed_form, iteration_law_defect,
                                 path_independence_check, plaquette_residuals,
                                 solve_path_system, solve_psi)
+from reference import vec_density_from_matrix
 
 
 def test_constant_density_integrates_linearly():
@@ -232,6 +233,55 @@ def test_substeps_must_be_even():
         integrate_closed_form(lambda z: z, g, substeps=3)
 
 
+@pytest.mark.parametrize("substeps", [0, -2, 2.5, True, "4", None])
+def test_transport_rejects_invalid_substeps(substeps):
+    g = DomainGrid.square(1.0, 5)
+    xi = build_xi(sample_data("z", "1", g))
+    with pytest.raises(ValueError, match="substeps"):
+        solve_psi(xi, 1.0, g, substeps=substeps)
+    with pytest.raises(ValueError, match="substeps"):
+        solve_path_system(g, IterationLawFrames(xi.fn, 0.5, 0.5), substeps=substeps)
+
+
+def test_transport_accepts_any_integer_substeps():
+    g = DomainGrid.square(1.0, 5)
+    xi = build_xi(sample_data("z", "1", g))
+    want = solve_psi(xi, 1.0, g, substeps=3).values
+    assert np.array_equal(solve_psi(xi, 1.0, g, substeps=np.int64(3)).values, want)
+    assert not np.array_equal(solve_psi(xi, 1.0, g, substeps=1).values, want)
+
+
+def test_bits_do_not_depend_on_the_edge_block(monkeypatch):
+    # every edge is solved on its own, so the number of edges per local
+    # call moves no bit; with 7 the base row (22 edges) ends in a call with
+    # one edge, and each column walk takes one row per call
+    from minksurf import integrate
+    from minksurf.minkowski import E0
+    from minksurf.surfaces import make_affine_surface, uy_perturb
+    g = DomainGrid.square(1.0, 23, base=1 + 1j)
+    data = sample_data("1/z", "1", g)
+    xi = build_xi(data)
+
+    def states():
+        frames = [solve_psi(xi, 1.0, g, side=side, order=order)
+                  for side in FrameSide for order in PathOrder]
+        uy = uy_perturb(data, 1.0, -1.0)
+        law = solve_path_system(g, IterationLawFrames(xi.fn, 0.5, 0.25), mask=xi.mask)
+        frames += [uy.aux["frame"], law]
+        affine = make_affine_surface(data, E0)
+        return ([f.values for f in frames] + list(law.coupled) + [uy.x, affine.x],
+                [f.valid for f in frames], [f.det_drift for f in frames])
+
+    want = states()
+    assert not want[1][0].all()
+    monkeypatch.setattr(integrate, "EDGE_BLOCK", 7)
+    got = states()
+    for a, b in zip(got[0], want[0]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    assert got[2] == want[2]
+
+
 def test_iteration_law_survives_masked_data():
     g = DomainGrid.square(1.0, 11, base=1 + 1j)
     xi = build_xi(sample_data("1/z", "1", g))
@@ -371,7 +421,6 @@ def test_solve_psi_matches_per_node_reference(case, side, order, identity_start)
 @pytest.mark.parametrize("case", sorted(REF_CASES))
 @pytest.mark.parametrize("order", list(PathOrder))
 def test_uy_perturb_matches_per_node_reference(case, order):
-    from minksurf.forms import vec_density_from_matrix
     from minksurf.minkowski import inv2
     from minksurf.surfaces import uy_perturb
     make_grid, phi, omega = REF_CASES[case]

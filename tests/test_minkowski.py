@@ -3,9 +3,10 @@ import pytest
 
 from minksurf import minkowski as mk
 from minksurf.domain import DomainGrid, sample_data
-from minksurf.forms import build_xi, vec_density_from_matrix, zeta_vector_density
+from minksurf.forms import build_xi, zeta_vector_density
 from minksurf.integrate import solve_psi
 from minksurf.surfaces import _frame_conjugate
+from reference import vec_density_from_matrix
 
 
 def _expm2(b, terms=24):

@@ -14,7 +14,9 @@ from minksurf.domain import DomainGrid
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
                            eval_at, parse_expr, print_expr)
-from minksurf.integrate import FrameSide, PathOrder, integrate_closed_form, solve_psi
+from minksurf.forms import xi_hat_values
+from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
+                                integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, enorm, ip31
 from minksurf.verify import _duality, intrinsic_curvature
 
@@ -291,3 +293,79 @@ def test_brioschi_closed_form_matches_the_determinants(coefs, n):
     assert np.array_equal(np.isfinite(inner), ok[2:-2, 2:-2])
     sel = ok[2:-2, 2:-2]
     assert np.all(np.abs(inner - want)[sel] <= 1e-13 * scale[sel])
+
+
+# The walker's arithmetic against the expression forms it replaced: the
+# same floating-point operations in the same order, so the same bits.
+
+wide = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+
+
+def _batches(count):
+    """count complex batches of 2x2 entries, (count, 4, ...) with a random tail shape."""
+    return hnp.array_shapes(min_dims=1, max_dims=2, max_side=5).flatmap(
+        lambda tail: hnp.arrays(complex, (count, 4) + tail, elements=wide))
+
+
+def _stacked_mul(a, b):
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return np.stack((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                     a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+
+def _stacked_inv(a):
+    return np.stack((a[3], -a[1], -a[2], a[0])) / (a[0] * a[3] - a[1] * a[2])
+
+
+def _xi_hat_entries_last(phi, omega_hat):
+    phi = np.asarray(phi, dtype=complex)
+    omega_hat = np.asarray(omega_hat, dtype=complex)
+    out = np.empty(phi.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = -phi
+    out[..., 0, 1] = phi * phi
+    out[..., 1, 0] = -1.0
+    out[..., 1, 1] = phi
+    return out * omega_hat[..., None, None]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@FEW
+@given(_batches(2))
+def test_mul_and_inv_keep_the_stacked_bits(ab):
+    a, b = ab
+    with np.errstate(all="ignore"):
+        assert _same_bits(_mul(a, b), _stacked_mul(a, b))
+        assert _same_bits(_mul(a.T.copy().T, b), _stacked_mul(a, b))   # strided entries
+        assert _same_bits(_inv(a), _stacked_inv(a))
+
+
+@FEW
+@given(_batches(5))
+@example(np.full((5, 4, 2), complex(-0.0, -0.0)))
+@example(np.full((5, 4, 2), complex(1.0, -0.0)))
+def test_rk4_sum_keeps_the_bits_of_the_division(ks):
+    p, k = ks[0] + 0.0, ks[1:]      # + 0.0: a state never holds -0
+    old = (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]) / 6.0
+    new = _rk4_sum(*k)
+    assert np.array_equal(new, old)             # a zero part may differ in sign
+    assert _same_bits(p + new, p + old)         # which p + sum does not see
+
+
+@st.composite
+def xi_inputs(draw):
+    """phi and omega_hat: broadcasting arrays, 0-d arrays or Python complex scalars."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                                     max_side=4))
+    values = [draw(hnp.arrays(complex, shape, elements=wide)) for shape in shapes.input_shapes]
+    return [complex(v) if v.ndim == 0 and draw(st.booleans()) else v for v in values]
+
+
+@FEW
+@given(xi_inputs())
+def test_xi_hat_values_keep_the_entries_last_bits(inputs):
+    with np.errstate(all="ignore"):
+        assert _same_bits(xi_hat_values(*inputs), _xi_hat_entries_last(*inputs))
