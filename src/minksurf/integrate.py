@@ -317,7 +317,7 @@ def _walk_staircases(grid, problem, mask, order, substeps):
     Local solutions are computed for whole rows of edges, about EDGE_BLOCK
     edges per call, and composed node by node.  A node is valid when the
     node before it on its path is, it is unmasked and its state is finite;
-    invalid nodes hold NaN.
+    invalid nodes hold NaN in both the real and the imaginary part.
     """
     zs, node_ok, (r0, c0) = _oriented(grid, mask, order)
     out = np.empty(zs.shape + problem.state0.shape, dtype=complex)
@@ -332,7 +332,7 @@ def _walk_staircases(grid, problem, mask, order, substeps):
                                      valid[r0, sl, None]))
         for sl in (np.s_[r0:], np.s_[r0::-1]):
             drift = max(drift, _walk(problem, substeps, zs[sl], node_ok[sl], out[sl], valid[sl]))
-    out[~valid] = np.nan
+    out[~valid] = complex(np.nan, np.nan)
     if order is PathOrder.COLUMN_FIRST:
         return np.swapaxes(out, 0, 1), valid.T, drift
     return out, valid, drift

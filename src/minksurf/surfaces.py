@@ -262,12 +262,10 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     c_vec = vec_from_herm_unchecked(c_mat)
     frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
                               order=order)
-    # x = vec(M C + (M C)*) with C = diag(1, -mu), from M's entries; M is
-    # NaN + 0j at invalid nodes, so x is set to NaN there
+    # x = vec(M C + (M C)*) with C = diag(1, -mu), from M's entries
     m00, m01, m10, m11 = (frame.coupled[0][..., i, j] for i in (0, 1) for j in (0, 1))
     x = BASE_X + np.stack((m00.real - mu * m11.real, m10.real - mu * m01.real,
                            -mu * m01.imag - m10.imag, m00.real + mu * m11.real), axis=-1)
-    x[~frame.valid] = np.nan
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)

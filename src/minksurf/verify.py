@@ -11,6 +11,8 @@ one first_form call (x_u, x_v, I, and the stencil validity that is also
 the report's interior), one x_uu/x_vv/x_uv (x_uv from that x_v) when a
 normal or the trapping check needs them, and one Gauss-section tangent
 pair.  The public single-quantity functions share the same private code.
+verify_surface stores the jet component-first and I and II entry-first, so
+kernels read contiguous planes; the (..., 4) and (..., 2, 2) results are views.
 
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to
@@ -22,12 +24,12 @@ standard horosphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import combinations
 
 import numpy as np
 
-from .fd import central_diff, mixed_diff, second_diff, stencil_valid
+from .fd import central_diff, second_diff, stencil_valid
 from .minkowski import enorm, ip31
 from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
@@ -44,6 +46,19 @@ def _finite_all(a):
     return np.isfinite(a).all(axis=-1)
 
 
+def _planar(v):
+    """v (nv, nu, 4) as a view of a contiguous (4, nv, nu) array; copies unless it is one."""
+    return np.ascontiguousarray(v.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _form(pairs):
+    """Symmetric forms [[(u0, v0), (u1, v1)], [(u1, v1), (u2, v2)]], stored entry-first."""
+    out = np.empty((2, 2) + pairs[0][0].shape[:-1])
+    for (i, j), (u, v) in zip(((0, 0), (0, 1), (1, 1)), pairs):
+        out[i, j] = out[j, i] = ip31(u, v)
+    return out.transpose(2, 3, 0, 1)
+
+
 def _tangents(x, grid):
     return (central_diff(x, grid.du, axis=1), central_diff(x, grid.dv, axis=0))
 
@@ -51,13 +66,11 @@ def _tangents(x, grid):
 def first_form(surface: SurfaceSample):
     """Induced metric I by central differences: (I, xu, xv, valid)."""
     grid = surface.grid
+    x = _planar(surface.x)
     with np.errstate(all="ignore"):
-        xu, xv = _tangents(surface.x, grid)
-        i_form = np.empty(grid.shape + (2, 2))
-        i_form[..., 0, 0] = ip31(xu, xu)
-        i_form[..., 0, 1] = i_form[..., 1, 0] = ip31(xu, xv)
-        i_form[..., 1, 1] = ip31(xv, xv)
-    valid = stencil_valid(surface.mask & _finite_all(surface.x))
+        xu, xv = _tangents(x, grid)
+        i_form = _form(((xu, xu), (xu, xv), (xv, xv)))
+    valid = stencil_valid(surface.mask & _finite_all(x))
     return i_form, xu, xv, valid
 
 
@@ -72,21 +85,18 @@ def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
     """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric)."""
     if surface.normal is None:
         raise ValueError(f"{surface.kind.value} surface carries no normal field")
-    n = surface.normal
+    n = np.empty_like(surface.x, dtype=float)  # in x's layout, worked in place
+    n[...] = surface.normal
     with np.errstate(all="ignore"):
         if surface.kind in AFFINE_KINDS:
             p = surface.hyperplane_normal
             pp = float(ip31(p, p))
             if abs(pp) > 1e-14:
-                n = n - p * (ip31(n, p) / pp)[..., None]
+                n -= p * (ip31(n, p) / pp)[..., None]
         else:
-            xx = ip31(surface.x, surface.x)
-            n = n - surface.x * (ip31(n, surface.x) / xx)[..., None]
-        n = n / np.sqrt(np.abs(ip31(n, n)))[..., None]
-        ii_form = np.empty(surface.grid.shape + (2, 2))
-        ii_form[..., 0, 0] = ip31(xuu, n)
-        ii_form[..., 0, 1] = ii_form[..., 1, 0] = ip31(xuv, n)
-        ii_form[..., 1, 1] = ip31(xvv, n)
+            n -= surface.x * (ip31(n, surface.x) / ip31(surface.x, surface.x))[..., None]
+        n /= np.sqrt(np.abs(ip31(n, n)))[..., None]
+        ii_form = _form(((xuu, n), (xuv, n), (xvv, n)))
     return ii_form, valid & _finite_all(n)
 
 
@@ -130,7 +140,7 @@ def intrinsic_curvature(i_form, grid):
         g_u, g_v = central_diff(g, du, 1), central_diff(g, dv, 0)
         e_vv = second_diff(e, dv, 0)
         g_uu = second_diff(g, du, 1)
-        f_uv = mixed_diff(f, du, dv)
+        f_uv = central_diff(f_v, du, 1)
         # det M1 - det M2 of the Brioschi matrices, expanded along their first rows
         a = -0.5 * e_vv + f_uv - 0.5 * g_uu
         c = f_u - 0.5 * e_v
@@ -178,7 +188,7 @@ def christoffel_residual(x, x_star, grid, mask=None):
     return (*_duality(*tangents), stencil_valid(ok))
 
 
-def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv):
+def _trapping(gauss, first, xuu, xvv, xuv):
     """Marginal-trapping residual and Gauss alignment from the derivative jet.
 
     The mean curvature vector is the metric-traced second derivative less
@@ -196,19 +206,21 @@ def _trapping(surface: SurfaceSample, first, xuu, xvv, xuv):
         b2 = ip31(lap, xv)
         a1 = (g * b1 - f * b2) / det_i
         a2 = (e * b2 - f * b1) / det_i
-        hvec = 0.5 * (lap - a1[..., None] * xu - a2[..., None] * xv)
+        lap -= a1[..., None] * xu  # hvec = 0.5 * (lap - a1 xu - a2 xv), in lap's buffer
+        lap -= a2[..., None] * xv
+        hvec = np.multiply(0.5, lap, out=lap)
     norm = enorm(hvec)
     if not np.any(ok):
-        nanf = np.full(surface.grid.shape, np.nan)
+        nanf = np.full(ok.shape, np.nan)
         return nanf, nanf, ok
     floor = 1e-6 * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
     denom = np.maximum(norm, floor)
     with np.errstate(all="ignore"):
         residual = np.abs(ip31(hvec, hvec)) / denom ** 2
-        alignment = np.full(surface.grid.shape, np.nan)
-        if surface.gauss is not None:
-            gnorm = enorm(surface.gauss)
-            alignment = np.abs(ip31(hvec, surface.gauss)) / (denom * np.maximum(gnorm, floor))
+        alignment = np.full(ok.shape, np.nan)
+        if gauss is not None:
+            gnorm = enorm(gauss)
+            alignment = np.abs(ip31(hvec, gauss)) / (denom * np.maximum(gnorm, floor))
     return residual, alignment, ok
 
 
@@ -221,7 +233,7 @@ def marginally_trapped_residual(surface: SurfaceSample):
     mean curvature vector itself vanishes (affine surfaces).
     """
     first = first_form(surface)
-    return _trapping(surface, first, *_second_derivatives(surface.x, first[2], surface.grid))
+    return _trapping(surface.gauss, first, *_second_derivatives(surface.x, first[2], surface.grid))
 
 
 def _conformality(i_form):
@@ -333,6 +345,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     tol = default_tolerances(surface)
     if tolerances:
         tol.update(tolerances)
+    surface = replace(surface, x=_planar(surface.x))
     x = surface.x
     grid = surface.grid
     kind = surface.kind
@@ -371,20 +384,21 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     perturbed_soft = surface.aux.get("perturbed") and \
         kind is not GeometryKind.AFFINE_E3
 
+    gauss = None  # read only here and by the trapping check
     if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
             and not perturbed_soft:
+        gauss = _planar(surface.gauss)
         with np.errstate(all="ignore"):
-            su, sv = _tangents(surface.gauss, grid)
+            su, sv = _tangents(gauss, grid)
             # gate the scale-free version: the dual section diverges towards
             # non-immersion loci and would otherwise dominate the raw residual
             scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
         pairing, wedge = _duality(xu, xv, su, sv)
         # the interior already requires an unmasked, finite x on each stencil
-        ch_valid = stencil_valid(_finite_all(surface.gauss))
-        report.add("christoffel_pairing", pairing / scale,
-                   tol["christoffel_pairing"], where=ch_valid)
-        report.add("christoffel_wedge", wedge / scale,
-                   tol["christoffel_wedge"], where=ch_valid)
+        ch_valid = stencil_valid(_finite_all(gauss))
+        for name, values in (("christoffel_pairing", pairing), ("christoffel_wedge", wedge)):
+            report.add(name, values / scale, tol[name], where=ch_valid)
+        del su, sv, scale, pairing, wedge, values  # freed before the second derivatives
 
     # Marginal trapping is gated where the mean curvature vector has scale
     # (quadrics) or vanishes identically in exact arithmetic (the
@@ -416,7 +430,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
                 report.add("mean_curvature", mean, tol["mean_curvature"],
                            where=ff_valid & c_ok)
         if trapped:
-            residual, alignment, mt_ok = _trapping(surface, first, *d2)
+            residual, alignment, mt_ok = _trapping(gauss, first, *d2)
             report.add("marginally_trapped", residual, tol["marginally_trapped"],
                        where=mt_ok)
             report.add("gauss_alignment", alignment, tol["gauss_alignment"],

@@ -5,8 +5,8 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
-from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder,
-                                integrate_closed_form, iteration_law_defect,
+from minksurf.integrate import (FrameSide, FrameWithMovedIntegral, IterationLawFrames,
+                                PathOrder, integrate_closed_form, iteration_law_defect,
                                 path_independence_check, plaquette_residuals,
                                 solve_path_system, solve_psi)
 from reference import vec_density_from_matrix
@@ -225,6 +225,20 @@ def test_masked_region_blocks_frames():
     iv, iu = g.nearest_index(0j)
     assert not ff.valid[iv, iu]
     assert ff.valid[g.base_index]
+
+
+def test_invalid_nodes_hold_nan_in_both_parts():
+    # frames, coupled matrices and quadrature fields alike: .imag reads NaN too
+    g = DomainGrid.square(1.0, 11, base=1 + 1j)
+    xi = build_xi(sample_data("1/z", "1", g))
+    frame = solve_psi(xi, 1.0, g)
+    moved = solve_path_system(g, FrameWithMovedIntegral(xi.fn, 1.0), mask=xi.mask)
+    fld, ok = integrate_closed_form(lambda z: np.ones_like(z), g, mask=xi.mask)
+    for values, valid in ((frame.values, frame.valid), (moved.coupled[0], moved.valid),
+                          (fld, ok)):
+        assert not valid.all()
+        assert np.isnan(values[~valid].real).all()
+        assert np.isnan(values[~valid].imag).all()
 
 
 def test_substeps_must_be_even():

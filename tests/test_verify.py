@@ -313,9 +313,32 @@ def _report_digest(report):
     return h.hexdigest()
 
 
+def _relaid(field, layout):
+    """The same values in another memory layout: C, Fortran or strided."""
+    if field is None or layout == "C":
+        return field
+    if layout == "F":
+        return np.asfortranarray(field)
+    wide = np.full(field.shape[:-1] + (2 * field.shape[-1],), np.inf)
+    wide[..., ::2] = field
+    return wide[..., ::2]
+
+
+@pytest.mark.parametrize("layout", ("C", "F", "strided"))
 @pytest.mark.parametrize("name", sorted(PIN_SURFACES))
-def test_report_bytes_pinned(name):
-    assert _report_digest(verify_surface(PIN_SURFACES[name]())) == REPORT_PINS[name]
+def test_report_bytes_pinned(name, layout):
+    surface = PIN_SURFACES[name]()
+    for attr in ("x", "gauss", "normal"):
+        setattr(surface, attr, _relaid(getattr(surface, attr), layout))
+    assert _report_digest(verify_surface(surface)) == REPORT_PINS[name]
+
+
+def test_jet_is_stored_component_first():
+    _g, s = _sphere_patch(n=21)
+    i_form, xu, _xv, _valid = first_form(s)
+    assert i_form.shape == s.grid.shape + (2, 2) and xu.shape == s.x.shape
+    assert xu[..., 0].flags.c_contiguous
+    assert i_form[..., 0, 0].flags.c_contiguous
 
 
 def test_pinned_surfaces_cover_the_branches():
@@ -343,15 +366,17 @@ def test_verify_surface_takes_each_derivative_once(monkeypatch, name):
             calls[_attr] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(verify, attr, counted)
-    mixed = []
+    along_v = []
 
-    def recorded(field, *args, _original=verify.mixed_diff, **kwargs):
-        mixed.append(np.shape(field))
-        return _original(field, *args, **kwargs)
-    monkeypatch.setattr(verify, "mixed_diff", recorded)
+    def recorded(field, step, axis, _original=verify.central_diff):
+        if axis == 0:
+            along_v.append(field)
+        return _original(field, step, axis)
+    monkeypatch.setattr(verify, "central_diff", recorded)
     verify_surface(surface)
     # the lightlike T-transform has no normal and skips marginal trapping
     second = 0 if name == "uy-perturb-lightlike" else 1
     assert calls == {"first_form": 1, "_second_derivatives": second}
     # x_uv comes from first_form's x_v: x itself is differenced along v once
-    assert all(shape[-1:] != (4,) for shape in mixed), mixed
+    of_x = [f for f in along_v if np.array_equal(f, surface.x, equal_nan=True)]
+    assert len(of_x) == 1
