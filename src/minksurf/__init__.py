@@ -11,17 +11,15 @@ promises.
 """
 
 from .domain import BasePointMaskedError, DomainGrid, SampledData, sample_data
-from .expr import (ExprSyntaxError, SingularPoint, differentiate, eval_at,
-                   evaluate, parse_expr, print_expr)
+from .expr import ExprSyntaxError, differentiate, evaluate, parse_expr, print_expr
 from .forms import XiField, build_xi, zeta_density_fn
 from .integrate import (FrameField, FrameSide, PathOrder, integrate_closed_form,
                         iteration_law_defect, path_independence_check,
                         plaquette_residuals, solve_psi)
 from .minkowski import E0, E1, E2, E3, causal_type, herm_from_vec, ip31
 from .surfaces import (GeometryKind, SurfaceSample, TargetGeometry, gauss_lift,
-                       h_frame_check, make_affine_surface, make_lw_bryant,
-                       make_quadric_surface, secondary_form, secondary_gauss,
-                       uy_perturb)
+                       make_affine_surface, make_lw_bryant, make_quadric_surface,
+                       secondary_form, secondary_gauss, uy_perturb)
 from .verify import (CurvatureReport, christoffel_residual, conformality_residual,
                      curvatures, fundamental_forms, intrinsic_curvature,
                      lw_residual, marginally_trapped_residual, verify_surface)

@@ -37,10 +37,6 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-class SingularPoint(ArithmeticError):
-    """Scalar evaluation hit a pole or branch-point singularity."""
-
-
 @dataclass(frozen=True)
 class Expr:
     """Base class for AST nodes; structural equality via dataclass eq."""
@@ -335,14 +331,6 @@ def evaluate(e, z):
         vals, sing = _eval(e, zarr)
     vals = np.where(sing, 0j, vals)
     return vals, sing
-
-
-def eval_at(e, z):
-    """Evaluate at a single point; raises SingularPoint on a singular hit."""
-    vals, sing = evaluate(e, complex(z))
-    if bool(sing):
-        raise SingularPoint(f"expression is singular at z={complex(z)}")
-    return complex(vals)
 
 
 def _eval(e, z):

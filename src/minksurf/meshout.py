@@ -4,10 +4,13 @@ Grid quadrilaterals are triangulated along their shorter projected
 diagonal; any cell touching a masked or unprojectable node drops out.
 OBJ is ASCII (1-based indices), PLY is binary little-endian with float64
 coordinates and a per-vertex quality channel carrying |H|.  All writers
-are deterministic: vertex order is row-major, floats are printed with
-repr precision, and no timestamps or environment state enter the output.
-The writers are array code that streams text ROW_BLOCK rows per write, so
-memory stays bounded; their bytes match a per-node loop (tests pin them).
+are deterministic: vertex order is row-major, floats are printed as repr()
+prints them, and no timestamps or environment state enter the output.
+The OBJ and CSV text comes from the vectorized kernel in textfmt (shortest
+round-trip digits, byte-equal to repr; subnormals go through repr itself).
+Rows are gathered ROW_BLOCK at a time and written in binary mode, so memory
+stays bounded and no newline translation touches the bytes; the bytes
+match a per-node loop (tests pin them).
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import json
 import numpy as np
 
 from .surfaces import GeometryKind, SurfaceSample
+from .textfmt import write_rows
 
 POLE_EPS = 1e-9
-ROW_BLOCK = 8192    # rows formatted per write: bounds the text held in memory
+ROW_BLOCK = 8192    # rows gathered per block: bounds the memory a writer holds
 
 
 def _proj_euclid_123(x):
@@ -149,17 +153,13 @@ def export_mesh(surface: SurfaceSample, path, *, projection="default",
     return len(verts), len(tris)
 
 
-def _write_rows(fh, row_format, table):
-    """Write rows ROW_BLOCK at a time; %r prints a float as repr() does."""
-    for start in range(0, len(table), ROW_BLOCK):
-        block = table[start:start + ROW_BLOCK]
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
-
-
 def _write_obj(path, verts, tris):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_rows(fh, "v %r %r %r\n", np.asarray(verts, dtype=float))
-        _write_rows(fh, "f %d %d %d\n", np.asarray(tris) + 1)
+    faces = np.asarray(tris) + 1
+    with open(path, "wb") as fh:
+        for start in range(0, len(verts), ROW_BLOCK):
+            write_rows(fh, b"v ", b" ", floats=verts[start:start + ROW_BLOCK])
+        for start in range(0, len(faces), ROW_BLOCK):
+            write_rows(fh, b"f ", b" ", ints=faces[start:start + ROW_BLOCK])
 
 
 def _write_ply(path, verts, tris, qual):
@@ -204,15 +204,14 @@ def write_curvature_csv(surface: SurfaceSample, report, path):
     cols += [name for name, _ in named]
     zs = grid.zs()
     iv, iu = np.nonzero(surface.mask)
-    row_format = "%d,%d," + ",".join(["%r"] * (len(cols) - 2)) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode("ascii"))
         for start in range(0, len(iv), ROW_BLOCK):
             node = iv[start:start + ROW_BLOCK], iu[start:start + ROW_BLOCK]
             vals = [np.asarray(field[node], dtype=float) for _name, field in named]
-            _write_rows(fh, row_format, np.column_stack(
-                [node[1], node[0], zs[node].real, zs[node].imag, surface.x[node]]
-                + [np.where(np.isfinite(v), v, np.nan) for v in vals]))
+            floats = np.column_stack([zs[node].real, zs[node].imag, surface.x[node]]
+                                     + [np.where(np.isfinite(v), v, np.nan) for v in vals])
+            write_rows(fh, b"", b",", ints=np.column_stack(node[::-1]), floats=floats)
 
 
 def write_report(report, path, extra=None):

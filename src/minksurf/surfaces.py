@@ -33,8 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .domain import DomainGrid, SampledData, dilate_mask, grid_line_interpolant
-from .expr import Expr, differentiate, evaluate, parse_expr
-from .fd import central_diff, stencil_valid
+from .expr import Expr, evaluate, parse_expr
 from .forms import build_xi, xi_hat_values, zeta_density_fn
 from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
@@ -334,45 +333,3 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
                            params={"mu": mu, "m": m, "middle_sphere": True},
                            aux={"frame": frame})
     return surface, middle
-
-
-def h_frame_check(frame: FrameField, psi, eta_hat, m):
-    """Residual of the null-curve frame equation for the LW pipeline.
-
-    Builds H = Psi [[i psi, i], [i, 0]] nodewise, finite-differences
-    H^{-1} dH, and returns the maximum deviation from the expected
-    off-diagonal form [[0, m eta], [psi', 0]] dz over full-stencil nodes.
-    """
-    grid = frame.grid
-    psi_v, _, psi_expr = _as_field_and_fn(psi, grid, None)
-    eta_v, _, _ = _as_field_and_fn(eta_hat, grid, None)
-    if psi_expr is not None:
-        dpsi_v, sing = evaluate(differentiate(psi_expr), grid.zs())
-        dpsi_v = np.where(sing, np.nan, dpsi_v)
-    else:
-        dpsi_v = central_diff(psi_v, grid.du, axis=1)
-
-    hmat = np.empty(grid.shape + (2, 2), dtype=complex)
-    hmat[..., 0, 0] = 1j * psi_v
-    hmat[..., 0, 1] = 1j
-    hmat[..., 1, 0] = 1j
-    hmat[..., 1, 1] = 0.0
-    hmat = frame.values @ hmat
-
-    hu = central_diff(hmat, grid.du, axis=1)
-    hv = central_diff(hmat, grid.dv, axis=0)
-    hinv = inv2(hmat)
-    au = hinv @ hu
-    av = hinv @ hv
-
-    expected = np.zeros(grid.shape + (2, 2), dtype=complex)
-    expected[..., 0, 1] = m * eta_v
-    expected[..., 1, 0] = dpsi_v
-
-    dev_u = np.sqrt(np.sum(np.abs(au - expected) ** 2, axis=(-2, -1)))
-    dev_v = np.sqrt(np.sum(np.abs(av - 1j * expected) ** 2, axis=(-2, -1)))
-    ok = stencil_valid(frame.valid & np.isfinite(psi_v) & np.isfinite(eta_v)
-                       & np.isfinite(dpsi_v))
-    if not np.any(ok):
-        return float("nan")
-    return float(np.max(np.maximum(dev_u, dev_v)[ok]))

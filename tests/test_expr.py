@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from minksurf.expr import (ExprSyntaxError, SingularPoint, differentiate, eval_at,
-                           evaluate, parse_expr, print_expr)
+from minksurf.expr import ExprSyntaxError, differentiate, evaluate, parse_expr, print_expr
+from reference import SingularPoint, eval_at
 
 CORPUS = [
     "z^2 + i",

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from minksurf import meshout, textfmt
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.meshout import (MeshExportError, export_mesh, project_surface,
                               triangulate, write_curvature_csv, write_report)
@@ -252,6 +253,16 @@ def _golden_bytes(tmp_path, name, fmt):
 def test_writer_bytes_pinned(tmp_path, name, fmt):
     data = _golden_bytes(tmp_path, name, fmt)
     assert hashlib.sha256(data).hexdigest() == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("name", ["quadric-critical", "nonfinite-fields"])
+def test_text_bytes_pinned_across_block_seams(tmp_path, monkeypatch, name):
+    # every fixture fits in one ROW_BLOCK; small blocks and kernel chunks cross seams
+    monkeypatch.setattr(meshout, "ROW_BLOCK", 7)
+    monkeypatch.setattr(textfmt, "CHUNK", 5)
+    for fmt in ("csv", "obj"):
+        data = _golden_bytes(tmp_path, name, fmt)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN[(name, fmt)]
 
 
 def test_golden_fixtures_cover_the_cases():

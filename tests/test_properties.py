@@ -12,15 +12,16 @@ from hypothesis.extra import numpy as hnp
 
 from minksurf.domain import DomainGrid
 from minksurf.fd import central_diff, mixed_diff, second_diff
-from minksurf.expr import (FUNCTIONS, Call, Div, Expr, Pow, SingularPoint, differentiate,
-                           eval_at, parse_expr, print_expr)
+from minksurf.expr import FUNCTIONS, Call, Div, Expr, Pow, differentiate, parse_expr, print_expr
 from minksurf.forms import xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, enorm, ip31
 from minksurf.verify import _duality, intrinsic_curvature
+from reference import SingularPoint, eval_at
 
-FEW = settings(max_examples=20, deadline=None, database=None)
+# a fifth of the profile's examples: 20 locally, more under the ci profile (conftest.py)
+FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
 
 entry = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 

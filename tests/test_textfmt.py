@@ -1,0 +1,79 @@
+"""The text kernel against its oracles: repr() for floats, %d for ints."""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from minksurf import textfmt
+from minksurf.textfmt import write_rows
+
+
+def _text(lead, sep, **table):
+    out = io.BytesIO()
+    write_rows(out, lead, sep, **table)
+    return out.getvalue()
+
+
+def _lines(**table):
+    return _text(b"", b",", **table).split(b"\n")[:-1]
+
+
+def _assert_repr(x):
+    x = np.asarray(x, dtype=float)
+    got = _lines(floats=x[:, None])
+    bad = [(v, g) for v, g in zip(x.tolist(), got) if g != repr(v).encode()]
+    assert len(got) == len(x) and bad == []
+
+
+# 4,096 values per example: 20 examples locally, 200 under the ci profile
+@settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
+@given(st.integers(0, 2 ** 64 - 1))
+def test_random_bit_patterns_print_as_repr(seed):
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, 4096, dtype=np.uint64)
+    _assert_repr(bits.view(np.float64))
+
+
+def test_powers_of_two_and_ten_and_their_neighbours_print_as_repr():
+    x = np.array([math.ldexp(1.0, e) for e in range(-1074, 1024)]
+                 + [float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    _assert_repr(np.concatenate([x, -x]))
+
+
+SPECIAL_BITS = [0x7FF8000000000000 | 1 << 63, 0x7FF0000000000001, 0xFFF4000000000123]
+SPECIAL = [
+    0.0, -0.0, math.inf, -math.inf,
+    5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e15, 1e16, 9999999999999998.0, 1e-4, 1e-5, 1e22, 1e23, 123456789012345680.0,
+    0.1, 0.3, 2.0 ** 53 - 1, 2.0 ** 53 + 1, 2.0 ** 53 + 2, 1.5, 100.0, 1e100, 12.5e-300,
+]
+
+
+def test_special_values_print_as_repr():
+    nans = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+    assert _lines(floats=nans[:, None]) == [b"nan"] * len(nans)
+    _assert_repr(SPECIAL + [-v for v in SPECIAL])
+
+
+INTS = [0] + [s * (10 ** k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)]
+
+
+def test_ints_print_as_percent_d():
+    v = np.array(INTS, dtype=np.int64)
+    assert _lines(ints=v[:, None]) == [b"%d" % i for i in INTS]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, textfmt.CHUNK])
+def test_rows_match_the_percent_format(monkeypatch, chunk):
+    monkeypatch.setattr(textfmt, "CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal((23, 3)) * 10.0 ** rng.integers(-20, 20, (23, 3))
+    floats[[2, 5, 7], [0, 2, 1]] = [np.nan, -0.0, 5e-324]
+    ints = rng.integers(-5, 12345, (23, 2))
+    want = "".join("%d %d %r %r %r\n" % (*i, *f) for i, f in zip(ints.tolist(), floats.tolist()))
+    assert _text(b"", b" ", ints=ints, floats=floats) == want.encode()
+    want = "".join("v %r %r %r\n" % tuple(f) for f in floats.tolist())
+    assert _text(b"v ", b" ", floats=floats) == want.encode()
