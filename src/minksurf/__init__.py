@@ -14,8 +14,7 @@ from .domain import BasePointMaskedError, DomainGrid, SampledData, sample_data
 from .expr import ExprSyntaxError, differentiate, evaluate, parse_expr, print_expr
 from .forms import XiField, build_xi, zeta_density_fn
 from .integrate import (FrameField, FrameSide, PathOrder, integrate_closed_form,
-                        iteration_law_defect, path_independence_check,
-                        plaquette_residuals, solve_psi)
+                        iteration_law_defect, path_independence_check, solve_psi)
 from .minkowski import E0, E1, E2, E3, causal_type, herm_from_vec, ip31
 from .surfaces import (GeometryKind, SurfaceSample, TargetGeometry, gauss_lift,
                        make_affine_surface, make_lw_bryant, make_quadric_surface,

@@ -1,18 +1,19 @@
 """Pipeline driver: parse -> sample -> integrate -> build -> verify -> export.
 
-Exit codes: 0 all residual suites passed, 2 configuration error, 3
-expression parse error, 4 base point masked, 5 verification failure
-(also used when nothing is meshable).  Unexpected exceptions surface as
-tracebacks with exit code 1.
+Exit codes: 0 all residual suites passed, 2 configuration error (or a
+missing output directory), 3 expression parse error, 4 no usable base
+node, 5 verification failure (also when nothing is meshable).
+Unexpected exceptions surface as tracebacks with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .domain import BasePointMaskedError, sample_data
+from .domain import BasePointMaskedError, check_base, sample_data
 from .expr import ExprSyntaxError, parse_expr
 from .meshout import MeshExportError, export_mesh, write_curvature_csv, write_report
 from .surfaces import (QUADRIC_KINDS, GeometryKind, make_affine_surface,
@@ -31,9 +32,7 @@ def _build_surface(cfg: RunConfig):
     if kind is GeometryKind.LW_BRYANT:
         surface, _middle = make_lw_bryant(parse_expr(cfg.psi), parse_expr(cfg.eta),
                                           cfg.target.m, cfg.target.mu, cfg.grid)
-        iv, iu = cfg.grid.base_index
-        if not surface.mask[iv, iu]:
-            raise BasePointMaskedError("base node is masked; choose another base point")
+        check_base(surface.aux["usable"], cfg.grid)
         return surface
     # psi/eta feed only the LW construction: their singularities must not
     # mask a surface built from (phi, omega)
@@ -50,6 +49,13 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
     def say(msg):
         if not quiet:
             print(msg)
+
+    mesh_path = mesh_path or cfg.mesh_path
+    report_path = report_path or cfg.report_path
+    for path in [report_path] + ([] if verify_only else [mesh_path, cfg.curvature_csv_path]):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            print(f"error: output {path}: no such directory", file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         surface = _build_surface(cfg)
@@ -68,8 +74,6 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
         say(f"{'PASS' if stat.passed else 'FAIL'} {name}: max={stat.max_value:.3e} "
             f"tol={stat.tolerance:.1e} nodes={stat.nodes}")
 
-    mesh_path = mesh_path or cfg.mesh_path
-    report_path = report_path or cfg.report_path
     extra = {"surface": {"kind": surface.kind.value,
                          "params": {k: v for k, v in sorted(surface.params.items())}}}
     meshable = True   # an unmeshable run still writes the CSV and the report

@@ -115,7 +115,6 @@ class SampledData:
 
     grid: DomainGrid
     phi: np.ndarray
-    dphi: np.ndarray
     omega_hat: np.ndarray
     mask: np.ndarray
     phi_expr: Expr
@@ -126,99 +125,79 @@ def _as_expr(e):
     return parse_expr(e) if isinstance(e, str) else e
 
 
-def sample_data(phi, omega_hat, grid, eps_crit=None):
-    """Sample phi, phi' and omega over a grid.
+def check_base(mask, grid):
+    """Raise BasePointMaskedError unless the base node is usable in mask."""
+    if not np.any(mask):
+        raise BasePointMaskedError("no grid node is usable; change the data or the domain")
+    iv, iu = grid.base_index
+    if not mask[iv, iu]:
+        raise BasePointMaskedError("base node is masked; choose another base point")
 
-    Nodes are masked at singular evaluations and where |phi'| falls below
-    eps_crit (default 1e-8 * grid diameter): critical points of phi are
-    excluded rather than modeled.  The masked region is dilated by one
-    cell ring.  Raises BasePointMaskedError if the base node is masked.
+
+def sample_data(phi, omega_hat, grid, eps_crit=None):
+    """Sample phi and omega over a grid, masking where they are unusable.
+
+    Nodes are masked at singular evaluations of phi, phi' or omega and
+    where |phi'| falls below eps_crit (default 1e-8 * grid diameter):
+    critical points of phi are excluded rather than modeled.  The masked
+    region is dilated by one cell ring.  Raises BasePointMaskedError if no
+    node or the base node is masked (check_base).
     """
     phi = _as_expr(phi)
     omega_hat = _as_expr(omega_hat)
-    dphi = differentiate(phi)
     zs = grid.zs()
     if eps_crit is None:
         eps_crit = 1e-8 * grid.diameter
 
     phi_v, s1 = evaluate(phi, zs)
-    dphi_v, s2 = evaluate(dphi, zs)
+    dphi_v, s2 = evaluate(differentiate(phi), zs)
     omega_v, s3 = evaluate(omega_hat, zs)
-    bad = s1 | s2 | s3 | (np.abs(dphi_v) < eps_crit)
-
-    mask = ~dilate_mask(bad)
-    iv, iu = grid.base_index
-    if not mask[iv, iu]:
-        raise BasePointMaskedError(
-            "base node is masked; choose another base point")
-    return SampledData(grid=grid, phi=phi_v, dphi=dphi_v, omega_hat=omega_v,
+    mask = ~dilate_mask(s1 | s2 | s3 | (np.abs(dphi_v) < eps_crit))
+    check_base(mask, grid)
+    return SampledData(grid=grid, phi=phi_v, omega_hat=omega_v,
                        mask=mask, phi_expr=phi, omega_expr=omega_hat)
 
 
-# barycentric weights for equispaced Lagrange stencils, by stencil size
-_BARY = {n: np.array([(-1.0) ** j * float(math.comb(n - 1, j)) for j in range(n)])
-         for n in (2, 3, 4, 5, 6)}
+def _lagrange_1d(lines, line, t):
+    """Lagrange interpolation along rows of lines (L, n): row line[q] at
+    fractional index t[q], on the 6 nearest nodes (all n when fewer).
 
-
-def _lagrange_1d(samples, t):
-    """Barycentric interpolation of rows of samples at fractional index t.
-
-    samples: (q, n) + tail, t: (q,). Uses the 6 nearest nodes per query
-    (all n when the line has fewer).
+    Product form, weight_j = prod_{m != j} (t - m) / prod_{m != j} (j - m)
+    over the stencil's offsets, so a query on a node takes its value exactly.
     """
-    n = samples.shape[1]
-    stencil = min(6, n)
-    w = _BARY[stencil]
-    start = np.clip(np.floor(t).astype(int) - (stencil // 2 - 1), 0, n - stencil)
-    tt = t - start
-    offsets = np.arange(stencil)
-    idx = start[:, None] + offsets[None, :]
-    vals = np.take_along_axis(
-        samples, idx.reshape(idx.shape + (1,) * (samples.ndim - 2)), axis=1)
-    diff = tt[:, None] - offsets[None, :]
-    exact = np.abs(diff) < 1e-12
-    diff = np.where(exact, 1.0, diff)
-    coeff = w[None, :] / diff
-    coeff = np.where(exact.any(axis=1)[:, None], exact.astype(float), coeff)
-    denom = coeff.sum(axis=1)
-    coeff = coeff / denom[:, None]
-    coeff = coeff.reshape(coeff.shape + (1,) * (samples.ndim - 2))
-    return (vals * coeff).sum(axis=1)
+    n = lines.shape[1]
+    k = min(6, n)
+    start = np.clip(np.floor(t).astype(int) - (k // 2 - 1), 0, n - k)
+    offsets = np.arange(k)
+    others = np.array([np.delete(offsets, j) for j in offsets])    # (k, k - 1)
+    diff = (t - start)[:, None] - offsets
+    weights = np.prod(diff[:, others], axis=2) / np.prod(offsets[:, None] - others, axis=1)
+    return np.sum(lines[line[:, None], start[:, None] + offsets] * weights, axis=1)
 
 
 def grid_line_interpolant(values, grid, mask=None):
-    """Wrap per-node samples as a callable for points on grid lines.
+    """Wrap per-node samples (nv, nu) as a callable for points on grid lines.
 
     Queries must lie on a horizontal or vertical grid line (the staircase
     integrators only ever ask for such points); interpolation is 1D
     Lagrange on the 6 nearest nodes of that line.  Values at
     queries whose stencil touches a masked node come back NaN.
     """
-    values = np.asarray(values)
-    work = values.astype(complex)
+    work = np.array(values, dtype=complex)
     if mask is not None:
-        work = work.copy()
         work[~np.asarray(mask, dtype=bool)] = np.nan
 
     def f(z):
         z = np.asarray(z, dtype=complex)
-        flat = z.reshape(-1)
-        fu = (flat.real - grid.re_min) / grid.du
-        fv = (flat.imag - grid.im_min) / grid.dv
-        on_row = np.abs(fv - np.round(fv)) <= 1e-9 * max(grid.nv, 1)
-        out = np.empty((flat.size,) + values.shape[2:], dtype=complex)
-        sel = np.nonzero(on_row)[0]
-        if sel.size:
-            rows = np.clip(np.round(fv[sel]).astype(int), 0, grid.nv - 1)
-            out[sel] = _lagrange_1d(work[rows], fu[sel])
-        sel = np.nonzero(~on_row)[0]
-        if sel.size:
-            fuq = fu[sel]
-            if np.any(np.abs(fuq - np.round(fuq)) > 1e-9 * max(grid.nu, 1)):
-                raise ValueError("interpolation queries must lie on grid lines")
-            cols = np.clip(np.round(fuq).astype(int), 0, grid.nu - 1)
-            samples = np.swapaxes(work, 0, 1)[cols]
-            out[sel] = _lagrange_1d(samples, fv[sel])
-        return out.reshape(z.shape + values.shape[2:])
+        fu = (z.real - grid.re_min) / grid.du
+        fv = (z.imag - grid.im_min) / grid.dv
+        on_row = np.abs(fv - np.round(fv)) <= 1e-9 * grid.nv
+        if np.any(np.abs(fu - np.round(fu))[~on_row] > 1e-9 * grid.nu):
+            raise ValueError("interpolation queries must lie on grid lines")
+        out = np.empty(z.shape, dtype=complex)
+        for sel, lines, along, across in ((on_row, work, fu, fv), (~on_row, work.T, fv, fu)):
+            line = np.clip(np.round(across[sel]).astype(int), 0, len(lines) - 1)
+            out[sel] = _lagrange_1d(lines, line, along[sel])
+        return out
 
     return f

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .domain import DomainGrid
-from .minkowski import EPS_DET, _det2
+from .minkowski import EPS_DET
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -177,7 +177,7 @@ class FrameEquation:
 
     def __post_init__(self):
         self.psi0 = IDENTITY2 if self.psi0 is None else np.asarray(self.psi0, dtype=complex)
-        if self.psi0.shape != (2, 2) or not abs(_det2(self.psi0) - 1.0) <= EPS_DET:
+        if self.psi0.shape != (2, 2) or not abs(_det(self.psi0.reshape(4)) - 1.0) <= EPS_DET:
             raise ValueError("psi0 must be a 2x2 matrix with determinant 1")
         self.state0 = self.psi0.reshape(4)
 
@@ -368,21 +368,6 @@ def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
     out, valid, _ = _walk_staircases(grid, _Quadrature(density, state0, weights),
                                      mask, order, substeps // 2)
     return out.reshape(grid.shape + tail), valid
-
-
-def plaquette_residuals(density, grid):
-    """Loop integrals of a callable density around every grid cell (closedness check)."""
-    zs = grid.zs()
-    tail = np.shape(density(zs[0, :1]))[1:]
-    quad = _Quadrature(density, None, _simpson_weights(4))
-
-    def edge_integrals(z0, z1):        # 4 Simpson intervals: 2 RK4 substeps
-        local, _ = quad.local(*_edge_samples(density, z0, z1, 2))
-        return np.moveaxis(local, 0, -1).reshape(z0.shape + tail)
-
-    eh = edge_integrals(zs[:, :-1], zs[:, 1:])
-    ev = edge_integrals(zs[:-1, :], zs[1:, :])
-    return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 
 def _xi_inputs(xi, mask):

@@ -7,10 +7,11 @@ coordinates and a per-vertex quality channel carrying |H|.  All writers
 are deterministic: vertex order is row-major, floats are printed as repr()
 prints them, and no timestamps or environment state enter the output.
 The OBJ and CSV text comes from the vectorized kernel in textfmt (shortest
-round-trip digits, byte-equal to repr; subnormals go through repr itself).
-Rows are gathered ROW_BLOCK at a time and written in binary mode, so memory
-stays bounded and no newline translation touches the bytes; the bytes
-match a per-node loop (tests pin them).
+round-trip digits, byte-equal to repr; subnormals go through repr itself),
+which writes it a chunk at a time in binary mode, so no newline translation
+touches the bytes.  The OBJ writer hands textfmt whole arrays; the CSV
+writer gathers its columns ROW_BLOCK rows at a time, so memory stays
+bounded.  The bytes match a per-node loop (tests pin them).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .surfaces import GeometryKind, SurfaceSample
 from .textfmt import write_rows
 
 POLE_EPS = 1e-9
-ROW_BLOCK = 8192    # rows gathered per block: bounds the memory a writer holds
+ROW_BLOCK = 8192    # CSV rows gathered per block: bounds the memory the CSV writer holds
 
 
 def _proj_euclid_123(x):
@@ -154,12 +155,9 @@ def export_mesh(surface: SurfaceSample, path, *, projection="default",
 
 
 def _write_obj(path, verts, tris):
-    faces = np.asarray(tris) + 1
     with open(path, "wb") as fh:
-        for start in range(0, len(verts), ROW_BLOCK):
-            write_rows(fh, b"v ", b" ", floats=verts[start:start + ROW_BLOCK])
-        for start in range(0, len(faces), ROW_BLOCK):
-            write_rows(fh, b"f ", b" ", ints=faces[start:start + ROW_BLOCK])
+        write_rows(fh, b"v ", b" ", floats=verts)
+        write_rows(fh, b"f ", b" ", ints=np.asarray(tris) + 1)
 
 
 def _write_ply(path, verts, tris, qual):

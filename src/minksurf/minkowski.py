@@ -71,33 +71,3 @@ def herm_from_vec(v):
     out[..., 1, 0] = v[..., 1] - 1j * v[..., 2]
     out[..., 1, 1] = v[..., 0] - v[..., 3]
     return out
-
-
-def vec_from_herm_unchecked(a):
-    """Inverse of herm_from_vec for Hermitian input, broadcasting.
-
-    Reads the real diagonal and the (0, 1) entry; the input is not checked.
-    """
-    a = np.asarray(a)
-    out = np.empty(a.shape[:-2] + (4,))
-    out[..., 0] = 0.5 * (a[..., 0, 0].real + a[..., 1, 1].real)
-    out[..., 3] = 0.5 * (a[..., 0, 0].real - a[..., 1, 1].real)
-    out[..., 1] = a[..., 0, 1].real
-    out[..., 2] = a[..., 0, 1].imag
-    return out
-
-
-def _det2(a):
-    return (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])
-
-
-def inv2(a):
-    """Adjugate inverse of 2x2 matrices, broadcasting; NaN-safe (no raise)."""
-    a = np.asarray(a)
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    out[..., 1, 1] = a[..., 0, 0]
-    with np.errstate(all="ignore"):
-        return out / _det2(a)[..., None, None]

@@ -32,13 +32,13 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import DomainGrid, SampledData, dilate_mask, grid_line_interpolant
-from .expr import Expr, evaluate, parse_expr
+from .domain import DomainGrid, SampledData, _as_expr, dilate_mask, grid_line_interpolant
+from .expr import Expr, evaluate
 from .forms import build_xi, xi_hat_values, zeta_density_fn
 from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
 from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type, enorm,
-                        herm_from_vec, inv2, ip31, vec_from_herm_unchecked)
+                        herm_from_vec, ip31)
 
 EPS_DEGENERATE = 0.02   # relative threshold for non-immersion masking
 EPS_LW_POLE = 1e-6      # relative threshold on |1 - mu |psi|^2|
@@ -208,11 +208,19 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     g = gauss_lift(data.phi)
     gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask & ~degenerate
-    normal = None if mu == 0 else gauss + x / mu
+    with np.errstate(all="ignore"):    # a tiny mu overflows x / mu
+        normal = None if mu == 0 else gauss + x / mu
     return SurfaceSample(grid=data.grid, kind=quadric_kind_for(mu), x=x, mask=mask,
                          gauss=gauss, normal=normal,
                          params={"mu": mu, "m": m},
                          aux={"frame": frame})
+
+
+def _moebius_pair(frame: FrameField, phi):
+    """v = Psi^{-1} (phi, 1)^T, by the adjugate (det Psi = 1): psi = v0 / v1."""
+    psi_m = frame.values
+    return (psi_m[..., 1, 1] * phi - psi_m[..., 0, 1],
+            -psi_m[..., 1, 0] * phi + psi_m[..., 0, 0])
 
 
 def secondary_gauss(frame: FrameField, phi):
@@ -221,10 +229,7 @@ def secondary_gauss(frame: FrameField, phi):
     With F = Psi^{-1}, psi = (F11 phi + F12) / (F21 phi + F22); returns
     (psi, ok) with ok False where the denominator nearly vanishes.
     """
-    phi = np.asarray(phi, dtype=complex)
-    psi_m = frame.values
-    num = psi_m[..., 1, 1] * phi - psi_m[..., 0, 1]
-    den = -psi_m[..., 1, 0] * phi + psi_m[..., 0, 0]
+    num, den = _moebius_pair(frame, phi)
     scale = np.sqrt(np.abs(num) ** 2 + np.abs(den) ** 2)
     ok = np.abs(den) > 1e-9 * scale
     with np.errstate(all="ignore"):
@@ -233,16 +238,16 @@ def secondary_gauss(frame: FrameField, phi):
 
 
 def secondary_form(frame: FrameField, data: SampledData):
-    """Secondary 1-form density eta and psi via the gauge-moved matrix density.
+    """Secondary 1-form density eta and psi from the gauge-moved data.
 
-    Conjugating the matrix density by the frame, Psi^{-1} xi Psi, gives
-    the secondary density [[-psi, psi^2], [-1, psi]] * eta nodewise; eta
-    is read off the (1,0) entry, psi from the entry ratio.
+    xi_hat = omega (phi, 1)^T (-1, phi) has rank one, so with v = Psi^{-1}
+    (phi, 1)^T the moved density Psi^{-1} xi_hat Psi is
+    eta [[-psi, psi^2], [-1, psi]] with psi = v0 / v1 and eta = omega v1^2.
     """
-    xim = inv2(frame.values) @ xi_hat_values(data.phi, data.omega_hat) @ frame.values
-    eta = -xim[..., 1, 0]
+    v0, v1 = _moebius_pair(frame, data.phi)
     with np.errstate(all="ignore"):
-        psi = np.where(np.abs(eta) > 0, xim[..., 0, 0] / xim[..., 1, 0], np.nan)
+        eta = data.omega_hat * v1 * v1
+        psi = np.where(np.abs(eta) > 0, v0 / v1, np.nan)
     return psi, eta
 
 
@@ -257,8 +262,7 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     if m == 0:
         raise ValueError("m must be non-zero")
     xi = build_xi(data)
-    c_mat = np.array([[1.0, 0.0], [0.0, -mu]], dtype=complex)
-    c_vec = vec_from_herm_unchecked(c_mat)
+    c_vec = np.array([0.5 * (1.0 - mu), 0.0, 0.0, 0.5 * (1.0 + mu)])   # vec diag(1, -mu)
     frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
                               order=order)
     # x = vec(M C + (M C)*) with C = diag(1, -mu), from M's entries
@@ -275,19 +279,15 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
 
 def _as_field_and_fn(obj, grid, mask):
     """Accept an expression (or text) or a per-node array; give values + callable."""
-    if isinstance(obj, str):
-        obj = parse_expr(obj)
+    obj = _as_expr(obj)
     if isinstance(obj, Expr):
-        vals, sing = evaluate(obj, grid.zs())
-        vals = np.where(sing, np.nan, vals)
-
-        def fn(z, e=obj):
-            v, s = evaluate(e, z)
+        def fn(z):
+            v, s = evaluate(obj, z)
             return np.where(s, np.nan, v)
 
-        return vals, fn, obj
+        return fn(grid.zs()), fn
     vals = np.asarray(obj, dtype=complex)
-    return vals, grid_line_interpolant(vals, grid, mask=mask), None
+    return vals, grid_line_interpolant(vals, grid, mask=mask)
 
 
 def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
@@ -299,12 +299,13 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     solves dPsi = -m Psi xi -- coefficient on the right.  The front is the
     middle sphere x_m moved along g~ = Psi lift(psi) Psi* / (1 - mu |psi|^2):
     x = x_m + (mu+1)/2 g~.  Nodes where the denominator nearly vanishes are
-    masked.  Returns (surface, middle).
+    masked; the surface's aux["usable"] marks the nodes usable before the
+    walk.  Returns (surface, middle).
     """
     if m == 0:
         raise ValueError("m must be non-zero")
-    psi_v, psi_fn, _ = _as_field_and_fn(psi, grid, mask)
-    eta_v, eta_fn, _ = _as_field_and_fn(eta_hat, grid, mask)
+    psi_v, psi_fn = _as_field_and_fn(psi, grid, mask)
+    eta_v, eta_fn = _as_field_and_fn(eta_hat, grid, mask)
 
     def coeff(z):
         return xi_hat_values(psi_fn(z), eta_fn(z))
@@ -316,18 +317,18 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
 
     r2 = np.abs(psi_v) ** 2
     pole = 1.0 - mu * r2
-    pole_bad = dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
-    surf_mask = frame.valid & node_ok & ~pole_bad
+    usable = node_ok & ~dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
+    surf_mask = frame.valid & usable
 
     xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
     with np.errstate(all="ignore"):
         gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v))) / pole[..., None]
         x = xm + 0.5 * (mu + 1.0) * gtilde
         normal = gtilde - x
+        middle_normal = None if mu == 0 else gtilde + xm / mu
     surface = SurfaceSample(grid=grid, kind=GeometryKind.LW_BRYANT, x=x,
                             mask=surf_mask, gauss=gtilde, normal=normal,
-                            params={"mu": mu, "m": m}, aux={"frame": frame})
-    middle_normal = None if mu == 0 else gtilde + xm / mu
+                            params={"mu": mu, "m": m}, aux={"frame": frame, "usable": usable})
     middle = SurfaceSample(grid=grid, kind=quadric_kind_for(mu), x=xm,
                            mask=surf_mask, gauss=gtilde, normal=middle_normal,
                            params={"mu": mu, "m": m, "middle_sphere": True},

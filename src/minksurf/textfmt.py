@@ -158,14 +158,15 @@ def _ints_into(out, v, sep):
 
 
 def write_rows(fh, lead, sep, ints=None, floats=None):
-    """Write text rows to fh: lead, then the ints as %d and the floats as repr,
-    sep-joined and newline-ended; ints and floats are (rows, fields) arrays."""
+    """Write (rows, fields) arrays to fh as rows, CHUNK floats (or rows) at a time:
+    lead, then the ints as %d and the floats as repr, sep-joined, newline-ended."""
     n = len(ints if ints is not None else floats)
     ints = np.zeros((n, 0), dtype=np.int64) if ints is None else np.asarray(ints)
     floats = np.ascontiguousarray(np.zeros((n, 0)) if floats is None else floats,
                                   dtype=np.float64)
     ni, nf = ints.shape[1], floats.shape[1]
-    iw = len(str(np.abs(ints).max())) + int((ints < 0).any()) + 1 if ints.size else 1
+    lo, hi = (int(ints.min()), int(ints.max())) if ints.size else (0, 0)
+    iw = len(str(max(-lo, hi))) + (lo < 0) + 1     # digits, a sign, the separator
     start = len(lead) + ni * iw
     step = max(1, CHUNK // max(nf, 1))
     for r in range(0, n, step):

@@ -1,10 +1,87 @@
 """Reference formulas shared by the tests."""
 
+import math
+
 import numpy as np
 
 from minksurf.expr import differentiate, evaluate, parse_expr
 from minksurf.fd import central_diff, stencil_valid
-from minksurf.minkowski import inv2
+from minksurf.forms import xi_hat_values
+from minksurf.integrate import _edge_samples, _Quadrature, _simpson_weights
+
+
+def inv2(a):
+    """Adjugate inverse of 2x2 matrices, broadcasting; NaN-safe (no raise)."""
+    a = np.asarray(a)
+    out = np.empty_like(a)
+    out[..., 0, 0] = a[..., 1, 1]
+    out[..., 0, 1] = -a[..., 0, 1]
+    out[..., 1, 0] = -a[..., 1, 0]
+    out[..., 1, 1] = a[..., 0, 0]
+    with np.errstate(all="ignore"):
+        return out / (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0])[..., None, None]
+
+
+def vec_from_herm_unchecked(a):
+    """Inverse of herm_from_vec for Hermitian input, broadcasting.
+
+    Reads the real diagonal and the (0, 1) entry; the input is not checked.
+    """
+    a = np.asarray(a)
+    out = np.empty(a.shape[:-2] + (4,))
+    out[..., 0] = 0.5 * (a[..., 0, 0].real + a[..., 1, 1].real)
+    out[..., 3] = 0.5 * (a[..., 0, 0].real - a[..., 1, 1].real)
+    out[..., 1] = a[..., 0, 1].real
+    out[..., 2] = a[..., 0, 1].imag
+    return out
+
+
+def secondary_form_by_conjugation(frame, data):
+    """(psi, eta) read off the full conjugation Psi^{-1} xi_hat Psi: the
+    moved density is eta [[-psi, psi^2], [-1, psi]] nodewise."""
+    xim = inv2(frame.values) @ xi_hat_values(data.phi, data.omega_hat) @ frame.values
+    eta = -xim[..., 1, 0]
+    with np.errstate(all="ignore"):
+        psi = np.where(np.abs(eta) > 0, xim[..., 0, 0] / xim[..., 1, 0], np.nan)
+    return psi, eta
+
+
+# barycentric weights for equispaced Lagrange stencils, by stencil size
+_BARY = {n: np.array([(-1.0) ** j * float(math.comb(n - 1, j)) for j in range(n)])
+         for n in (2, 3, 4, 5, 6)}
+
+
+def lagrange_barycentric(samples, t):
+    """Barycentric interpolation of rows of samples (q, n) at fractional
+    index t (q,), on the 6 nearest nodes (all n when the line has fewer);
+    a query within 1e-12 of a node takes that node's value."""
+    n = samples.shape[1]
+    stencil = min(6, n)
+    w = _BARY[stencil]
+    start = np.clip(np.floor(t).astype(int) - (stencil // 2 - 1), 0, n - stencil)
+    offsets = np.arange(stencil)
+    vals = np.take_along_axis(samples, start[:, None] + offsets[None, :], axis=1)
+    diff = (t - start)[:, None] - offsets[None, :]
+    exact = np.abs(diff) < 1e-12
+    coeff = w[None, :] / np.where(exact, 1.0, diff)
+    coeff = np.where(exact.any(axis=1)[:, None], exact.astype(float), coeff)
+    coeff = coeff / coeff.sum(axis=1)[:, None]
+    return (vals * coeff).sum(axis=1)
+
+
+def plaquette_residuals(density, grid):
+    """Loop integrals of a callable density around every grid cell (closedness check)."""
+    zs = grid.zs()
+    tail = np.shape(density(zs[0, :1]))[1:]
+    quad = _Quadrature(density, None, _simpson_weights(4))
+
+    def edge_integrals(z0, z1):        # 4 Simpson intervals: 2 RK4 substeps
+        local, _ = quad.local(*_edge_samples(density, z0, z1, 2))
+        return np.moveaxis(local, 0, -1).reshape(z0.shape + tail)
+
+    eh = edge_integrals(zs[:, :-1], zs[:, 1:])
+    ev = edge_integrals(zs[:-1, :], zs[1:, :])
+    return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 
 def vec_density_from_matrix(m):

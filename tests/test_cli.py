@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,49 @@ def test_masked_base_exit_code(tmp_path):
     doc = _base_config(tmp_path)
     doc["data"]["phi"] = "1/z"
     assert main(["run", _write(tmp_path, doc)]) == EXIT_BASE_MASKED
+
+
+LW = {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}
+
+
+@pytest.mark.parametrize("data, target, message", [
+    ({"phi": "1/z", "omega": "1"}, None, "base node is masked; choose another base point"),
+    ({"phi": "0", "omega": "1"}, None, "no grid node is usable"),
+    ({"psi": "1/z", "eta": "0.3"}, LW, "base node is masked; choose another base point"),
+    ({"psi": "1", "eta": "0.3"}, dict(LW, mu=1.0), "no grid node is usable"),
+])
+def test_unusable_base_message(tmp_path, capsys, data, target, message):
+    # every node critical (phi = 0) or on the LW pole (mu |psi|^2 = 1) is
+    # not fixed by moving the base point, and the message must not say so
+    doc = _base_config(tmp_path, data=data)
+    if target:
+        doc["target"] = target
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_BASE_MASKED
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, args", [
+    ("mesh_path", []), ("curvature_csv_path", []), ("report_path", []),
+    ("report_path", ["--verify-only"]), (None, ["--mesh", "{missing}/m.obj"]),
+    (None, ["--report", "{missing}/r.json"]),
+])
+def test_missing_output_directory_is_config_error(tmp_path, capsys, key, args):
+    missing = tmp_path / "no-such-dir"
+    doc = _base_config(tmp_path)
+    if key:
+        doc["output"][key] = str(missing / "out")
+    argv = [a.format(missing=missing) for a in args]
+    assert main(["run", _write(tmp_path, doc), *argv]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]   # nothing built
+
+
+def test_verify_only_ignores_missing_mesh_and_csv_directories(tmp_path):
+    doc = _base_config(tmp_path)
+    doc["output"].update(mesh_path=str(tmp_path / "no-such-dir" / "m.obj"),
+                         curvature_csv_path=str(tmp_path / "no-such-dir" / "c.csv"))
+    assert main(["run", _write(tmp_path, doc), "--verify-only", "--quiet"]) == EXIT_OK
+    assert (tmp_path / "report.json").exists()
 
 
 def test_verification_failure_exit_code(tmp_path):
@@ -333,3 +378,17 @@ def test_cli_output_bytes_pinned(tmp_path, name):
 def test_cli_pins_cover_every_kind():
     assert set(CLI_PINS) == {kind.value for kind in GeometryKind}
     assert {spec[3] for spec, _ in CLI_PINS.values()} == {"obj", "ply"}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_example_runs(tmp_path, monkeypatch):
+    # README's config block is examples/quadric-h3.json, and it runs as documented
+    block = re.search(r"One JSON document describes one run:\n\n```json\n(.*?)```",
+                      (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    example = ROOT / "examples" / "quadric-h3.json"
+    assert block == example.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(example), "--quiet"]) == EXIT_OK
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cmc1.obj", "curv.csv", "report.json"]

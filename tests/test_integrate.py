@@ -7,9 +7,8 @@ from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
 from minksurf.integrate import (FrameSide, FrameWithMovedIntegral, IterationLawFrames,
                                 PathOrder, integrate_closed_form, iteration_law_defect,
-                                path_independence_check, plaquette_residuals,
-                                solve_path_system, solve_psi)
-from reference import vec_density_from_matrix
+                                path_independence_check, solve_path_system, solve_psi)
+from reference import inv2, plaquette_residuals, vec_density_from_matrix
 
 
 def test_constant_density_integrates_linearly():
@@ -435,7 +434,6 @@ def test_solve_psi_matches_per_node_reference(case, side, order, identity_start)
 @pytest.mark.parametrize("case", sorted(REF_CASES))
 @pytest.mark.parametrize("order", list(PathOrder))
 def test_uy_perturb_matches_per_node_reference(case, order):
-    from minksurf.minkowski import inv2
     from minksurf.surfaces import uy_perturb
     make_grid, phi, omega = REF_CASES[case]
     g = make_grid()
@@ -461,7 +459,6 @@ def test_uy_perturb_matches_per_node_reference(case, order):
 
 @pytest.mark.parametrize("case", sorted(REF_CASES))
 def test_iteration_law_matches_per_node_reference(case):
-    from minksurf.minkowski import inv2
     make_grid, phi, omega = REF_CASES[case]
     g = make_grid()
     xi = build_xi(sample_data(phi, omega, g))

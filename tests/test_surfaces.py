@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
                                make_quadric_surface, secondary_form,
                                secondary_gauss, uy_perturb)
 from minksurf.verify import verify_surface
-from reference import h_frame_check
+from reference import h_frame_check, secondary_form_by_conjugation, vec_from_herm_unchecked
 
 
 def test_gauss_lift_values():
@@ -252,6 +254,30 @@ def test_secondary_form_consistent_with_gauss():
     assert np.isfinite(eta[ok]).all()
 
 
+@pytest.mark.parametrize("phi, omega", [
+    ("z", "1"), ("z", "1 + 0.1*z^2"),
+    ("z^2/2 - 0.5*z", "1"),            # a critical point: NaN at the masked frame nodes
+])
+def test_secondary_form_matches_full_conjugation(phi, omega):
+    data = sample_data(phi, omega, DomainGrid.square(1.0, 41))
+    frame = make_quadric_surface(data, 1.0, -1.0).aux["frame"]
+    assert frame.valid.all() == (phi == "z")
+    for got, want in zip(secondary_form(frame, data), secondary_form_by_conjugation(frame, data)):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got - want)[fin] <= 1e-13 * np.abs(want[fin]))
+
+
+def test_tiny_mu_builds_without_warnings():
+    # x / mu overflows for a finite tiny mu, which the config accepts
+    g = DomainGrid.square(0.5, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = make_quadric_surface(sample_data("z", "1", g), 1.0, -1e-320)
+        s, mid = make_lw_bryant("z", "1", 1.0, -1e-320, g)
+    assert q.mask.any() and s.mask.any()
+
+
 def test_lw_psi_zero_gives_hyperbolic_unit():
     g = DomainGrid.square(1.0, 15)
     for mu in (-1.0, -0.5, 0.0, 0.5):
@@ -259,7 +285,6 @@ def test_lw_psi_zero_gives_hyperbolic_unit():
         psi_m = s.aux["frame"].values
         psi_star = np.conj(np.swapaxes(psi_m, -1, -2))
         direct = psi_m @ psi_star
-        from minksurf.minkowski import vec_from_herm_unchecked
         assert np.nanmax(np.abs(s.x - vec_from_herm_unchecked(direct))[s.mask]) < 1e-12
         assert np.nanmax(np.abs(ip31(s.x, s.x) + 1.0)[s.mask]) < 1e-11
 
@@ -269,7 +294,6 @@ def test_lw_mu_minus_one_is_frame_square():
     s, _mid = make_lw_bryant("z", "0.3", 1.0, -1.0, g)
     psi_m = s.aux["frame"].values
     psi_star = np.conj(np.swapaxes(psi_m, -1, -2))
-    from minksurf.minkowski import vec_from_herm_unchecked
     expect = vec_from_herm_unchecked(psi_m @ psi_star)
     assert np.nanmax(np.abs(s.x - expect)[s.mask]) < 1e-12
 
@@ -278,7 +302,6 @@ def test_lw_middle_sphere_relation():
     # the front is built as x_m + (mu+1)/2 g~; check it against the direct
     # form Psi [[1+|psi|^2, (mu+1) psi], [(mu+1) conj(psi), 1+mu^2 |psi|^2]] Psi*
     # / (1 - mu |psi|^2)
-    from minksurf.minkowski import vec_from_herm_unchecked
     g = DomainGrid.square(0.8, 21)
     psi = g.zs()
     r2 = np.abs(psi) ** 2
