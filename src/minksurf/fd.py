@@ -8,6 +8,15 @@ whose stencil touches an invalid node are reported invalid rather than
 falling back to one-sided differences.  The 4th-order stencils are exact
 on the cubic position fields the polynomial data produce, which is what
 the tight mean-curvature gates rely on.
+
+A stencil runs along the flat memory run of its field: a field contiguous
+in some axis order is one run, and a step of k nodes along the axis is k
+times that axis's stride in elements.  Every interior value therefore reads
+the same taps with the same operations in the same order as a whole-array
+shift would, so its bits do not depend on the input's layout.  Values whose
+taps wrap into the next line of the run lie in the 2-node rim, which is set
+to NaN afterwards.  A field that is not contiguous in any axis order (a
+strided or reversed view) is copied first.
 """
 
 from __future__ import annotations
@@ -19,39 +28,54 @@ from .domain import dilate_mask
 STENCIL_RADIUS = 2
 
 
-def _stencil(field, axis):
-    """(out, d, taps): out is like field with a NaN rim along axis, d its interior,
-    taps[k] the field shifted by k - 2 nodes; the stencils fill d in place."""
+def _run(f):
+    """(f, run, order): f contiguous in the axis order `order` (copied when it is
+    not) and run its elements as one 1-D view in memory order."""
+    order = np.argsort([-s for s in f.strides], kind="stable")
+    if not f.transpose(order).flags.c_contiguous:
+        f = f.copy(order="K")
+        order = np.argsort([-s for s in f.strides], kind="stable")
+    return f, f.transpose(order).reshape(-1), order
+
+
+def _stencils(field, axis, kernel):
+    """Apply kernel(d, taps) along axis: d the output run less its first and last
+    two steps, taps[k] the input run shifted by k - 2 nodes; the rim along axis is NaN."""
     f = np.asarray(field)
     f = f if f.dtype.kind == "c" else np.asarray(f, dtype=float)
-    out = np.empty_like(f)
-    o, f = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    f, run, order = _run(f)
+    out_run = np.empty_like(run)
+    out = out_run.reshape(f.transpose(order).shape).transpose(np.argsort(order))
+    if f.shape[axis] > 2 * STENCIL_RADIUS:
+        s, n = f.strides[axis] // f.itemsize, run.size
+        kernel(out_run[2 * s:n - 2 * s], [run[k * s:n - (4 - k) * s] for k in range(5)])
+    o = out.swapaxes(0, axis)
     o[:2] = o[-2:] = np.nan
-    return out, o[2:-2], (f[:-4], f[1:-3], f[2:-2], f[3:-1], f[4:])
+    return out
 
 
 def central_diff(field, step, axis):
     """4th-order central first derivative along axis (0=v, 1=u); rim is NaN."""
-    out, d, (f0, f1, _f2, f3, f4) = _stencil(field, axis)
-    # (f0 - 8 f1 + 8 f3 - f4) / (12 step)
-    np.subtract(f0, np.multiply(8.0, f1, out=d), out=d)
-    d += 8.0 * f3
-    d -= f4
-    d /= 12.0 * step
-    return out
+    def kernel(d, f):
+        # (f0 - 8 f1 + 8 f3 - f4) / (12 step)
+        np.subtract(f[0], np.multiply(8.0, f[1], out=d), out=d)
+        d += 8.0 * f[3]
+        d -= f[4]
+        d /= 12.0 * step
+    return _stencils(field, axis, kernel)
 
 
 def second_diff(field, step, axis):
     """4th-order central second derivative along axis; rim is NaN."""
-    out, d, (f0, f1, f2, f3, f4) = _stencil(field, axis)
-    # (-f0 + 16 f1 - 30 f2 + 16 f3 - f4) / (12 step^2)
-    np.negative(f0, out=d)
-    d += (t := np.multiply(16.0, f1))
-    d -= np.multiply(30.0, f2, out=t)
-    d += np.multiply(16.0, f3, out=t)
-    d -= f4
-    d /= 12.0 * step ** 2
-    return out
+    def kernel(d, f):
+        # (-f0 + 16 f1 - 30 f2 + 16 f3 - f4) / (12 step^2)
+        np.negative(f[0], out=d)
+        d += (t := np.multiply(16.0, f[1]))
+        d -= np.multiply(30.0, f[2], out=t)
+        d += np.multiply(16.0, f[3], out=t)
+        d -= f[4]
+        d /= 12.0 * step ** 2
+    return _stencils(field, axis, kernel)
 
 
 def mixed_diff(field, du, dv):

@@ -84,6 +84,39 @@ def plaquette_residuals(density, grid):
     return eh[:-1, :] + ev[:, 1:] - eh[1:, :] - ev[:, :-1]
 
 
+
+def _whole_array_stencil(field, axis):
+    """(out, d, taps): out is like field with a NaN rim along axis, d its interior,
+    taps[k] the field shifted by k - 2 nodes, each a whole-array view."""
+    f = np.asarray(field)
+    f = f if f.dtype.kind == "c" else np.asarray(f, dtype=float)
+    out = np.empty_like(f)
+    o, f = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    o[:2] = o[-2:] = np.nan
+    return out, o[2:-2], (f[:-4], f[1:-3], f[2:-2], f[3:-1], f[4:])
+
+
+def whole_array_central_diff(field, step, axis):
+    """fd.central_diff as one pass over shifted whole-array views."""
+    out, d, (f0, f1, _f2, f3, f4) = _whole_array_stencil(field, axis)
+    np.subtract(f0, np.multiply(8.0, f1, out=d), out=d)
+    d += 8.0 * f3
+    d -= f4
+    d /= 12.0 * step
+    return out
+
+
+def whole_array_second_diff(field, step, axis):
+    """fd.second_diff as one pass over shifted whole-array views."""
+    out, d, (f0, f1, f2, f3, f4) = _whole_array_stencil(field, axis)
+    np.negative(f0, out=d)
+    d += (t := np.multiply(16.0, f1))
+    d -= np.multiply(30.0, f2, out=t)
+    d += np.multiply(16.0, f3, out=t)
+    d -= f4
+    d /= 12.0 * step ** 2
+    return out
+
 def vec_density_from_matrix(m):
     """Complex 4-vector density w of the Hermitian-valued form M dz + (M dz)*.
 

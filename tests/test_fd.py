@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
+import minksurf.fd as fd
 from minksurf.fd import STENCIL_RADIUS, stencil_valid
+from reference import whole_array_central_diff, whole_array_second_diff
 
 
 def _chebyshev_window_reference(ok, r):
@@ -23,3 +26,48 @@ def test_stencil_valid_matches_chebyshev_window():
         got = stencil_valid(ok)
         assert got.dtype == bool
         assert np.array_equal(got, _chebyshev_window_reference(ok, STENCIL_RADIUS))
+
+
+# ---------------------------------------------------------------------------
+# flat-run stencils against the whole-array reference, bit for bit
+
+STENCILS = ((fd.central_diff, whole_array_central_diff),
+            (fd.second_diff, whole_array_second_diff))
+
+
+def _values(rng, shape, kind):
+    if kind == "int":
+        return rng.integers(-1000, 1000, size=shape)
+    if kind == "complex":
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return rng.normal(size=shape)
+
+
+def _laid_out(a, layout):
+    """a's values in another memory layout."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "tail-first":      # e.g. (4, nv, nu) storage seen as (nv, nu, 4)
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1))),
+                           (-2, -1), (0, 1))
+    if layout == "strided":
+        wide = np.zeros(a.shape[:1] + (2 * a.shape[1],) + a.shape[2:], dtype=a.dtype)
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(a[::-1])[::-1]
+    return np.ascontiguousarray(a)
+
+
+@pytest.mark.parametrize("layout", ("C", "F", "tail-first", "strided", "reversed"))
+@pytest.mark.parametrize("kind", ("real", "int", "complex"))
+@pytest.mark.parametrize("tail", ((), (4,), (2, 2)))
+def test_flat_run_stencils_match_whole_array_reference(layout, kind, tail):
+    rng = np.random.default_rng(11)
+    for shape in ((4, 7), (5, 7), (7, 4), (7, 5), (13, 11)):
+        a = _laid_out(_values(rng, shape + tail, kind), layout)
+        for axis in (0, 1):
+            for flat, whole in STENCILS:
+                got, want = flat(a, 0.05, axis), whole(a, 0.05, axis)
+                assert got.dtype == want.dtype and got.strides == want.strides
+                assert got.tobytes() == want.tobytes(), (shape, axis, flat.__name__)
