@@ -6,13 +6,27 @@ boundary) are excluded rather than treated one-sided.  Residual maxima
 additionally exclude a 2-node ring so every reported number comes from a
 full-quality stencil.
 
-verify_surface reads every residual from one derivative jet per surface:
-one first_form call (x_u, x_v, I, and the stencil validity that is also
-the report's interior), one x_uu/x_vv/x_uv (x_uv from that x_v) when a
-normal or the trapping check needs them, and one Gauss-section tangent
-pair.  The public single-quantity functions share the same private code.
-verify_surface stores the jet component-first and I and II entry-first, so
-kernels read contiguous planes; the (..., 4) and (..., 2, 2) results are views.
+verify_surface works one band of rows at a time, about BAND_NODES nodes
+per band, so every temporary fits in cache and is reused from the heap.
+A band copies its rows of x, plus a halo of 2 rows on each side (4 for
+the lightcone, whose K_int differences I), into a component-first (4,
+rows, nu) array; it takes one derivative jet there (x_u, x_v and I, then
+x_uu, x_vv and x_uv from that x_v when a normal or the trapping check
+needs them, and the Gauss-section tangents when the Christoffel check
+does) and writes its own rows of every per-node field into whole-grid
+arrays.  What needs the whole grid stays global: the interior (the
+stencil validity of the mask and of finite x), the Christoffel mask, the
+hyperplane level at the base node and the trapping floor, a maximum over
+the grid; the bands store the trapping check's per-node parts and one
+whole-grid pass finishes it.  The public single-quantity functions run
+the same private code as one band that spans the grid.
+
+Every value is computed from the same inputs by the same operations
+whatever the band size or the input's memory layout, so the field bits
+depend on neither.  NaN signs are the exception: numpy's SIMD loops pick
+the sign of a NaN result by the position of the operands in the vector
+blocks, so a report stores every NaN of its fields as the one pattern
+0x7ff8000000000000.
 
 Sign conventions: II is the pairing of coordinate second derivatives with
 the unit normal (for surfaces inside a quadric the normal is tangent to
@@ -24,7 +38,7 @@ standard horosphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +48,7 @@ from .minkowski import enorm, ip31
 from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
+BAND_NODES = 16384  # nodes per verify_surface band: the temporaries stay in cache
 
 # every residual a report can gate: the keys of default_tolerances()
 RESIDUAL_NAMES = ("hyperplane", "quadric", "lightcone", "mean_curvature",
@@ -43,7 +58,12 @@ RESIDUAL_NAMES = ("hyperplane", "quadric", "lightcone", "mean_curvature",
 
 
 def _finite_all(a):
-    return np.isfinite(a).all(axis=-1)
+    """True where every component of the (..., 4) array a is finite; one plane at a
+    time, which is fast in every layout."""
+    ok = np.isfinite(a[..., 0])
+    for i in range(1, a.shape[-1]):
+        ok &= np.isfinite(a[..., i])
+    return ok
 
 
 def _planar(v):
@@ -63,15 +83,22 @@ def _tangents(x, grid):
     return (central_diff(x, grid.du, axis=1), central_diff(x, grid.dv, axis=0))
 
 
-def first_form(surface: SurfaceSample):
-    """Induced metric I by central differences: (I, xu, xv, valid)."""
-    grid = surface.grid
-    x = _planar(surface.x)
+def _jet(x, grid):
+    """(I, xu, xv) of positions x by central differences."""
     with np.errstate(all="ignore"):
         xu, xv = _tangents(x, grid)
-        i_form = _form(((xu, xu), (xu, xv), (xv, xv)))
-    valid = stencil_valid(surface.mask & _finite_all(x))
-    return i_form, xu, xv, valid
+        return _form(((xu, xu), (xu, xv), (xv, xv))), xu, xv
+
+
+def _one_band(surface):
+    """(x, I, xu, xv, valid) of the band that spans the grid; x is component-first."""
+    x = _planar(surface.x)
+    return (x, *_jet(x, surface.grid), stencil_valid(surface.mask & _finite_all(x)))
+
+
+def first_form(surface: SurfaceSample):
+    """Induced metric I by central differences: (I, xu, xv, valid)."""
+    return _one_band(surface)[1:]
 
 
 def _second_derivatives(x, xv, grid):
@@ -81,12 +108,13 @@ def _second_derivatives(x, xv, grid):
                 central_diff(xv, grid.du, axis=1))
 
 
-def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
-    """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric)."""
+def _second_form(surface: SurfaceSample, rows, x, valid, xuu, xvv, xuv):
+    """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric),
+    on the rows of the grid that x holds."""
     if surface.normal is None:
         raise ValueError(f"{surface.kind.value} surface carries no normal field")
-    n = np.empty_like(surface.x, dtype=float)  # in x's layout, worked in place
-    n[...] = surface.normal
+    n = np.empty_like(x, dtype=float)  # in x's layout, worked in place
+    n[...] = surface.normal[rows]
     with np.errstate(all="ignore"):
         if surface.kind in AFFINE_KINDS:
             p = surface.hyperplane_normal
@@ -94,7 +122,7 @@ def _second_form(surface: SurfaceSample, valid, xuu, xvv, xuv):
             if abs(pp) > 1e-14:
                 n -= p * (ip31(n, p) / pp)[..., None]
         else:
-            n -= surface.x * (ip31(n, surface.x) / ip31(surface.x, surface.x))[..., None]
+            n -= x * (ip31(n, x) / ip31(x, x))[..., None]
         n /= np.sqrt(np.abs(ip31(n, n)))[..., None]
         ii_form = _form(((xuu, n), (xuv, n), (xvv, n)))
     return ii_form, valid & _finite_all(n)
@@ -106,9 +134,9 @@ def fundamental_forms(surface: SurfaceSample):
     The normal is re-orthogonalized against the carrier and normalized to
     |(n, n)| = 1 before pairing with the FD second derivatives.
     """
-    i_form, _xu, xv, valid = first_form(surface)
-    ii_form, valid = _second_form(surface, valid,
-                                  *_second_derivatives(surface.x, xv, surface.grid))
+    x, i_form, _xu, xv, valid = _one_band(surface)
+    ii_form, valid = _second_form(surface, slice(None), x, valid,
+                                  *_second_derivatives(x, xv, surface.grid))
     return i_form, ii_form, valid
 
 
@@ -188,14 +216,15 @@ def christoffel_residual(x, x_star, grid, mask=None):
     return (*_duality(*tangents), stencil_valid(ok))
 
 
-def _trapping(gauss, first, xuu, xvv, xuv):
-    """Marginal-trapping residual and Gauss alignment from the derivative jet.
+def _trapping_parts(gauss, i_form, xu, xv, valid, xuu, xvv, xuv):
+    """Per-node parts of the marginal-trapping check from the derivative jet:
+    (|Hvec|_E, (Hvec, Hvec), (Hvec, g), |g|_E, ok); the last two parts are
+    None without a Gauss section.
 
-    The mean curvature vector is the metric-traced second derivative less
-    its tangential part; valid requires a spacelike nondegenerate induced
+    The mean curvature vector Hvec is the metric-traced second derivative
+    less its tangential part; ok requires a spacelike nondegenerate induced
     metric at full-stencil nodes.
     """
-    i_form, xu, xv, valid = first
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     det_i = e * g - f * f
     ok = valid & (det_i > EPS_METRIC) & (e > 0)
@@ -209,18 +238,28 @@ def _trapping(gauss, first, xuu, xvv, xuv):
         lap -= a1[..., None] * xu  # hvec = 0.5 * (lap - a1 xu - a2 xv), in lap's buffer
         lap -= a2[..., None] * xv
         hvec = np.multiply(0.5, lap, out=lap)
-    norm = enorm(hvec)
+        if gauss is None:
+            return enorm(hvec), ip31(hvec, hvec), None, None, ok
+        return enorm(hvec), ip31(hvec, hvec), ip31(hvec, gauss), enorm(gauss), ok
+
+
+def _trapping(norm, hh, hg, gnorm, ok):
+    """Marginal-trapping residual and Gauss alignment from the per-node parts.
+
+    residual = |(Hvec, Hvec)| / max(|Hvec|_E, floor)^2 and
+    alignment = |(Hvec, g)| / (max(|Hvec|_E, floor) * max(|g|_E, floor)); the
+    floor is 1e-6 * (1 + max |Hvec|_E) over the ok nodes of the whole grid.
+    """
     if not np.any(ok):
         nanf = np.full(ok.shape, np.nan)
         return nanf, nanf, ok
     floor = 1e-6 * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
     denom = np.maximum(norm, floor)
     with np.errstate(all="ignore"):
-        residual = np.abs(ip31(hvec, hvec)) / denom ** 2
+        residual = np.abs(hh) / denom ** 2
         alignment = np.full(ok.shape, np.nan)
-        if gauss is not None:
-            gnorm = enorm(gauss)
-            alignment = np.abs(ip31(hvec, gauss)) / (denom * np.maximum(gnorm, floor))
+        if hg is not None:
+            alignment = np.abs(hg) / (denom * np.maximum(gnorm, floor))
     return residual, alignment, ok
 
 
@@ -232,8 +271,9 @@ def marginally_trapped_residual(surface: SurfaceSample):
     1e-6 * (1 + max |Hvec|_E), keeping the ratio meaningful when the
     mean curvature vector itself vanishes (affine surfaces).
     """
-    first = first_form(surface)
-    return _trapping(surface.gauss, first, *_second_derivatives(surface.x, first[2], surface.grid))
+    x, i_form, xu, xv, valid = _one_band(surface)
+    return _trapping(*_trapping_parts(surface.gauss, i_form, xu, xv, valid,
+                                      *_second_derivatives(x, xv, surface.grid)))
 
 
 def _conformality(i_form):
@@ -266,6 +306,8 @@ class ResidualStat:
 
 @dataclass
 class CurvatureReport:
+    """Residual stats and per-node fields; every NaN in a field is 0x7ff8000000000000."""
+
     kind: str
     grid_shape: tuple
     stats: dict = dc_field(default_factory=dict)
@@ -275,6 +317,16 @@ class CurvatureReport:
     @property
     def passed(self):
         return all(s.passed for s in self.stats.values())
+
+    def keep(self, name, values):
+        """Hold values as field name, its NaNs made canonical (in place when writable)."""
+        values = np.asarray(values)
+        nan = np.isnan(values)
+        if nan.any():
+            if not values.flags.writeable:
+                values = values.copy()
+            values[nan] = np.nan
+        self.fields[name] = values
 
     def add(self, name, values, tolerance, where=None):
         sel = self.interior if where is None else (self.interior & where)
@@ -286,7 +338,7 @@ class CurvatureReport:
             mx, count = float("nan"), 0
         passed = bool(count > 0 and mx <= tolerance)
         self.stats[name] = ResidualStat(name, mx, float(tolerance), passed, count)
-        self.fields[name] = values
+        self.keep(name, values)
 
     def to_dict(self):
         return {
@@ -335,34 +387,29 @@ def default_tolerances(surface: SurfaceSample):
     return tol
 
 
-def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
-    """Run the geometry-specific residual suite for a pipeline surface.
+def _bands(nv, nu, halo):
+    """(r0, r1, lo, hi): bands of about BAND_NODES nodes whose rows r0:r1 tile the
+    grid's, each read from rows lo:hi, its halo of up to `halo` rows included."""
+    rows = max(1, BAND_NODES // nu)
+    for r0 in range(0, nv, rows):
+        r1 = min(r0 + rows, nv)
+        yield r0, r1, max(r0 - halo, 0), min(r1 + halo, nv)
 
-    Residual maxima exclude a 2-ring around masked nodes and the grid
-    boundary.  Pass/fail is decided against default_tolerances() merged
-    with the given overrides.
-    """
-    tol = default_tolerances(surface)
-    if tolerances:
-        tol.update(tolerances)
-    surface = replace(surface, x=_planar(surface.x))
-    x = surface.x
-    grid = surface.grid
-    kind = surface.kind
-    first = first_form(surface)
-    i_form, xu, xv, valid = first
-    # first_form's stencil validity is the interior every residual is gated on
-    report = CurvatureReport(kind=kind.value, grid_shape=grid.shape, interior=valid)
 
+def _band_fields(surface: SurfaceSample, rows, valid, level, christoffel, trapped):
+    """Every per-node field of verify_surface on the grid rows `rows`, by name."""
+    grid, kind = surface.grid, surface.kind
+    x = _planar(surface.x[rows])
+    valid = valid[rows]
+    i_form, xu, xv = _jet(x, grid)
+    out = {}
     if kind in AFFINE_KINDS:
-        p = surface.hyperplane_normal
-        level = float(ip31(x[grid.base_index], p))
-        report.add("hyperplane", ip31(x, p) - level, tol["hyperplane"])
+        out["hyperplane"] = ip31(x, surface.hyperplane_normal) - level
     elif kind is GeometryKind.QUADRIC_LIGHTCONE:
-        report.add("lightcone", ip31(x, x), tol["lightcone"])
+        out["lightcone"] = ip31(x, x)
     else:
         mu = -1.0 if kind is GeometryKind.LW_BRYANT else surface.params["mu"]
-        report.add("quadric", ip31(x, x) - mu, tol["quadric"])
+        out["quadric"] = ip31(x, x) - mu
 
     if kind is not GeometryKind.LW_BRYANT:
         # z is a conformal coordinate for every construction except the
@@ -370,12 +417,53 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
         # congruence shares the conformal structure of the Gauss map)
         eg, f_res = _conformality(i_form)
         scale = np.maximum(i_form[..., 0, 0] + i_form[..., 1, 1], 1e-30)
-        report.add("conformality", (eg + 2.0 * f_res) / scale, tol["conformality"])
+        out["conformality"] = (eg + 2.0 * f_res) / scale
 
     if kind is GeometryKind.QUADRIC_LIGHTCONE:
-        k_int, k_ok = intrinsic_curvature(i_form, grid)
-        report.fields["K_int"] = k_int
-        report.add("intrinsic_flatness", k_int, tol["intrinsic_flatness"], where=k_ok)
+        out["K_int"], out["K_int_ok"] = intrinsic_curvature(i_form, grid)
+
+    gauss = None  # read only here and by the trapping check
+    if christoffel:
+        gauss = _planar(surface.gauss[rows])
+        with np.errstate(all="ignore"):
+            su, sv = _tangents(gauss, grid)
+            # gate the scale-free version: the dual section diverges towards
+            # non-immersion loci and would otherwise dominate the raw residual
+            scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
+            pairing, wedge = _duality(xu, xv, su, sv)
+            out["christoffel_pairing"] = pairing / scale
+            out["christoffel_wedge"] = wedge / scale
+        del su, sv, scale, pairing, wedge  # freed before the second derivatives
+
+    if surface.normal is not None or trapped:
+        d2 = _second_derivatives(x, xv, grid)
+        if surface.normal is not None:
+            ii_form, ff_valid = _second_form(surface, rows, x, valid, *d2)
+            out["H"], out["K"], c_ok = curvatures(i_form, ii_form)
+            out["H_ok"] = ff_valid & c_ok
+        if trapped:
+            parts = _trapping_parts(gauss, i_form, xu, xv, valid, *d2)
+            out.update(zip(("mt_norm", "mt_hh", "mt_hg", "mt_gnorm", "mt_ok"), parts))
+    return out
+
+
+def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
+    """Run the geometry-specific residual suite for a pipeline surface.
+
+    Residual maxima exclude a 2-ring around masked nodes and the grid
+    boundary.  Pass/fail is decided against default_tolerances() merged
+    with the given overrides.  The per-node fields are computed one band
+    of rows at a time (see the module docstring).
+    """
+    tol = default_tolerances(surface)
+    if tolerances:
+        tol.update(tolerances)
+    grid = surface.grid
+    kind = surface.kind
+    # the stencil validity of the mask and of finite x is the interior every
+    # residual is gated on
+    valid = stencil_valid(surface.mask & _finite_all(surface.x))
+    report = CurvatureReport(kind=kind.value, grid_shape=grid.shape, interior=valid)
 
     # Perturbed surfaces are transport-based (no polynomial exactness), so
     # near the secondary degenerate band the curvature and dual-section
@@ -383,23 +471,8 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     # timelike case, whose pairing is bounded away from zero everywhere.
     perturbed_soft = surface.aux.get("perturbed") and \
         kind is not GeometryKind.AFFINE_E3
-
-    gauss = None  # read only here and by the trapping check
-    if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
-            and not perturbed_soft:
-        gauss = _planar(surface.gauss)
-        with np.errstate(all="ignore"):
-            su, sv = _tangents(gauss, grid)
-            # gate the scale-free version: the dual section diverges towards
-            # non-immersion loci and would otherwise dominate the raw residual
-            scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
-        pairing, wedge = _duality(xu, xv, su, sv)
-        # the interior already requires an unmasked, finite x on each stencil
-        ch_valid = stencil_valid(_finite_all(gauss))
-        for name, values in (("christoffel_pairing", pairing), ("christoffel_wedge", wedge)):
-            report.add(name, values / scale, tol[name], where=ch_valid)
-        del su, sv, scale, pairing, wedge, values  # freed before the second derivatives
-
+    christoffel = surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
+        and not perturbed_soft
     # Marginal trapping is gated where the mean curvature vector has scale
     # (quadrics) or vanishes identically in exact arithmetic (the
     # polynomial-exact isotropic case); linear Weingarten surfaces are
@@ -407,32 +480,55 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, GeometryKind.QUADRIC_H3,
                        GeometryKind.QUADRIC_DESITTER, GeometryKind.QUADRIC_LIGHTCONE) \
         and not perturbed_soft
+    level = None
+    if kind in AFFINE_KINDS:
+        level = float(ip31(surface.x[grid.base_index], surface.hyperplane_normal))
 
-    if surface.normal is not None or trapped:
-        d2 = _second_derivatives(x, xv, grid)
-        if surface.normal is not None:
-            ii_form, ff_valid = _second_form(surface, valid, *d2)
-            h, k, c_ok = curvatures(i_form, ii_form)
-            report.fields["H"] = h
-            report.fields["K"] = k
-            mean = None
-            if kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) \
-                    and not perturbed_soft:
-                mean = h
-            elif kind is GeometryKind.QUADRIC_H3:
-                mean = h - 1.0 / np.sqrt(-surface.params["mu"])
-            elif kind is GeometryKind.QUADRIC_DESITTER:
-                mean = np.abs(h) - 1.0 / np.sqrt(surface.params["mu"])
-            elif kind is GeometryKind.LW_BRYANT:
-                report.add("linear_weingarten", lw_residual(h, k, surface.params["mu"]),
-                           tol["linear_weingarten"], where=ff_valid & c_ok)
-            if mean is not None:
-                report.add("mean_curvature", mean, tol["mean_curvature"],
-                           where=ff_valid & c_ok)
-        if trapped:
-            residual, alignment, mt_ok = _trapping(gauss, first, *d2)
-            report.add("marginally_trapped", residual, tol["marginally_trapped"],
-                       where=mt_ok)
-            report.add("gauss_alignment", alignment, tol["gauss_alignment"],
-                       where=mt_ok)
+    fields = {}
+    halo = 4 if kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
+    for r0, r1, lo, hi in _bands(*grid.shape, halo):
+        band = _band_fields(surface, slice(lo, hi), valid, level, christoffel, trapped)
+        for name, values in band.items():
+            if values is not None:
+                if name not in fields:
+                    fields[name] = np.empty(grid.shape, values.dtype)
+                fields[name][r0:r1] = values[r0 - lo:r1 - lo]
+
+    for name in ("hyperplane", "lightcone", "quadric", "conformality"):
+        if name in fields:
+            report.add(name, fields[name], tol[name])
+
+    if "K_int" in fields:
+        report.keep("K_int", fields["K_int"])
+        report.add("intrinsic_flatness", fields["K_int"], tol["intrinsic_flatness"],
+                   where=fields["K_int_ok"])
+
+    if christoffel:
+        # the interior already requires an unmasked, finite x on each stencil
+        ch_valid = stencil_valid(_finite_all(surface.gauss))
+        for name in ("christoffel_pairing", "christoffel_wedge"):
+            report.add(name, fields[name], tol[name], where=ch_valid)
+
+    if surface.normal is not None:
+        h, k, hk_ok = fields["H"], fields["K"], fields["H_ok"]
+        report.keep("H", h)
+        report.keep("K", k)
+        mean = None
+        if kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) and not perturbed_soft:
+            mean = h
+        elif kind is GeometryKind.QUADRIC_H3:
+            mean = h - 1.0 / np.sqrt(-surface.params["mu"])
+        elif kind is GeometryKind.QUADRIC_DESITTER:
+            mean = np.abs(h) - 1.0 / np.sqrt(surface.params["mu"])
+        elif kind is GeometryKind.LW_BRYANT:
+            report.add("linear_weingarten", lw_residual(h, k, surface.params["mu"]),
+                       tol["linear_weingarten"], where=hk_ok)
+        if mean is not None:
+            report.add("mean_curvature", mean, tol["mean_curvature"], where=hk_ok)
+
+    if trapped:
+        residual, alignment, mt_ok = _trapping(*(fields.get(f"mt_{part}") for part in
+                                                 ("norm", "hh", "hg", "gnorm", "ok")))
+        report.add("marginally_trapped", residual, tol["marginally_trapped"], where=mt_ok)
+        report.add("gauss_alignment", alignment, tol["gauss_alignment"], where=mt_ok)
     return report

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,17 +290,17 @@ PIN_SURFACES = {
 }
 
 REPORT_PINS = {
-    'affine-e3': '0f8cb7f0a748043ad0ed7e16869788c6af0f4b85af7ea694aee1683231c6834d',
-    'affine-isotropic': '01442435da9a9ec3d24efe4562ff1417eee75e445361a68a83fda05fc330b8c2',
-    'affine-l3': '9284007bc258bdfc113bcbe1b5059ee7d5acc52627c368d949de63f18ef234d7',
+    'affine-e3': '3a5033df7bc8aa2d6cebec68de82835c93c841ad228007f4b2782b663a1bc1a1',
+    'affine-isotropic': '5f76f17018aae1222c6f390bcf41e6672c9e9318845d48b6ec994b52e90724bf',
+    'affine-l3': '3c5e38b7778c92acdb7a02e25abe122a5ed765199ef6e9d47b8f9fd4e4a8ed73',
     'lw-bryant': 'fcd025bc40ac3c225233168b40425b951eebbb2536fd8b765931ab8cffe3bae5',
-    'quadric-desitter': 'ddb8188768df3924983da527fc34ecc84a1cd3b74069fed98fa0f789b781ce37',
-    'quadric-h3': '2be2f6559317a97cb9485809ce31d0085560377d6dee58c846507fa388df35cf',
-    'quadric-h3-critical': '58c3c91805f29e295d5c3bd46a5e3b0dc337756472bfcb458028b126e7f85dd9',
-    'quadric-lightcone': '57a4737a7405d16f8d562357aca348f3512b5c5e96d7cbe9073158913fc6f8f0',
+    'quadric-desitter': '2f0d842b51ad8b74e2d677bcd0176afe72557b717994dc775fd08859a68097b6',
+    'quadric-h3': '65e73d64c70324773069509aad308169362c5fda322c7d6c12e4fd5f6bcdb34f',
+    'quadric-h3-critical': '2861eaf6d8ef7b73c16ccf695ea2dd9c59d36035ece4f45369a6f3fb123cdec9',
+    'quadric-lightcone': '70780273bd6b17c136d8f66fb72e494c988b4e58c79def0e62121d3a712381dc',
     'uy-perturb-lightlike': 'd1d9a05036bda5c4bb848f285486165b5839ca09eab8b99a055a051c6285eb35',
     'uy-perturb-spacelike': 'ebf71ea72b316a9ace81e182171b938ff1bd90d5f3325786c49fc2447e15f94f',
-    'uy-perturb-timelike': 'd31ba0a3b4c10a7dd2e3cbe09af5e7c669cd3271e074481f84257206415d31ff',
+    'uy-perturb-timelike': '4336e33d667d0a2fad7e2624f9f2384678996def0962a99c2d1fa43b41f0819b',
 }
 
 
@@ -357,9 +358,52 @@ def test_pinned_surfaces_cover_the_branches():
     assert 0 < int(mask.sum()) < mask.size
 
 
+@pytest.mark.parametrize("rows", (1, 2, 3, 7, None))
 @pytest.mark.parametrize("name", sorted(PIN_SURFACES))
-def test_verify_surface_takes_each_derivative_once(monkeypatch, name):
+def test_report_bytes_do_not_depend_on_the_band_size(monkeypatch, name, rows):
     surface = PIN_SURFACES[name]()
+    nv, nu = surface.grid.shape
+    monkeypatch.setattr(verify, "BAND_NODES", (rows or nv) * nu)
+    assert _report_digest(verify_surface(surface)) == REPORT_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SURFACES))
+def test_report_fields_hold_one_nan(name):
+    report = verify_surface(PIN_SURFACES[name]())
+    assert any(np.isnan(values).any() for values in report.fields.values())
+    for field, values in report.fields.items():
+        bits = values[np.isnan(values)].view(np.uint64)
+        assert (bits == 0x7FF8000000000000).all(), field
+
+
+def test_verify_surface_peak_is_the_fields_plus_a_band(monkeypatch):
+    # with bands of 2 rows a run holds its whole-grid fields and little more;
+    # whole-grid temporaries, as one band spanning the grid makes, peak at
+    # about 65 grid-sized float arrays
+    surface = PIN_SURFACES["quadric-h3"]()
+    monkeypatch.setattr(verify, "BAND_NODES", 2 * surface.grid.nu, raising=False)
+    verify_surface(surface)
+    tracemalloc.start()
+    try:
+        verify_surface(surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * surface.mask.size * 8
+
+
+@pytest.mark.parametrize("name", sorted(PIN_SURFACES))
+def test_verify_surface_differences_each_band_once(monkeypatch, name):
+    surface = PIN_SURFACES[name]()
+    nv, nu = surface.grid.shape
+    monkeypatch.setattr(verify, "BAND_NODES", 7 * nu)
+    bands = []
+
+    def recorded_bands(*args, _original=verify._bands):
+        for band in _original(*args):
+            bands.append(band)
+            yield band
+    monkeypatch.setattr(verify, "_bands", recorded_bands)
     calls = {"first_form": 0, "_second_derivatives": 0}
     for attr in calls:
         def counted(*args, _attr=attr, _original=getattr(verify, attr), **kwargs):
@@ -374,9 +418,20 @@ def test_verify_surface_takes_each_derivative_once(monkeypatch, name):
         return _original(field, step, axis)
     monkeypatch.setattr(verify, "central_diff", recorded)
     verify_surface(surface)
-    # the lightlike T-transform has no normal and skips marginal trapping
-    second = 0 if name == "uy-perturb-lightlike" else 1
-    assert calls == {"first_form": 1, "_second_derivatives": second}
-    # x_uv comes from first_form's x_v: x itself is differenced along v once
-    of_x = [f for f in along_v if np.array_equal(f, surface.x, equal_nan=True)]
-    assert len(of_x) == 1
+    # the band interiors tile the rows; each band reads its rows plus a halo
+    assert len(bands) == 6
+    assert [r0 for r0, *_ in bands] == [0] + [r1 for _, r1, *_ in bands[:-1]]
+    assert bands[-1][1] == nv
+    halo = 4 if name == "quadric-lightcone" else 2   # K_int differences I
+    for r0, r1, lo, hi in bands:
+        assert (lo, hi) == (max(r0 - halo, 0), min(r1 + halo, nv))
+    # each band differences its slice of x along v once, and x_uv comes from
+    # that x_v; the lightlike T-transform has no normal and skips marginal
+    # trapping, so it takes no second derivatives
+    for _r0, _r1, lo, hi in bands:
+        of_band = [f for f in along_v if f.shape == surface.x[lo:hi].shape
+                   and np.array_equal(f, surface.x[lo:hi], equal_nan=True)]
+        assert len(of_band) == 1
+    assert sum(hi - lo for *_, lo, hi in bands) - nv <= 2 * halo * (len(bands) - 1)
+    second = 0 if name == "uy-perturb-lightlike" else len(bands)
+    assert calls == {"first_form": 0, "_second_derivatives": second}
