@@ -67,6 +67,12 @@ _AFFINE_KIND_BY_CAUSAL = {
 }
 
 
+def _check_mu(mu):
+    """A non-zero mu must have a finite 1/mu: the normals divide x by mu."""
+    if mu != 0 and not np.isfinite(1.0 / float(mu)):
+        raise ValueError(f"mu={mu} is too close to 0: 1/mu is not finite")
+
+
 def quadric_kind_for(mu):
     if mu < 0:
         return GeometryKind.QUADRIC_H3
@@ -99,6 +105,7 @@ class TargetGeometry:
         else:
             if self.m == 0:
                 raise ValueError("quadric and linear-Weingarten targets need m != 0")
+            _check_mu(self.mu)
             if self.kind in QUADRIC_KINDS and quadric_kind_for(self.mu) is not self.kind:
                 raise ValueError(
                     f"mu={self.mu} selects {quadric_kind_for(self.mu).value}, "
@@ -201,6 +208,7 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     """
     if m == 0:
         raise ValueError("m must be non-zero")
+    _check_mu(mu)
     xi = build_xi(data)
     frame = solve_psi(xi, m, data.grid, side=FrameSide.LEFT, mask=data.mask)
     x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
@@ -208,7 +216,7 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     g = gauss_lift(data.phi)
     gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask & ~degenerate
-    with np.errstate(all="ignore"):    # a tiny mu overflows x / mu
+    with np.errstate(all="ignore"):    # a small mu can overflow x / mu
         normal = None if mu == 0 else gauss + x / mu
     return SurfaceSample(grid=data.grid, kind=quadric_kind_for(mu), x=x, mask=mask,
                          gauss=gauss, normal=normal,
@@ -304,6 +312,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     """
     if m == 0:
         raise ValueError("m must be non-zero")
+    _check_mu(mu)
     psi_v, psi_fn = _as_field_and_fn(psi, grid, mask)
     eta_v, eta_fn = _as_field_and_fn(eta_hat, grid, mask)
 

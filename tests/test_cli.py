@@ -65,6 +65,19 @@ def test_kind_mu_mismatch_is_config_error(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("kind,mu", (("quadric-h3", -1e-320), ("quadric-desitter", 1e-320),
+                                     ("lw-bryant", -1e-320)))
+def test_mu_without_a_finite_reciprocal_is_config_error(tmp_path, capsys, kind, mu):
+    doc = _base_config(tmp_path)
+    doc["target"] = {"kind": kind, "mu": mu, "m": 1.0}
+    if kind == "lw-bryant":
+        doc["data"] = {"psi": "z", "eta": "1"}
+    code = main(["run", _write(tmp_path, doc)])
+    assert code == EXIT_CONFIG
+    assert "1/mu" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     doc = _base_config(tmp_path)
     doc["target"]["extra"] = 1

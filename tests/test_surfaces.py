@@ -9,8 +9,8 @@ from minksurf.integrate import FrameField
 from minksurf.minkowski import E0, E1, E3, ip31
 from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
                                make_affine_surface, make_lw_bryant,
-                               make_quadric_surface, secondary_form,
-                               secondary_gauss, uy_perturb)
+                               make_quadric_surface, quadric_kind_for,
+                               secondary_form, secondary_gauss, uy_perturb)
 from minksurf.verify import verify_surface
 from reference import h_frame_check, secondary_form_by_conjugation, vec_from_herm_unchecked
 
@@ -268,13 +268,26 @@ def test_secondary_form_matches_full_conjugation(phi, omega):
         assert np.all(np.abs(got - want)[fin] <= 1e-13 * np.abs(want[fin]))
 
 
-def test_tiny_mu_builds_without_warnings():
-    # x / mu overflows for a finite tiny mu, which the config accepts
+@pytest.mark.parametrize("mu", (-1e-320, 1e-320, -5e-324))
+def test_mu_without_a_finite_reciprocal_is_rejected(mu):
+    # the normals divide x by mu; 1/mu overflows for these finite values
+    g = DomainGrid.square(0.5, 21)
+    with pytest.raises(ValueError, match="1/mu"):
+        make_quadric_surface(sample_data("z", "1", g), 1.0, mu)
+    with pytest.raises(ValueError, match="1/mu"):
+        make_lw_bryant("z", "1", 1.0, mu, g)
+    with pytest.raises(ValueError, match="1/mu"):
+        TargetGeometry(quadric_kind_for(mu), mu=mu)
+    with pytest.raises(ValueError, match="1/mu"):
+        TargetGeometry(GeometryKind.LW_BRYANT, mu=mu)
+
+
+def test_small_mu_with_a_finite_reciprocal_builds_without_warnings():
     g = DomainGrid.square(0.5, 21)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q = make_quadric_surface(sample_data("z", "1", g), 1.0, -1e-320)
-        s, mid = make_lw_bryant("z", "1", 1.0, -1e-320, g)
+        q = make_quadric_surface(sample_data("z", "1", g), 1.0, -1e-300)
+        s, mid = make_lw_bryant("z", "1", 1.0, -1e-300, g)
     assert q.mask.any() and s.mask.any()
 
 
