@@ -157,7 +157,7 @@ def export_mesh(surface: SurfaceSample, path, *, projection="default",
 def _write_obj(path, verts, tris):
     with open(path, "wb") as fh:
         write_rows(fh, b"v ", b" ", floats=verts)
-        write_rows(fh, b"f ", b" ", ints=np.asarray(tris) + 1)
+        write_rows(fh, b"f ", b" ", ints=tris, int_offset=1)
 
 
 def _write_ply(path, verts, tris, qual):

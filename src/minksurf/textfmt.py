@@ -157,15 +157,16 @@ def _ints_into(out, v, sep):
     out[...] = slot.T.reshape(out.shape)
 
 
-def write_rows(fh, lead, sep, ints=None, floats=None):
+def write_rows(fh, lead, sep, ints=None, floats=None, int_offset=0):
     """Write (rows, fields) arrays to fh as rows, CHUNK floats (or rows) at a time:
-    lead, then the ints as %d and the floats as repr, sep-joined, newline-ended."""
+    lead, then the ints plus int_offset as %d and the floats as repr, sep-joined,
+    newline-ended.  The offset is added a chunk at a time."""
     n = len(ints if ints is not None else floats)
     ints = np.zeros((n, 0), dtype=np.int64) if ints is None else np.asarray(ints)
     floats = np.ascontiguousarray(np.zeros((n, 0)) if floats is None else floats,
                                   dtype=np.float64)
     ni, nf = ints.shape[1], floats.shape[1]
-    lo, hi = (int(ints.min()), int(ints.max())) if ints.size else (0, 0)
+    lo, hi = (int(ints.min()) + int_offset, int(ints.max()) + int_offset) if ints.size else (0, 0)
     iw = len(str(max(-lo, hi))) + (lo < 0) + 1     # digits, a sign, the separator
     start = len(lead) + ni * iw
     step = max(1, CHUNK // max(nf, 1))
@@ -173,7 +174,8 @@ def write_rows(fh, lead, sep, ints=None, floats=None):
         block = np.zeros((min(step, n - r), start + nf * WIDTH), dtype=np.uint8)
         block[:, :len(lead)] = list(lead)
         if ni:
-            _ints_into(block[:, len(lead):start].reshape(len(block), ni, iw), ints[r:r + step], sep)
+            _ints_into(block[:, len(lead):start].reshape(len(block), ni, iw),
+                       ints[r:r + step] + int_offset, sep)
         if nf:
             _floats_into(block[:, start:].reshape(len(block), nf, WIDTH), floats[r:r + step], sep)
         block[:, -1] = ord("\n")

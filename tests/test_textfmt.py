@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,3 +78,30 @@ def test_rows_match_the_percent_format(monkeypatch, chunk):
     assert _text(b"", b" ", ints=ints, floats=floats) == want.encode()
     want = "".join("v %r %r %r\n" % tuple(f) for f in floats.tolist())
     assert _text(b"v ", b" ", floats=floats) == want.encode()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, textfmt.CHUNK])
+def test_int_offset_prints_the_shifted_ints(monkeypatch, chunk):
+    monkeypatch.setattr(textfmt, "CHUNK", chunk)
+    ints = np.random.default_rng(4).integers(-12345, 99999, (23, 3))
+    ints[0] = [-1, 99999, 9]    # the offset moves the sign and the digit count
+    want = "".join("f %d %d %d\n" % tuple(i + 1 for i in row) for row in ints.tolist())
+    assert _text(b"f ", b" ", ints=ints, int_offset=1) == want.encode()
+
+
+def test_int_offset_adds_a_chunk_at_a_time():
+    # OBJ faces: no whole-array copy of the indices for the 1-based shift
+    class Tail:
+        def write(self, data):
+            self.last = data
+
+    tris = np.arange(600_000, dtype=np.int64).reshape(-1, 3)
+    sink = Tail()
+    tracemalloc.start()
+    try:
+        write_rows(sink, b"f ", b" ", ints=tris, int_offset=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.last.endswith(b"f 599998 599999 600000\n")
+    assert peak < tris.nbytes / 2
