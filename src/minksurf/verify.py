@@ -396,6 +396,9 @@ def _bands(nv, nu, halo):
         yield r0, r1, max(r0 - halo, 0), min(r1 + halo, nv)
 
 
+_TRAPPING_PARTS = ("trap_norm", "trap_hh", "trap_hg", "trap_gnorm", "trap_ok")
+
+
 def _band_fields(surface: SurfaceSample, rows, valid, level, christoffel, trapped):
     """Every per-node field of verify_surface on the grid rows `rows`, by name."""
     grid, kind = surface.grid, surface.kind
@@ -443,7 +446,8 @@ def _band_fields(surface: SurfaceSample, rows, valid, level, christoffel, trappe
             out["H_ok"] = ff_valid & c_ok
         if trapped:
             parts = _trapping_parts(gauss, i_form, xu, xv, valid, *d2)
-            out.update(zip(("mt_norm", "mt_hh", "mt_hg", "mt_gnorm", "mt_ok"), parts))
+            out.update((name, part) for name, part in zip(_TRAPPING_PARTS, parts)
+                       if part is not None)
     return out
 
 
@@ -489,10 +493,12 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     for r0, r1, lo, hi in _bands(*grid.shape, halo):
         band = _band_fields(surface, slice(lo, hi), valid, level, christoffel, trapped)
         for name, values in band.items():
-            if values is not None:
-                if name not in fields:
-                    fields[name] = np.empty(grid.shape, values.dtype)
-                fields[name][r0:r1] = values[r0 - lo:r1 - lo]
+            if (lo, hi) == (r0, r1):    # the band spans the grid: its arrays are the fields
+                fields[name] = values
+                continue
+            if name not in fields:
+                fields[name] = np.empty(grid.shape, values.dtype)
+            fields[name][r0:r1] = values[r0 - lo:r1 - lo]
 
     for name in ("hyperplane", "lightcone", "quadric", "conformality"):
         if name in fields:
@@ -527,8 +533,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
             report.add("mean_curvature", mean, tol["mean_curvature"], where=hk_ok)
 
     if trapped:
-        residual, alignment, mt_ok = _trapping(*(fields.get(f"mt_{part}") for part in
-                                                 ("norm", "hh", "hg", "gnorm", "ok")))
+        residual, alignment, mt_ok = _trapping(*map(fields.get, _TRAPPING_PARTS))
         report.add("marginally_trapped", residual, tol["marginally_trapped"], where=mt_ok)
         report.add("gauss_alignment", alignment, tol["gauss_alignment"], where=mt_ok)
     return report
