@@ -1,8 +1,8 @@
 """Pipeline driver: parse -> sample -> integrate -> build -> verify -> export.
 
-Exit codes: 0 all residual suites passed, 2 configuration error (or a
-missing output directory), 3 expression parse error, 4 no usable base
-node, 5 verification failure (also when nothing is meshable).
+Exit codes: 0 all residual suites passed, 2 configuration error (or an
+unusable output path), 3 expression parse error, 4 no usable base node, 5
+verification failure (also when nothing is meshable).
 Unexpected exceptions surface as tracebacks with exit code 1.
 """
 
@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .domain import BasePointMaskedError, check_base, sample_data
+from .domain import BasePointMaskedError, sample_data
 from .expr import ExprSyntaxError, parse_expr
 from .meshout import MeshExportError, export_mesh, write_curvature_csv, write_report
 from .surfaces import (QUADRIC_KINDS, GeometryKind, make_affine_surface,
@@ -30,10 +30,8 @@ EXIT_VERIFY = 5
 def _build_surface(cfg: RunConfig):
     kind = cfg.target.kind
     if kind is GeometryKind.LW_BRYANT:
-        surface, _middle = make_lw_bryant(parse_expr(cfg.psi), parse_expr(cfg.eta),
-                                          cfg.target.m, cfg.target.mu, cfg.grid)
-        check_base(surface.aux["usable"], cfg.grid)
-        return surface
+        return make_lw_bryant(parse_expr(cfg.psi), parse_expr(cfg.eta),
+                              cfg.target.m, cfg.target.mu, cfg.grid)[0]
     # psi/eta feed only the LW construction: their singularities must not
     # mask a surface built from (phi, omega)
     data = sample_data(parse_expr(cfg.phi), parse_expr(cfg.omega), cfg.grid)
@@ -53,8 +51,9 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
     mesh_path = mesh_path or cfg.mesh_path
     report_path = report_path or cfg.report_path
     for path in [report_path] + ([] if verify_only else [mesh_path, cfg.curvature_csv_path]):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            print(f"error: output {path}: no such directory", file=sys.stderr)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            problem = "is a directory" if os.path.isdir(path) else "no such directory"
+            print(f"error: output {path}: {problem}", file=sys.stderr)
             return EXIT_CONFIG
 
     try:

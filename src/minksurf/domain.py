@@ -31,11 +31,11 @@ class DomainGrid:
     base_index: tuple[int, int]  # (iv, iu), matching array indexing
 
     def __post_init__(self):
-        if not (-math.inf < self.re_min < self.re_max < math.inf
-                and -math.inf < self.im_min < self.im_max < math.inf):
-            raise ValueError("grid extent must be finite and strictly positive")
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        width, height = self.re_max - self.re_min, self.im_max - self.im_min
+        if not (self.du > 0 and self.dv > 0 and math.isfinite(width * width + height * height)):
+            raise ValueError("grid steps must be positive and the diameter squared finite")
         iv, iu = self.base_index
         if not (0 <= iv < self.nv and 0 <= iu < self.nu):
             raise ValueError("base_index out of range")

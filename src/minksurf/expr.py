@@ -130,6 +130,8 @@ def _tokenize(source):
                     j = j2
                     while j < n and source[j] in _DIGITS:
                         j += 1
+            if not np.isfinite(float(source[k:j])):    # exponents too: they become floats
+                raise ExprSyntaxError(f"number {source[k:j]!r} overflows a float", k)
             tokens.append(("num", source[k:j], k))
             k = j
             continue
@@ -227,10 +229,7 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            value = float(text)
-            if not np.isfinite(value):
-                raise ExprSyntaxError(f"number {text!r} overflows a float", pos)
-            return Const(complex(value))
+            return Const(complex(float(text)))
         if kind == "(":
             e = self.expr()
             self.expect(")")

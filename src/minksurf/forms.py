@@ -56,7 +56,8 @@ def _expr_pair_fn(f_expr, g_expr, combine):
     def fn(z):
         fv, fs = evaluate(f_expr, z)
         gv, gs = evaluate(g_expr, z)
-        out = combine(fv, gv)
+        with np.errstate(all="ignore"):    # what overflows is not finite: the walk stops there
+            out = combine(fv, gv)
         bad = fs | gs
         if np.any(bad):
             out = np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)),

@@ -112,8 +112,9 @@ def triangulate(mask, points):
     a, b, c, d = (index[:-1, :-1][cell], index[:-1, 1:][cell],
                   index[1:, 1:][cell], index[1:, :-1][cell])
     pts = np.asarray(points)
-    ac = (pts[:-1, :-1][cell] - pts[1:, 1:][cell]) ** 2
-    bd = (pts[:-1, 1:][cell] - pts[1:, :-1][cell]) ** 2
+    with np.errstate(over="ignore"):    # huge points give inf, and a tie goes to a-c
+        ac = (pts[:-1, :-1][cell] - pts[1:, 1:][cell]) ** 2
+        bd = (pts[:-1, 1:][cell] - pts[1:, :-1][cell]) ** 2
     # summed in component order, so ties fall exactly as in a per-cell sum
     split_ac = (ac[:, 0] + ac[:, 1] + ac[:, 2]) <= (bd[:, 0] + bd[:, 1] + bd[:, 2])
     tris = np.where(split_ac[:, None], np.stack([a, b, c, a, c, d], axis=1),

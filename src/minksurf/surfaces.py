@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import DomainGrid, SampledData, _as_expr, dilate_mask, grid_line_interpolant
+from .domain import DomainGrid, SampledData, _as_expr, check_base, dilate_mask, grid_line_interpolant
 from .expr import Expr, evaluate
 from .forms import build_xi, xi_hat_values, zeta_density_fn
 from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
@@ -97,6 +97,8 @@ class TargetGeometry:
             p = np.asarray(self.p, dtype=float)
             if not np.any(p):
                 raise ValueError("hyperplane normal p must be non-zero")
+            if not np.isfinite(sum(c * c for c in p.tolist())):   # every node would be degenerate
+                raise ValueError("hyperplane normal p is too large: (p, p) overflows a float")
             expected = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
             if expected is not self.kind:
                 raise ValueError(
@@ -168,9 +170,10 @@ def _affine_sample(data: SampledData, x, valid, phi, p, params, aux=None):
     the Gauss section rescaled to pairing -1 against p.
     """
     kind = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
-    g = gauss_lift(phi)
-    gauss, degenerate = _gauss_section(
-        g, ip31(g, p), (1.0 + np.abs(phi) ** 2) * max(enorm(p), 1e-30))
+    with np.errstate(all="ignore"):    # a huge phi overflows |phi|^2: degenerate there
+        g = gauss_lift(phi)
+        gauss, degenerate = _gauss_section(
+            g, ip31(g, p), (1.0 + np.abs(phi) ** 2) * max(enorm(p), 1e-30))
     normal = None if kind is GeometryKind.AFFINE_ISOTROPIC else gauss - p
     return SurfaceSample(grid=data.grid, kind=kind, x=x, mask=valid & data.mask & ~degenerate,
                          gauss=gauss, normal=normal,
@@ -213,8 +216,9 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     frame = solve_psi(xi, m, data.grid, side=FrameSide.LEFT, mask=data.mask)
     x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
 
-    g = gauss_lift(data.phi)
-    gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
+    with np.errstate(all="ignore"):    # a huge phi or x overflows the norms: degenerate there
+        g = gauss_lift(data.phi)
+        gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask & ~degenerate
     with np.errstate(all="ignore"):    # a small mu can overflow x / mu
         normal = None if mu == 0 else gauss + x / mu
@@ -307,8 +311,8 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     solves dPsi = -m Psi xi -- coefficient on the right.  The front is the
     middle sphere x_m moved along g~ = Psi lift(psi) Psi* / (1 - mu |psi|^2):
     x = x_m + (mu+1)/2 g~.  Nodes where the denominator nearly vanishes are
-    masked; the surface's aux["usable"] marks the nodes usable before the
-    walk.  Returns (surface, middle).
+    masked.  Raises BasePointMaskedError, before the walk, if no node or the
+    base node is usable (check_base).  Returns (surface, middle).
     """
     if m == 0:
         raise ValueError("m must be non-zero")
@@ -322,11 +326,12 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     node_ok = np.isfinite(psi_v) & np.isfinite(eta_v)
     if mask is not None:
         node_ok &= np.asarray(mask, dtype=bool)
+    with np.errstate(all="ignore"):    # a huge psi overflows |psi|^2; the walk drops its node
+        r2 = np.abs(psi_v) ** 2
+        pole = 1.0 - mu * r2
+        usable = node_ok & ~dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
+    check_base(usable, grid)
     frame = solve_psi(coeff, m, grid, side=FrameSide.RIGHT, mask=node_ok)
-
-    r2 = np.abs(psi_v) ** 2
-    pole = 1.0 - mu * r2
-    usable = node_ok & ~dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
     surf_mask = frame.valid & usable
 
     xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
@@ -337,7 +342,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
         middle_normal = None if mu == 0 else gtilde + xm / mu
     surface = SurfaceSample(grid=grid, kind=GeometryKind.LW_BRYANT, x=x,
                             mask=surf_mask, gauss=gtilde, normal=normal,
-                            params={"mu": mu, "m": m}, aux={"frame": frame, "usable": usable})
+                            params={"mu": mu, "m": m}, aux={"frame": frame})
     middle = SurfaceSample(grid=grid, kind=quadric_kind_for(mu), x=xm,
                            mask=surf_mask, gauss=gtilde, normal=middle_normal,
                            params={"mu": mu, "m": m, "middle_sphere": True},

@@ -14,12 +14,14 @@ rows, nu) array; it takes one derivative jet there (x_u, x_v and I, then
 x_uu, x_vv and x_uv from that x_v when a normal or the trapping check
 needs them, and the Gauss-section tangents when the Christoffel check
 does) and writes its own rows of every per-node field into whole-grid
-arrays.  What needs the whole grid stays global: the interior (the
-stencil validity of the mask and of finite x), the Christoffel mask, the
-hyperplane level at the base node and the trapping floor, a maximum over
-the grid; the bands store the trapping check's per-node parts and one
-whole-grid pass finishes it.  The public single-quantity functions run
-the same private code as one band that spans the grid.
+arrays.  The band decides, from the surface alone, which residuals the
+construction certifies, and hands each back with its gate.  What needs
+the whole grid stays global: the interior (the stencil validity of the
+mask and of finite x), the Christoffel mask and the trapping floor, a
+maximum over the grid; the bands store the trapping check's per-node
+parts and one whole-grid pass finishes it.  verify_surface then gates
+whatever the bands returned in one loop.  The public single-quantity
+functions run the same private code as one band that spans the grid.
 
 Every value is computed from the same inputs by the same operations
 whatever the band size or the input's memory layout, so the field bits
@@ -45,7 +47,7 @@ import numpy as np
 
 from .fd import central_diff, second_diff, stencil_valid
 from .minkowski import enorm, ip31
-from .surfaces import AFFINE_KINDS, GeometryKind, SurfaceSample
+from .surfaces import AFFINE_KINDS, QUADRIC_KINDS, GeometryKind, SurfaceSample
 
 EPS_METRIC = 1e-12
 BAND_NODES = 16384  # nodes per verify_surface band: the temporaries stay in cache
@@ -399,19 +401,32 @@ def _bands(nv, nu, halo):
 _TRAPPING_PARTS = ("trap_norm", "trap_hh", "trap_hg", "trap_gnorm", "trap_ok")
 
 
-def _band_fields(surface: SurfaceSample, rows, valid, level, christoffel, trapped):
-    """Every per-node field of verify_surface on the grid rows `rows`, by name."""
-    grid, kind = surface.grid, surface.kind
+def _band_fields(surface: SurfaceSample, rows, valid):
+    """Every per-node field of verify_surface on the grid rows `rows`, by name: each
+    residual the surface's construction certifies, its gate as name + "_ok" where it
+    has one, H, K, K_int and the trapping check's per-node parts."""
+    grid, kind, params = surface.grid, surface.kind, surface.params
     x = _planar(surface.x[rows])
     valid = valid[rows]
     i_form, xu, xv = _jet(x, grid)
+    # Perturbed surfaces are transport-based (no polynomial exactness), so
+    # near the secondary degenerate band the curvature and dual-section
+    # statistics are conditioning-dominated; they stay gated only for the
+    # timelike case, whose pairing is bounded away from zero everywhere.
+    soft = surface.aux.get("perturbed") and kind is not GeometryKind.AFFINE_E3
+    # Marginal trapping is gated where the mean curvature vector has scale
+    # (quadrics) or vanishes identically in exact arithmetic (the
+    # polynomial-exact isotropic case); linear Weingarten surfaces are
+    # envelopes, not marginally trapped, so the check is skipped there.
+    trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, *QUADRIC_KINDS) and not soft
     out = {}
     if kind in AFFINE_KINDS:
-        out["hyperplane"] = ip31(x, surface.hyperplane_normal) - level
+        p = surface.hyperplane_normal
+        out["hyperplane"] = ip31(x, p) - float(ip31(surface.x[grid.base_index], p))
     elif kind is GeometryKind.QUADRIC_LIGHTCONE:
         out["lightcone"] = ip31(x, x)
     else:
-        mu = -1.0 if kind is GeometryKind.LW_BRYANT else surface.params["mu"]
+        mu = -1.0 if kind is GeometryKind.LW_BRYANT else params["mu"]
         out["quadric"] = ip31(x, x) - mu
 
     if kind is not GeometryKind.LW_BRYANT:
@@ -423,27 +438,38 @@ def _band_fields(surface: SurfaceSample, rows, valid, level, christoffel, trappe
         out["conformality"] = (eg + 2.0 * f_res) / scale
 
     if kind is GeometryKind.QUADRIC_LIGHTCONE:
-        out["K_int"], out["K_int_ok"] = intrinsic_curvature(i_form, grid)
+        out["K_int"], out["intrinsic_flatness_ok"] = intrinsic_curvature(i_form, grid)
+        out["intrinsic_flatness"] = out["K_int"]
 
     gauss = None  # read only here and by the trapping check
-    if christoffel:
+    if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT and not soft:
         gauss = _planar(surface.gauss[rows])
-        with np.errstate(all="ignore"):
-            su, sv = _tangents(gauss, grid)
-            # gate the scale-free version: the dual section diverges towards
-            # non-immersion loci and would otherwise dominate the raw residual
-            scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
-            pairing, wedge = _duality(xu, xv, su, sv)
-            out["christoffel_pairing"] = pairing / scale
-            out["christoffel_wedge"] = wedge / scale
+        su, sv = _tangents(gauss, grid)
+        # gate the scale-free version: the dual section diverges towards
+        # non-immersion loci and would otherwise dominate the raw residual
+        scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
+        pairing, wedge = _duality(xu, xv, su, sv)
+        out["christoffel_pairing"] = pairing / scale
+        out["christoffel_wedge"] = wedge / scale
         del su, sv, scale, pairing, wedge  # freed before the second derivatives
 
     if surface.normal is not None or trapped:
         d2 = _second_derivatives(x, xv, grid)
         if surface.normal is not None:
             ii_form, ff_valid = _second_form(surface, rows, x, valid, *d2)
-            out["H"], out["K"], c_ok = curvatures(i_form, ii_form)
-            out["H_ok"] = ff_valid & c_ok
+            h, k, c_ok = curvatures(i_form, ii_form)
+            out["H"], out["K"] = h, k
+            name = "linear_weingarten" if kind is GeometryKind.LW_BRYANT else "mean_curvature"
+            if kind is GeometryKind.LW_BRYANT:
+                out[name] = lw_residual(h, k, params["mu"])
+            elif kind is GeometryKind.QUADRIC_H3:
+                out[name] = h - 1.0 / np.sqrt(-params["mu"])
+            elif kind is GeometryKind.QUADRIC_DESITTER:
+                out[name] = np.abs(h) - 1.0 / np.sqrt(params["mu"])
+            elif kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) and not soft:
+                out[name] = h
+            if name in out:
+                out[name + "_ok"] = ff_valid & c_ok
         if trapped:
             parts = _trapping_parts(gauss, i_form, xu, xv, valid, *d2)
             out.update((name, part) for name, part in zip(_TRAPPING_PARTS, parts)
@@ -463,35 +489,16 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     if tolerances:
         tol.update(tolerances)
     grid = surface.grid
-    kind = surface.kind
     # the stencil validity of the mask and of finite x is the interior every
     # residual is gated on
     valid = stencil_valid(surface.mask & _finite_all(surface.x))
-    report = CurvatureReport(kind=kind.value, grid_shape=grid.shape, interior=valid)
-
-    # Perturbed surfaces are transport-based (no polynomial exactness), so
-    # near the secondary degenerate band the curvature and dual-section
-    # statistics are conditioning-dominated; they stay gated only for the
-    # timelike case, whose pairing is bounded away from zero everywhere.
-    perturbed_soft = surface.aux.get("perturbed") and \
-        kind is not GeometryKind.AFFINE_E3
-    christoffel = surface.gauss is not None and kind is not GeometryKind.LW_BRYANT \
-        and not perturbed_soft
-    # Marginal trapping is gated where the mean curvature vector has scale
-    # (quadrics) or vanishes identically in exact arithmetic (the
-    # polynomial-exact isotropic case); linear Weingarten surfaces are
-    # envelopes, not marginally trapped, so the check is skipped there.
-    trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, GeometryKind.QUADRIC_H3,
-                       GeometryKind.QUADRIC_DESITTER, GeometryKind.QUADRIC_LIGHTCONE) \
-        and not perturbed_soft
-    level = None
-    if kind in AFFINE_KINDS:
-        level = float(ip31(surface.x[grid.base_index], surface.hyperplane_normal))
+    report = CurvatureReport(kind=surface.kind.value, grid_shape=grid.shape, interior=valid)
 
     fields = {}
-    halo = 4 if kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
+    halo = 4 if surface.kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
     for r0, r1, lo, hi in _bands(*grid.shape, halo):
-        band = _band_fields(surface, slice(lo, hi), valid, level, christoffel, trapped)
+        with np.errstate(all="ignore"):    # the gates leave non-finite values out
+            band = _band_fields(surface, slice(lo, hi), valid)
         for name, values in band.items():
             if (lo, hi) == (r0, r1):    # the band spans the grid: its arrays are the fields
                 fields[name] = values
@@ -500,40 +507,18 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
                 fields[name] = np.empty(grid.shape, values.dtype)
             fields[name][r0:r1] = values[r0 - lo:r1 - lo]
 
-    for name in ("hyperplane", "lightcone", "quadric", "conformality"):
-        if name in fields:
-            report.add(name, fields[name], tol[name])
-
-    if "K_int" in fields:
-        report.keep("K_int", fields["K_int"])
-        report.add("intrinsic_flatness", fields["K_int"], tol["intrinsic_flatness"],
-                   where=fields["K_int_ok"])
-
-    if christoffel:
+    if "christoffel_pairing" in fields:
         # the interior already requires an unmasked, finite x on each stencil
-        ch_valid = stencil_valid(_finite_all(surface.gauss))
-        for name in ("christoffel_pairing", "christoffel_wedge"):
-            report.add(name, fields[name], tol[name], where=ch_valid)
-
-    if surface.normal is not None:
-        h, k, hk_ok = fields["H"], fields["K"], fields["H_ok"]
-        report.keep("H", h)
-        report.keep("K", k)
-        mean = None
-        if kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) and not perturbed_soft:
-            mean = h
-        elif kind is GeometryKind.QUADRIC_H3:
-            mean = h - 1.0 / np.sqrt(-surface.params["mu"])
-        elif kind is GeometryKind.QUADRIC_DESITTER:
-            mean = np.abs(h) - 1.0 / np.sqrt(surface.params["mu"])
-        elif kind is GeometryKind.LW_BRYANT:
-            report.add("linear_weingarten", lw_residual(h, k, surface.params["mu"]),
-                       tol["linear_weingarten"], where=hk_ok)
-        if mean is not None:
-            report.add("mean_curvature", mean, tol["mean_curvature"], where=hk_ok)
-
-    if trapped:
-        residual, alignment, mt_ok = _trapping(*map(fields.get, _TRAPPING_PARTS))
-        report.add("marginally_trapped", residual, tol["marginally_trapped"], where=mt_ok)
-        report.add("gauss_alignment", alignment, tol["gauss_alignment"], where=mt_ok)
+        fields["christoffel_pairing_ok"] = fields["christoffel_wedge_ok"] = \
+            stencil_valid(_finite_all(surface.gauss))
+    if "trap_ok" in fields:    # the trapping floor is a maximum over the whole grid
+        residual, alignment, ok = _trapping(*(fields.pop(name, None) for name in _TRAPPING_PARTS))
+        fields.update(marginally_trapped=residual, marginally_trapped_ok=ok,
+                      gauss_alignment=alignment, gauss_alignment_ok=ok)
+    for name in ("H", "K", "K_int"):
+        if name in fields:
+            report.keep(name, fields[name])
+    for name in RESIDUAL_NAMES:
+        if name in fields:
+            report.add(name, fields[name], tol[name], where=fields.get(name + "_ok"))
     return report

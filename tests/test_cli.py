@@ -1,15 +1,19 @@
 import hashlib
 import json
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minksurf.cli import (EXIT_BASE_MASKED, EXIT_CONFIG, EXIT_OK, EXIT_PARSE,
                           EXIT_VERIFY, main)
 from minksurf.config import ConfigError, parse_config
+from minksurf.meshout import PROJECTIONS
 from minksurf.surfaces import GeometryKind
+from minksurf.verify import RESIDUAL_NAMES
 
 
 def _base_config(tmp_path, **overrides):
@@ -56,11 +60,16 @@ def test_quadric_run_cmc(tmp_path):
     assert report["residuals"]["quadric"]["max"] <= 1e-8
 
 
-def test_kind_mu_mismatch_is_config_error(tmp_path):
-    doc = _base_config(tmp_path)
-    doc["target"] = {"kind": "quadric-desitter", "mu": -1.0, "m": 1.0}
+@pytest.mark.parametrize("target, message", [
+    ({"kind": "quadric-desitter", "mu": -1.0, "m": 1.0}, "selects quadric-h3"),
+    ({"kind": "quadric-h4", "mu": -1.0, "m": 1.0}, "unknown target.kind 'quadric-h4'"),
+    ({"kind": "affine-e3", "p": [0, 0, 0, 0]}, "p must be non-zero"),
+])
+def test_bad_target_is_config_error(tmp_path, capsys, target, message):
+    doc = _base_config(tmp_path, target=target)
     code = main(["run", _write(tmp_path, doc)])
     assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "mesh.obj").exists()
     assert not (tmp_path / "report.json").exists()
 
@@ -87,10 +96,13 @@ def test_unknown_key_rejected(tmp_path):
     assert main(["run", _write(tmp_path, doc2)]) == EXIT_CONFIG
 
 
-def test_parse_error_exit_code(tmp_path):
+@pytest.mark.parametrize("phi, pos", [("z +* 2", 3), ("(z", 2), ("z z", 2),
+                                      pytest.param("z^" + "9" * 400, 2, id="z^9...9")])
+def test_parse_error_exit_code(tmp_path, capsys, phi, pos):
     doc = _base_config(tmp_path)
-    doc["data"]["phi"] = "z +* 2"
+    doc["data"]["phi"] = phi
     assert main(["run", _write(tmp_path, doc)]) == EXIT_PARSE
+    assert f"position {pos})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("phi", ["z^²", "²*z", "٣*z"])
@@ -122,6 +134,8 @@ LW = {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}
 @pytest.mark.parametrize("data, target, message", [
     ({"phi": "1/z", "omega": "1"}, None, "base node is masked; choose another base point"),
     ({"phi": "0", "omega": "1"}, None, "no grid node is usable"),
+    # an exponent past int64 but within float range: z^n is 0 or overflows
+    ({"phi": "z^99999999999999999999", "omega": "1"}, None, "no grid node is usable"),
     ({"psi": "1/z", "eta": "0.3"}, LW, "base node is masked; choose another base point"),
     ({"psi": "1", "eta": "0.3"}, dict(LW, mu=1.0), "no grid node is usable"),
 ])
@@ -139,15 +153,21 @@ def test_unusable_base_message(tmp_path, capsys, data, target, message):
     ("mesh_path", []), ("curvature_csv_path", []), ("report_path", []),
     ("report_path", ["--verify-only"]), (None, ["--mesh", "{missing}/m.obj"]),
     (None, ["--report", "{missing}/r.json"]),
+    # "key=path": an output path that is itself a directory
+    ("mesh_path=.", []), ("report_path=/", []),
 ])
-def test_missing_output_directory_is_config_error(tmp_path, capsys, key, args):
+def test_missing_output_directory_is_config_error(tmp_path, monkeypatch, capsys, key, args):
     missing = tmp_path / "no-such-dir"
+    named = str(missing)    # the path the message names
     doc = _base_config(tmp_path)
     if key:
-        doc["output"][key] = str(missing / "out")
+        key, _, path = key.partition("=")
+        doc["output"][key] = path or str(missing / "out")
+        named = path or named
     argv = [a.format(missing=missing) for a in args]
+    monkeypatch.chdir(tmp_path)
     assert main(["run", _write(tmp_path, doc), *argv]) == EXIT_CONFIG
-    assert str(missing) in capsys.readouterr().err
+    assert f"output {named}" in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]   # nothing built
 
 
@@ -222,8 +242,14 @@ def test_lw_requires_secondary_data(tmp_path):
     assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
 
 
-def test_missing_config_file():
-    assert main(["run", "/nonexistent/path.json"]) == EXIT_CONFIG
+@pytest.mark.parametrize("text, message", [(None, "cannot read config"),
+                                           ('{"data": ', "config is not valid JSON")])
+def test_unreadable_config_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_parse_config_rejects_bad_domain():
@@ -312,6 +338,20 @@ def test_nonfinite_domain_is_config_error(tmp_path, capsys, key, value):
         warnings.simplefilter("error")
         assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
     assert f"domain.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [
+    {"re_min": -1e308, "re_max": 1e308},   # each bound is finite, the width is not
+    {"im_max": 1e300},                     # the step is finite, its square is not
+    {"re_min": 0.0, "re_max": 5e-324},     # the step rounds to 0
+])
+def test_domain_beyond_float_range_is_config_error(tmp_path, capsys, bounds):
+    doc = _base_config(tmp_path)
+    doc["domain"].update(bounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+    assert "invalid domain" in capsys.readouterr().err
 
 
 def test_nonfinite_base_is_config_error(tmp_path):
@@ -405,3 +445,110 @@ def test_readme_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", str(example), "--quiet"]) == EXIT_OK
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cmc1.obj", "curv.csv", "report.json"]
+
+
+# Every config exits with a documented code, and input its kind does not read
+# changes no output.  The draws start from a CLI_PINS config on a small grid and
+# set one to three fields from these pools; "{out}" is the run's directory.
+POOLS = {
+    ("data", "phi"): ["z", "z^2/2 - 0.5*z", "1/z", "0", "+z", "(z", "z z", "1e308*z",
+                      "z^" + "9" * 400, "z^99999999999999999999", "exp(z)", "", None, 7],
+    ("data", "omega"): ["1", "1 + 0.1*z^2", "1/(z - 0.31)", "0", "1e-320", "1e308", "1e308*z",
+                        "log(z)", None],
+    ("data", "psi"): ["z", "1", "1/z", "(z", "1e308*z", None],
+    ("data", "eta"): ["0.3", "0", "1e308", "z", None],
+    ("domain", "re_min"): [-1.0, -0.5, 0.0, -1e308, 1.0, 5e-324, "x", None],
+    ("domain", "re_max"): [1.0, 0.5, 1e308, 5e-324, -1.0],
+    ("domain", "im_min"): [-1.0, -1e-300, -1e308],
+    ("domain", "im_max"): [1.0, 1e300],
+    ("domain", "nu"): [2, 3, 9, 1, 4.0, True],
+    ("domain", "nv"): [2, 4, 9, -3],
+    ("domain", "base"): [[0.0, 0.0], [0.5, -0.5], [9.0, 0.0], [0.0], "0"],
+    ("target", "kind"): [kind.value for kind in GeometryKind] + ["quadric-h4", 3],
+    ("target", "mu"): [-1.0, 1.0, 0.0, -0.5, -1e300, 1e300, -1e-320, 5e-324, "1"],
+    ("target", "m"): [1.0, -2.0, 0, 1e300, 1e-300],
+    ("target", "p"): [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0],
+                      [0, 0, 0, 0], [1e300, 0, 0, 0], [1, 2, 3], None],
+    ("output", "mesh_path"): [".", "/", "{out}/m.ply", "{out}/no-such-dir/m.obj", None],
+    ("output", "report_path"): [".", "/", "{out}/r.json", None],
+    ("output", "curvature_csv_path"): [".", "{out}/c.csv", None],
+    ("output", "mesh_format"): ["obj", "ply", "stl"],
+    ("verify", "tolerances"): [{}, dict.fromkeys(RESIDUAL_NAMES, 1.0), {"quadric": 0},
+                               {"mean_curvature": 1e300}, {"hyperplane": -1.0}, {"x": 1.0}],
+    ("projection", "model"): ["default", *sorted(PROJECTIONS), "nope"],
+}
+# the fields each family does not read, and values the schema accepts for them
+UNREAD = {"affine": {("data", "psi"), ("data", "eta"), ("target", "m"), ("target", "mu")},
+          "quadric": {("data", "psi"), ("data", "eta"), ("target", "p")},
+          "lw-bryant": {("data", "phi"), ("data", "omega"), ("target", "p")}}
+ADDED = {("data", "phi"): ["1/z", "(z"], ("data", "omega"): ["0", "z z"],
+         ("data", "psi"): ["1/(z - 0.5)", "(z"], ("data", "eta"): ["1", "1e308"],
+         ("target", "m"): [0.0, 2.0], ("target", "mu"): [-1e300, 1.0],
+         ("target", "p"): [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
+# a fifth of the profile's examples, as in test_properties
+FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
+
+
+def _small_config(name, n, fields=()):
+    """CLI_PINS config `name` on an n x n grid, writing into "{out}", with fields set."""
+    (data, half, target, fmt), _ = CLI_PINS[name]
+    doc = {"data": dict(data), "target": dict(target),
+           "domain": {"re_min": -half, "re_max": half, "im_min": -half, "im_max": half,
+                      "nu": n, "nv": n},
+           "output": {"mesh_path": "{out}/m." + fmt, "mesh_format": fmt,
+                      "report_path": "{out}/r.json", "curvature_csv_path": "{out}/c.csv"}}
+    for (section, key), value in fields:
+        doc.setdefault(section, {})[key] = value
+    return doc
+
+
+def _fuzz_run(doc):
+    """(exit code, {file name: bytes}) of one run of doc in a new directory, with
+    every warning raised as an error."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out, "cfg.json")
+        cfg.write_text(json.dumps(doc).replace("{out}", out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg), "--quiet"])
+        cfg.unlink()
+        return code, {f.name: f.read_bytes() for f in sorted(Path(out).iterdir())}
+
+
+@pytest.mark.parametrize("name, fields, code", [
+    # |phi|^2 overflows in the Gauss lift, and phi^2 omega in the densities
+    ("quadric-h3", {("data", "phi"): "1e308*z"}, EXIT_VERIFY),
+    ("affine-e3", {("data", "phi"): "1e308*z"}, EXIT_VERIFY),
+    ("affine-e3", {("data", "phi"): "1/(z - 0.05)", ("data", "omega"): "1e308"}, EXIT_VERIFY),
+    # the mesh's squared diagonals overflow
+    ("affine-e3", {("data", "omega"): "1e308*z"}, EXIT_VERIFY),
+    # (x, x) and |x|_E overflow in the build and in the verifier
+    ("quadric-h3", {("target", "mu"): -1e300}, EXIT_VERIFY),
+    ("quadric-desitter", {("target", "mu"): 1e300}, EXIT_VERIFY),
+    # |psi|^2 overflows at the LW pole test
+    ("lw-bryant", {("data", "psi"): "1e308*z"}, EXIT_VERIFY),
+    # (p, p) overflows, so every node would be degenerate
+    ("affine-e3", {("target", "p"): [1e300, 0, 0, 0]}, EXIT_CONFIG),
+])
+def test_overflowing_input_exits_without_a_warning(name, fields, code):
+    assert _fuzz_run(_small_config(name, 9, fields.items()))[0] == code
+
+
+@FEW
+@given(name=st.sampled_from(sorted(CLI_PINS)), n=st.integers(3, 9),
+       fields=st.lists(st.sampled_from(sorted(POOLS)).flatmap(
+           lambda field: st.tuples(st.just(field), st.sampled_from(POOLS[field]))),
+           min_size=1, max_size=3, unique_by=lambda item: item[0]),
+       added=st.sampled_from(sorted(ADDED)).flatmap(
+           lambda field: st.tuples(st.just(field), st.sampled_from(ADDED[field]))))
+def test_every_config_exits_with_a_documented_code(name, n, fields, added):
+    doc = _small_config(name, n, fields)
+    code, outputs = _fuzz_run(doc)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_BASE_MASKED, EXIT_VERIFY)
+    kind = doc["target"].get("kind")
+    if kind not in {k.value for k in GeometryKind}:
+        return
+    (section, key), value = added
+    if (section, key) in UNREAD[kind if kind == "lw-bryant" else kind.split("-")[0]] \
+            and key not in doc[section]:
+        assert _fuzz_run(_small_config(name, n, [*fields, added])) == (code, outputs)

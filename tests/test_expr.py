@@ -14,6 +14,7 @@ CORPUS = [
     "0.5*exp(-z)*sin(2*z)",
     "(z - i)*(z + i)/(z^2 + 1)",
     "log(z + 3) + 2e-3*z",
+    "+z^2 - (+i)*z",
 ]
 
 
@@ -63,9 +64,12 @@ def test_only_ascii_digits(text, pos):
     assert err.value.pos == pos
 
 
-@pytest.mark.parametrize("text,pos", [("1e999", 0), ("2*1e400 + z", 2), ("z^2 - 1e309", 6)])
+@pytest.mark.parametrize("text,pos", [("1e999", 0), ("2*1e400 + z", 2), ("z^2 - 1e309", 6),
+                                      pytest.param("z^" + "9" * 400, 2, id="z^9...9"),
+                                      pytest.param("z^(-" + "9" * 400 + ")", 4, id="z^(-9...9)")])
 def test_overflowing_literal_is_syntax_error(text, pos):
-    # float() reads these as inf, which evaluate would pass on unflagged
+    # float() reads these as inf, which evaluate would pass on unflagged; an
+    # exponent that large would crash differentiate, which takes it as a float
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(text)
     assert err.value.pos == pos

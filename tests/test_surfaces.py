@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from minksurf.domain import DomainGrid, dilate_mask, sample_data
+from minksurf import surfaces
+from minksurf.domain import BasePointMaskedError, DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, stencil_valid
 from minksurf.integrate import FrameField
 from minksurf.minkowski import E0, E1, E3, ip31
@@ -151,11 +152,12 @@ def test_quadric_base_value_and_lightcone():
         assert np.nanmax(np.abs(ip31(s.x, s.x) - mu)[s.mask]) < 1e-12
 
 
-def test_quadric_rejects_zero_m():
+@pytest.mark.parametrize("factory", [make_quadric_surface, uy_perturb])
+def test_quadric_rejects_zero_m(factory):
     g = DomainGrid.square(1.0, 9)
     data = sample_data("z", "1", g)
-    with pytest.raises(ValueError):
-        make_quadric_surface(data, 0.0, -1.0)
+    with pytest.raises(ValueError, match="m must be non-zero"):
+        factory(data, 0.0, -1.0)
 
 
 def test_quadric_normal_is_unit_and_orthogonal():
@@ -348,6 +350,15 @@ def test_lw_gauss_pairing():
     s, _ = make_lw_bryant("z", "0.3", 1.0, -0.5, g)
     pairing = ip31(s.gauss, s.x)
     assert np.nanmax(np.abs(pairing + 1.0)[s.mask]) < 1e-11
+
+
+def test_lw_checks_its_base_before_the_walk(monkeypatch):
+    # mu |psi|^2 = 1 at every node: every node lies on the pole
+    def walk(*args, **kwargs):
+        raise AssertionError("solve_psi called")
+    monkeypatch.setattr(surfaces, "solve_psi", walk)
+    with pytest.raises(BasePointMaskedError, match="no grid node is usable"):
+        make_lw_bryant("1", "0.3", 1.0, 1.0, DomainGrid.square(1.0, 9))
 
 
 def test_lw_rejects_zero_m():
