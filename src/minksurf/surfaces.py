@@ -213,7 +213,7 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
         raise ValueError("m must be non-zero")
     _check_mu(mu)
     xi = build_xi(data)
-    frame = solve_psi(xi, m, data.grid, side=FrameSide.LEFT, mask=data.mask)
+    frame = solve_psi(xi, m, data.grid)
     x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
 
     with np.errstate(all="ignore"):    # a huge phi or x overflows the norms: degenerate there

@@ -13,15 +13,17 @@ the lightcone, whose K_int differences I), into a component-first (4,
 rows, nu) array; it takes one derivative jet there (x_u, x_v and I, then
 x_uu, x_vv and x_uv from that x_v when a normal or the trapping check
 needs them, and the Gauss-section tangents when the Christoffel check
-does) and writes its own rows of every per-node field into whole-grid
-arrays.  The band decides, from the surface alone, which residuals the
-construction certifies, and hands each back with its gate.  What needs
-the whole grid stays global: the interior (the stencil validity of the
-mask and of finite x), the Christoffel mask and the trapping floor, a
-maximum over the grid; the bands store the trapping check's per-node
-parts and one whole-grid pass finishes it.  verify_surface then gates
-whatever the bands returned in one loop.  The public single-quantity
-functions run the same private code as one band that spans the grid.
+does) and writes its own rows of every per-node field into one
+whole-grid array per band array, whatever names that array has.  The
+band decides, from the surface alone, which residuals the construction
+certifies, and hands each back with its gate; the interior (the stencil
+validity of the mask and of finite x) and the Christoffel gate are band
+fields too, since the halo holds every stencil of the band's own rows.
+Only the trapping floor, a maximum over the grid, needs the whole grid:
+the bands store the trapping check's per-node parts and one whole-grid
+pass finishes it.  verify_surface then gates whatever the bands returned
+in one loop.  The public single-quantity functions run the same private
+code as one band that spans the grid.
 
 Every value is computed from the same inputs by the same operations
 whatever the band size or the input's memory layout, so the field bits
@@ -92,15 +94,16 @@ def _jet(x, grid):
         return _form(((xu, xu), (xu, xv), (xv, xv))), xu, xv
 
 
-def _one_band(surface):
-    """(x, I, xu, xv, valid) of the band that spans the grid; x is component-first."""
-    x = _planar(surface.x)
-    return (x, *_jet(x, surface.grid), stencil_valid(surface.mask & _finite_all(x)))
+def _band(surface, rows=slice(None)):
+    """(x, I, xu, xv, valid) of the grid rows `rows`: their x copied component-first,
+    its jet, and the stencil validity of the mask and of finite x there."""
+    x = _planar(surface.x[rows])
+    return (x, *_jet(x, surface.grid), stencil_valid(surface.mask[rows] & _finite_all(x)))
 
 
 def first_form(surface: SurfaceSample):
     """Induced metric I by central differences: (I, xu, xv, valid)."""
-    return _one_band(surface)[1:]
+    return _band(surface)[1:]
 
 
 def _second_derivatives(x, xv, grid):
@@ -136,7 +139,7 @@ def fundamental_forms(surface: SurfaceSample):
     The normal is re-orthogonalized against the carrier and normalized to
     |(n, n)| = 1 before pairing with the FD second derivatives.
     """
-    x, i_form, _xu, xv, valid = _one_band(surface)
+    x, i_form, _xu, xv, valid = _band(surface)
     ii_form, valid = _second_form(surface, slice(None), x, valid,
                                   *_second_derivatives(x, xv, surface.grid))
     return i_form, ii_form, valid
@@ -273,7 +276,7 @@ def marginally_trapped_residual(surface: SurfaceSample):
     1e-6 * (1 + max |Hvec|_E), keeping the ratio meaningful when the
     mean curvature vector itself vanishes (affine surfaces).
     """
-    x, i_form, xu, xv, valid = _one_band(surface)
+    x, i_form, xu, xv, valid = _band(surface)
     return _trapping(*_trapping_parts(surface.gauss, i_form, xu, xv, valid,
                                       *_second_derivatives(x, xv, surface.grid)))
 
@@ -401,14 +404,12 @@ def _bands(nv, nu, halo):
 _TRAPPING_PARTS = ("trap_norm", "trap_hh", "trap_hg", "trap_gnorm", "trap_ok")
 
 
-def _band_fields(surface: SurfaceSample, rows, valid):
-    """Every per-node field of verify_surface on the grid rows `rows`, by name: each
-    residual the surface's construction certifies, its gate as name + "_ok" where it
-    has one, H, K, K_int and the trapping check's per-node parts."""
+def _band_fields(surface: SurfaceSample, rows):
+    """Every per-node field of verify_surface on the grid rows `rows`, by name: the
+    interior, each residual the surface's construction certifies, its gate as
+    name + "_ok" where it has one, H, K, K_int and the trapping check's per-node parts."""
     grid, kind, params = surface.grid, surface.kind, surface.params
-    x = _planar(surface.x[rows])
-    valid = valid[rows]
-    i_form, xu, xv = _jet(x, grid)
+    x, i_form, xu, xv, valid = _band(surface, rows)
     # Perturbed surfaces are transport-based (no polynomial exactness), so
     # near the secondary degenerate band the curvature and dual-section
     # statistics are conditioning-dominated; they stay gated only for the
@@ -419,7 +420,7 @@ def _band_fields(surface: SurfaceSample, rows, valid):
     # polynomial-exact isotropic case); linear Weingarten surfaces are
     # envelopes, not marginally trapped, so the check is skipped there.
     trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, *QUADRIC_KINDS) and not soft
-    out = {}
+    out = {"interior": valid}
     if kind in AFFINE_KINDS:
         p = surface.hyperplane_normal
         out["hyperplane"] = ip31(x, p) - float(ip31(surface.x[grid.base_index], p))
@@ -451,6 +452,8 @@ def _band_fields(surface: SurfaceSample, rows, valid):
         pairing, wedge = _duality(xu, xv, su, sv)
         out["christoffel_pairing"] = pairing / scale
         out["christoffel_wedge"] = wedge / scale
+        ok = stencil_valid(_finite_all(gauss))  # the interior holds x's own validity
+        out.update(christoffel_pairing_ok=ok, christoffel_wedge_ok=ok)
         del su, sv, scale, pairing, wedge  # freed before the second derivatives
 
     if surface.normal is not None or trapped:
@@ -482,35 +485,31 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
 
     Residual maxima exclude a 2-ring around masked nodes and the grid
     boundary.  Pass/fail is decided against default_tolerances() merged
-    with the given overrides.  The per-node fields are computed one band
-    of rows at a time (see the module docstring).
+    with the given overrides, whose names must be in RESIDUAL_NAMES
+    (ValueError).  The per-node fields are computed one band of rows at a
+    time (see the module docstring).
     """
-    tol = default_tolerances(surface)
-    if tolerances:
-        tol.update(tolerances)
+    unknown = sorted(set(tolerances or ()) - set(RESIDUAL_NAMES))
+    if unknown:
+        raise ValueError(f"unknown tolerance names: {unknown}")
+    tol = {**default_tolerances(surface), **(tolerances or {})}
     grid = surface.grid
-    # the stencil validity of the mask and of finite x is the interior every
-    # residual is gated on
-    valid = stencil_valid(surface.mask & _finite_all(surface.x))
-    report = CurvatureReport(kind=surface.kind.value, grid_shape=grid.shape, interior=valid)
-
     fields = {}
     halo = 4 if surface.kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
     for r0, r1, lo, hi in _bands(*grid.shape, halo):
         with np.errstate(all="ignore"):    # the gates leave non-finite values out
-            band = _band_fields(surface, slice(lo, hi), valid)
+            band = _band_fields(surface, slice(lo, hi))
+        if (lo, hi) == (r0, r1):    # the band spans the grid: its arrays are the fields
+            fields = band
+            continue
+        if not fields:    # one whole-grid array per band array, under each of its names
+            made = {id(values): np.empty(grid.shape, values.dtype) for values in band.values()}
+            fields = {name: made[id(values)] for name, values in band.items()}
         for name, values in band.items():
-            if (lo, hi) == (r0, r1):    # the band spans the grid: its arrays are the fields
-                fields[name] = values
-                continue
-            if name not in fields:
-                fields[name] = np.empty(grid.shape, values.dtype)
             fields[name][r0:r1] = values[r0 - lo:r1 - lo]
 
-    if "christoffel_pairing" in fields:
-        # the interior already requires an unmasked, finite x on each stencil
-        fields["christoffel_pairing_ok"] = fields["christoffel_wedge_ok"] = \
-            stencil_valid(_finite_all(surface.gauss))
+    report = CurvatureReport(kind=surface.kind.value, grid_shape=grid.shape,
+                             interior=fields.pop("interior"))
     if "trap_ok" in fields:    # the trapping floor is a maximum over the whole grid
         residual, alignment, ok = _trapping(*(fields.pop(name, None) for name in _TRAPPING_PARTS))
         fields.update(marginally_trapped=residual, marginally_trapped_ok=ok,

@@ -186,3 +186,43 @@ def h_frame_check(frame, psi, eta_hat, m):
 def _values(e, zs):
     vals, sing = evaluate(e, zs)
     return np.where(sing, np.nan, vals)
+
+
+def exact_frame(zs, m, a=None):
+    """The LEFT frame of phi = z, omega = 1 (Bryant's Enneper cousin), Psi = I at z = 0;
+    with a in SL(2,C), a Psi a^-1, the frame of mobius_data(a).
+
+    Each column (a, b) of Psi solves b'' = -m b and a = b'/m + z b, so with k = sqrt(m)
+    Psi = [[cos kz + kz sin kz, -sin(kz)/k + z cos kz], [k sin kz, cos kz]].
+    """
+    zs = np.asarray(zs)
+    k = np.sqrt(complex(m))
+    kz = k * zs
+    cos, sin = np.cos(kz), np.sin(kz)
+    psi = np.stack([np.stack([cos + kz * sin, -sin / k + zs * cos], axis=-1),
+                    np.stack([k * sin, cos], axis=-1)], axis=-2)
+    return psi if a is None else a @ psi @ inv2(a)
+
+
+def _literal(c):
+    """The complex number c as an expression, exact to the last bit."""
+    return f"({c.real!r} + {c.imag!r}*i)"
+
+
+def mobius_data(a, phi="z", omega="1"):
+    """Expression texts of phi' = (a phi + b)/(c phi + d) and omega' = (c phi + d)^2 omega
+    for a = [[a, b], [c, d]] in SL(2,C).
+
+    Their matrix density is a xi a^-1 at every point, so their frame on either side,
+    started from I, is a Psi a^-1 (RK4 is linear: the discrete frames agree to rounding).
+    """
+    (p, q), (r, s) = ((_literal(complex(v)) for v in row) for row in a)
+    denominator = f"({r}*({phi}) + {s})"
+    return f"({p}*({phi}) + {q})/{denominator}", f"{denominator}^2*({omega})"
+
+
+def mobius_pole(pole):
+    """A = [[1, 0], [c, 1]] with c = -1/pole: mobius_data(A) has phi' = z/(cz + 1) with a
+    pole at `pole` and omega' = (cz + 1)^2, and phi'^2 omega' = z^2 keeps the density
+    entire, so exact_frame(zs, m, A) is its exact frame, without monodromy."""
+    return np.array([[1.0, 0.0], [-1.0 / pole, 1.0]], dtype=complex)

@@ -10,15 +10,15 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from minksurf.domain import DomainGrid
+from minksurf.domain import DomainGrid, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import FUNCTIONS, Call, Div, Expr, Pow, differentiate, parse_expr, print_expr
-from minksurf.forms import xi_hat_values
+from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, enorm, ip31
 from minksurf.verify import _duality, intrinsic_curvature
-from reference import SingularPoint, eval_at
+from reference import SingularPoint, eval_at, inv2, mobius_data
 
 # a fifth of the profile's examples: 20 locally, more under the ci profile (conftest.py)
 FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
@@ -370,3 +370,34 @@ def xi_inputs(draw):
 def test_xi_hat_values_keep_the_entries_last_bits(inputs):
     with np.errstate(all="ignore"):
         assert _same_bits(xi_hat_values(*inputs), _xi_hat_entries_last(*inputs))
+
+
+COVARIANCE_GRID = DomainGrid.square(0.6, 41)
+COVARIANCE_DATA = ("z", "1 + 0.1*z^2")
+
+
+@st.composite
+def sl2_group(draw):
+    """A in SL(2,C): a, b, c of modulus <= 1.5 with |a| >= 0.25, and d = (1 + bc)/a."""
+    part = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+    a, b, c = draw(part.filter(lambda a: abs(a) >= 0.25)), draw(part), draw(part)
+    return np.array([[a, b], [c, (1.0 + b * c) / a]])
+
+
+def _frames(phi, omega, side):
+    frame = solve_psi(build_xi(sample_data(phi, omega, COVARIANCE_GRID)), 1.0,
+                      COVARIANCE_GRID, side=side)
+    return frame.values, frame.valid
+
+
+@FEW
+@given(sl2_group(), st.sampled_from(FrameSide))
+def test_frames_are_sl2_covariant(a, side):
+    # phi' = (a phi + b)/(c phi + d), omega' = (c phi + d)^2 omega have the density
+    # a xi a^-1, and RK4 is linear, so their frame is a Psi a^-1 to rounding
+    assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
+    psi, valid = _frames(*COVARIANCE_DATA, side)
+    got, got_valid = _frames(*mobius_data(a, *COVARIANCE_DATA), side)
+    want = a @ psi @ inv2(a)
+    assert np.array_equal(got_valid, valid)
+    assert np.max(np.abs(got - want)[valid]) <= 1e-12 * np.max(np.abs(want)[valid])

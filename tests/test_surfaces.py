@@ -13,7 +13,8 @@ from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
                                make_quadric_surface, quadric_kind_for,
                                secondary_form, secondary_gauss, uy_perturb)
 from minksurf.verify import verify_surface
-from reference import h_frame_check, secondary_form_by_conjugation, vec_from_herm_unchecked
+from reference import (exact_frame, h_frame_check, mobius_data, mobius_pole,
+                       secondary_form_by_conjugation, vec_from_herm_unchecked)
 
 
 def test_gauss_lift_values():
@@ -150,6 +151,20 @@ def test_quadric_base_value_and_lightcone():
         expect = 0.5 * np.array([1 - mu, 0.0, 0.0, 1 + mu])
         assert np.allclose(s.x[iv, iu], expect, atol=1e-13)
         assert np.nanmax(np.abs(ip31(s.x, s.x) - mu)[s.mask]) < 1e-12
+
+
+@pytest.mark.parametrize("pole", (None, 0.31, 0.31 + 0.4j))
+@pytest.mark.parametrize("mu", (-1.0, 0.0, 0.5))
+def test_quadric_matches_the_exact_frame(mu, pole):
+    # x = Psi diag(1, -mu) Psi* with the exact frame of phi = z, omega = 1, or of its
+    # Moebius image whose phi has a pole between the nodes
+    g = DomainGrid.square(1.0, 81)
+    a = np.eye(2) if pole is None else mobius_pole(pole)
+    s = make_quadric_surface(sample_data(*mobius_data(a), g), 1.0, mu)
+    psi = exact_frame(g.zs(), 1.0, a)
+    want = vec_from_herm_unchecked(psi @ np.diag([1.0, -mu]) @ np.conj(np.swapaxes(psi, -1, -2)))
+    assert s.aux["frame"].valid.all()    # the Gauss section may mask nodes; x is still built
+    assert np.max(np.abs(s.x - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("factory", [make_quadric_surface, uy_perturb])

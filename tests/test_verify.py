@@ -250,6 +250,16 @@ def test_verify_surface_tolerance_override():
     assert not rep.stats["mean_curvature"].passed
 
 
+def test_verify_surface_rejects_unknown_tolerance_names():
+    s = make_affine_surface(sample_data("z", "1", DomainGrid.square(1.0, 21)), E0)
+    with pytest.raises(ValueError, match=r"\['linear_weingartn', 'mean_curvatur'\]"):
+        verify_surface(s, tolerances={"mean_curvatur": 1e-30, "hyperplane": 1.0,
+                                      "linear_weingartn": 1e-30})
+    # a known name the surface does not certify is accepted and changes nothing
+    rep = verify_surface(s, tolerances={"linear_weingarten": 1e-30})
+    assert rep.to_dict() == verify_surface(s).to_dict()
+
+
 def test_fundamental_forms_requires_normal():
     g, s = _flat_plane()
     s.normal = None
@@ -435,3 +445,13 @@ def test_verify_surface_differences_each_band_once(monkeypatch, name):
     assert sum(hi - lo for *_, lo, hi in bands) - nv <= 2 * halo * (len(bands) - 1)
     second = 0 if name == "uy-perturb-lightlike" else len(bands)
     assert calls == {"first_form": 0, "_second_derivatives": second}
+
+
+@pytest.mark.parametrize("name,alias", [("affine-e3", ("mean_curvature", "H")),
+                                        ("quadric-lightcone", ("intrinsic_flatness", "K_int"))])
+def test_a_band_array_under_two_names_is_one_field(monkeypatch, name, alias):
+    surface = PIN_SURFACES[name]()
+    monkeypatch.setattr(verify, "BAND_NODES", 7 * surface.grid.nu)
+    report = verify_surface(surface)
+    assert report.fields[alias[0]] is report.fields[alias[1]]
+    assert _report_digest(report) == REPORT_PINS[name]
