@@ -86,20 +86,21 @@ class DomainGrid:
 
 
 def dilate_mask(masked, iterations=1):
-    """Grow a True-marked (masked) region by rings of 8-neighbors."""
+    """Grow a True-marked (masked) region by `iterations` rings of 8-neighbors.
+
+    That is the (2r+1)^2 box around every masked node, r = iterations,
+    clipped to the grid; it is taken in one separable pass, first along
+    rows, then along columns.
+    """
     masked = np.asarray(masked, dtype=bool)
-    for _ in range(iterations):
-        grown = masked.copy()
-        grown[1:, :] |= masked[:-1, :]
-        grown[:-1, :] |= masked[1:, :]
-        grown[:, 1:] |= masked[:, :-1]
-        grown[:, :-1] |= masked[:, 1:]
-        grown[1:, 1:] |= masked[:-1, :-1]
-        grown[1:, :-1] |= masked[:-1, 1:]
-        grown[:-1, 1:] |= masked[1:, :-1]
-        grown[:-1, :-1] |= masked[1:, 1:]
-        masked = grown
-    return masked
+    out = masked
+    for axis in (0, 1):
+        line, out = out, out.copy()
+        grown, src = out.swapaxes(0, axis), line.swapaxes(0, axis)
+        for k in range(1, iterations + 1):
+            grown[k:] |= src[:-k]
+            grown[:-k] |= src[k:]
+    return out
 
 
 @dataclass

@@ -36,28 +36,44 @@ def ip31(u, v):
 
     Extends complex-bilinearly when either argument is complex (no
     conjugation), which is what the wedge/expansion identities need.
+    The sum runs left to right in the buffer of its first term, with one
+    scratch plane for the other products.
     """
     u = np.asarray(u)
     v = np.asarray(v)
-    return (-u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
-            + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
+    out = np.asarray(-u[..., 0] * v[..., 0])
+    t = np.asarray(u[..., 1] * v[..., 1])
+    out += t
+    out += np.multiply(u[..., 2], v[..., 2], out=t)
+    out += np.multiply(u[..., 3], v[..., 3], out=t)
+    return out[()]
 
 
 def enorm(v):
-    """Euclidean norm over the last axis, broadcasting."""
-    return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
+    """Euclidean norm of floating v over the last axis, broadcasting.
+
+    Summed in place from v0^2 in component order, the order numpy's sum
+    over a length-4 axis takes in every layout.
+    """
+    v = np.asarray(v)
+    out = np.asarray(np.square(v[..., 0]))
+    t = np.empty_like(out)
+    for i in range(1, v.shape[-1]):
+        out += np.square(v[..., i], out=t)
+    return np.sqrt(out, out=out)[()]
 
 
 def causal_type(v):
-    """Classify a single vector as timelike, spacelike or lightlike.
+    """Classify a single non-zero vector as timelike, spacelike or lightlike.
 
-    The null band is |(v,v)| <= EPS_NULL * max(1, |v|_E^2) with the
-    Euclidean norm as scale.
+    The vector is first divided by its largest |component|, so only its
+    direction counts: neither a small scale nor one whose (v, v) would
+    underflow moves it across the null band |(v,v)| <= EPS_NULL * |v|_E^2.
     """
     v = np.asarray(v, dtype=float)
+    v = v / np.max(np.abs(v))
     q = float(ip31(v, v))
-    scale = max(1.0, float(np.dot(v, v)))
-    if abs(q) <= EPS_NULL * scale:
+    if abs(q) <= EPS_NULL * float(np.dot(v, v)):
         return LIGHTLIKE
     return TIMELIKE if q < 0.0 else SPACELIKE
 

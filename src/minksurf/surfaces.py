@@ -114,9 +114,24 @@ class TargetGeometry:
                     f"not {self.kind.value}")
 
 
+def canonical_nans(values):
+    """values with every NaN as the one pattern 0x7ff8000000000000, in place when
+    writable: numpy's SIMD loops pick a NaN's sign by its place in the vector blocks."""
+    values = np.asarray(values)
+    nan = np.isnan(values)
+    if nan.any():
+        if not values.flags.writeable:
+            values = values.copy()
+        values[nan] = np.nan
+    return values
+
+
 @dataclass
 class SurfaceSample:
-    """Gridded surface with positions, Gauss section, normal and mask."""
+    """Gridded surface with positions, Gauss section, normal and mask.
+
+    x, gauss and normal hold every NaN as 0x7ff8000000000000 (canonical_nans).
+    """
 
     grid: DomainGrid
     kind: GeometryKind
@@ -126,6 +141,11 @@ class SurfaceSample:
     normal: np.ndarray | None = None  # unit normal where defined
     params: dict = dc_field(default_factory=dict)
     aux: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("x", "gauss", "normal"):
+            if getattr(self, name) is not None:
+                setattr(self, name, canonical_nans(getattr(self, name)))
 
     @property
     def hyperplane_normal(self):

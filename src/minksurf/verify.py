@@ -13,8 +13,12 @@ the lightcone, whose K_int differences I), into a component-first (4,
 rows, nu) array; it takes one derivative jet there (x_u, x_v and I, then
 x_uu, x_vv and x_uv from that x_v when a normal or the trapping check
 needs them, and the Gauss-section tangents when the Christoffel check
-does) and writes its own rows of every per-node field into one
-whole-grid array per band array, whatever names that array has.  The
+does).  Only the stencils read the halo: the band slices its own rows out
+of every derivative, works every other value on those rows alone, and
+writes them into one whole-grid array per band array, whatever names that
+array has.  Its kernels accumulate in the buffer of their first product,
+with at most one scratch array, by the same operations in the same order
+as the plain expressions (tests/reference.py holds those).  The
 band decides, from the surface alone, which residuals the construction
 certifies, and hands each back with its gate; the interior (the stencil
 validity of the mask and of finite x) and the Christoffel gate are band
@@ -49,10 +53,10 @@ import numpy as np
 
 from .fd import central_diff, second_diff, stencil_valid
 from .minkowski import enorm, ip31
-from .surfaces import AFFINE_KINDS, QUADRIC_KINDS, GeometryKind, SurfaceSample
+from .surfaces import AFFINE_KINDS, QUADRIC_KINDS, GeometryKind, SurfaceSample, canonical_nans
 
 EPS_METRIC = 1e-12
-BAND_NODES = 16384  # nodes per verify_surface band: the temporaries stay in cache
+BAND_NODES = 8192  # nodes per verify_surface band: the temporaries stay in cache
 
 # every residual a report can gate: the keys of default_tolerances()
 RESIDUAL_NAMES = ("hyperplane", "quadric", "lightcone", "mean_curvature",
@@ -125,10 +129,15 @@ def _second_form(surface: SurfaceSample, rows, x, valid, xuu, xvv, xuv):
             p = surface.hyperplane_normal
             pp = float(ip31(p, p))
             if abs(pp) > 1e-14:
-                n -= p * (ip31(n, p) / pp)[..., None]
+                ratio = ip31(n, p)
+                ratio /= pp
+                n -= p * ratio[..., None]
         else:
-            n -= x * (ip31(n, x) / ip31(x, x))[..., None]
-        n /= np.sqrt(np.abs(ip31(n, n)))[..., None]
+            ratio = ip31(n, x)
+            ratio /= ip31(x, x)
+            n -= x * ratio[..., None]
+        norm = ip31(n, n)
+        n /= np.sqrt(np.abs(norm, out=norm), out=norm)[..., None]
         ii_form = _form(((xuu, n), (xuv, n), (xvv, n)))
     return ii_form, valid & _finite_all(n)
 
@@ -154,12 +163,28 @@ def curvatures(i_form, ii_form):
     """
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
     l, m, n = ii_form[..., 0, 0], ii_form[..., 0, 1], ii_form[..., 1, 1]
-    det_i = e * g - f * f
-    scale = 0.25 * (np.abs(e) + np.abs(g)) ** 2
-    ok = (np.abs(det_i) > EPS_METRIC) & (np.abs(det_i) > 1e-8 * scale)
+    # each value in the buffer of its first product, t the one scratch plane
+    det_i = e * g
+    det_i -= (t := f * f)
+    scale = np.abs(e)
+    scale += np.abs(g, out=t)
+    np.square(scale, out=scale)
+    scale *= 0.25
+    abs_det = np.abs(det_i, out=t)
+    ok = abs_det > EPS_METRIC
+    scale *= 1e-8
+    ok &= abs_det > scale
     with np.errstate(all="ignore"):
-        h = np.where(ok, (e * n - 2.0 * f * m + g * l) / (2.0 * det_i), np.nan)
-        k = np.where(ok, (l * n - m * m) / det_i, np.nan)
+        h = e * n
+        h -= np.multiply(np.multiply(2.0, f, out=t), m, out=t)
+        h += np.multiply(g, l, out=t)
+        h /= np.multiply(2.0, det_i, out=t)
+        k = l * n
+        k -= np.multiply(m, m, out=t)
+        k /= det_i
+    bad = ~ok    # a degenerate metric has no H or K
+    np.copyto(h, np.nan, where=bad)
+    np.copyto(k, np.nan, where=bad)
     return h, k, ok
 
 
@@ -194,15 +219,21 @@ def _duality(xu, xv, su, sv):
     over its six bivector components
     A_ij = xu_i sv_j - xu_j sv_i - (xv_i su_j - xv_j su_i).
     """
+    shape = np.broadcast_shapes(xu.shape, xv.shape, su.shape, sv.shape)[:-1]
+    a, b, t = np.empty((3,) + shape)    # A_ij and its two halves, reused for every ij
+    sq = np.zeros(shape)
     with np.errstate(all="ignore"):
-        pairing = ip31(xu, sv) - ip31(xv, su)
-        sq = 0.0
+        pairing = ip31(xu, sv)
+        pairing -= ip31(xv, su)
         for i, j in combinations(range(4), 2):
-            a_ij = (xu[..., i] * sv[..., j] - xu[..., j] * sv[..., i]
-                    - (xv[..., i] * su[..., j] - xv[..., j] * su[..., i]))
-            sq = sq + a_ij * a_ij
-        wedge = np.sqrt(2.0 * sq)
-    return pairing, wedge
+            np.multiply(xu[..., i], sv[..., j], out=a)
+            a -= np.multiply(xu[..., j], sv[..., i], out=t)
+            np.multiply(xv[..., i], su[..., j], out=b)
+            b -= np.multiply(xv[..., j], su[..., i], out=t)
+            a -= b
+            sq += np.multiply(a, a, out=a)
+        sq *= 2.0
+    return pairing, np.sqrt(sq, out=sq)
 
 
 def christoffel_residual(x, x_star, grid, mask=None):
@@ -231,17 +262,27 @@ def _trapping_parts(gauss, i_form, xu, xv, valid, xuu, xvv, xuv):
     metric at full-stencil nodes.
     """
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
-    det_i = e * g - f * f
+    det_i = e * g
+    det_i -= f * f
     ok = valid & (det_i > EPS_METRIC) & (e > 0)
     with np.errstate(all="ignore"):
-        lap = (g[..., None] * xuu - 2.0 * f[..., None] * xuv
-               + e[..., None] * xvv) / det_i[..., None]
+        # lap = (g xuu - (2 f) xuv + e xvv) / det I in its own buffer, w the one
+        # 4-vector scratch
+        lap, w = np.empty_like(xuu), np.empty_like(xuu)
+        np.multiply(g[..., None], xuu, out=lap)
+        lap -= np.multiply((2.0 * f)[..., None], xuv, out=w)
+        lap += np.multiply(e[..., None], xvv, out=w)
+        lap /= det_i[..., None]
         b1 = ip31(lap, xu)
         b2 = ip31(lap, xv)
-        a1 = (g * b1 - f * b2) / det_i
-        a2 = (e * b2 - f * b1) / det_i
-        lap -= a1[..., None] * xu  # hvec = 0.5 * (lap - a1 xu - a2 xv), in lap's buffer
-        lap -= a2[..., None] * xv
+        a1 = g * b1    # a1 = (g b1 - f b2) / det I and a2 = (e b2 - f b1) / det I
+        a2 = e * b2
+        a1 -= np.multiply(f, b2, out=b2)
+        a2 -= np.multiply(f, b1, out=b1)
+        a1 /= det_i
+        a2 /= det_i
+        lap -= np.multiply(a1[..., None], xu, out=w)  # hvec = 0.5 * (lap - a1 xu - a2 xv)
+        lap -= np.multiply(a2[..., None], xv, out=w)
         hvec = np.multiply(0.5, lap, out=lap)
         if gauss is None:
             return enorm(hvec), ip31(hvec, hvec), None, None, ok
@@ -261,10 +302,13 @@ def _trapping(norm, hh, hg, gnorm, ok):
     floor = 1e-6 * (1.0 + float(np.nanmax(np.where(ok, norm, 0.0))))
     denom = np.maximum(norm, floor)
     with np.errstate(all="ignore"):
-        residual = np.abs(hh) / denom ** 2
-        alignment = np.full(ok.shape, np.nan)
-        if hg is not None:
-            alignment = np.abs(hg) / (denom * np.maximum(gnorm, floor))
+        residual = np.abs(hh)
+        residual /= np.square(denom)
+        if hg is None:
+            alignment = np.full(ok.shape, np.nan)
+        else:
+            alignment = np.abs(hg)
+            alignment /= denom * np.maximum(gnorm, floor)
     return residual, alignment, ok
 
 
@@ -325,22 +369,15 @@ class CurvatureReport:
 
     def keep(self, name, values):
         """Hold values as field name, its NaNs made canonical (in place when writable)."""
-        values = np.asarray(values)
-        nan = np.isnan(values)
-        if nan.any():
-            if not values.flags.writeable:
-                values = values.copy()
-            values[nan] = np.nan
-        self.fields[name] = values
+        self.fields[name] = canonical_nans(values)
 
     def add(self, name, values, tolerance, where=None):
-        sel = self.interior if where is None else (self.interior & where)
-        sel = sel & np.isfinite(values)
-        if np.any(sel):
-            mx = float(np.max(np.abs(values[sel])))
-            count = int(np.sum(sel))
-        else:
-            mx, count = float("nan"), 0
+        sel = np.isfinite(values)
+        sel &= self.interior
+        if where is not None:
+            sel &= where
+        count = int(np.count_nonzero(sel))
+        mx = float(np.max(np.abs(values), where=sel, initial=0.0)) if count else float("nan")
         passed = bool(count > 0 and mx <= tolerance)
         self.stats[name] = ResidualStat(name, mx, float(tolerance), passed, count)
         self.keep(name, values)
@@ -404,12 +441,17 @@ def _bands(nv, nu, halo):
 _TRAPPING_PARTS = ("trap_norm", "trap_hh", "trap_hg", "trap_gnorm", "trap_ok")
 
 
-def _band_fields(surface: SurfaceSample, rows):
+def _band_fields(surface: SurfaceSample, rows, read):
     """Every per-node field of verify_surface on the grid rows `rows`, by name: the
     interior, each residual the surface's construction certifies, its gate as
-    name + "_ok" where it has one, H, K, K_int and the trapping check's per-node parts."""
+    name + "_ok" where it has one, H, K, K_int and the trapping check's per-node parts.
+
+    The stencils read the rows `read`, which hold `rows` and their halo; every
+    other value is worked on `rows` alone."""
     grid, kind, params = surface.grid, surface.kind, surface.params
-    x, i_form, xu, xv, valid = _band(surface, rows)
+    own = slice(rows.start - read.start, rows.stop - read.start)
+    x_read, i_read, xu, xv_read, valid = _band(surface, read)
+    x, i_form, xu, xv, valid = x_read[own], i_read[own], xu[own], xv_read[own], valid[own]
     # Perturbed surfaces are transport-based (no polynomial exactness), so
     # near the secondary degenerate band the curvature and dual-section
     # statistics are conditioning-dominated; they stay gated only for the
@@ -423,41 +465,53 @@ def _band_fields(surface: SurfaceSample, rows):
     out = {"interior": valid}
     if kind in AFFINE_KINDS:
         p = surface.hyperplane_normal
-        out["hyperplane"] = ip31(x, p) - float(ip31(surface.x[grid.base_index], p))
+        out["hyperplane"] = ip31(x, p)
+        out["hyperplane"] -= float(ip31(surface.x[grid.base_index], p))
     elif kind is GeometryKind.QUADRIC_LIGHTCONE:
         out["lightcone"] = ip31(x, x)
     else:
         mu = -1.0 if kind is GeometryKind.LW_BRYANT else params["mu"]
-        out["quadric"] = ip31(x, x) - mu
+        out["quadric"] = ip31(x, x)
+        out["quadric"] -= mu
 
     if kind is not GeometryKind.LW_BRYANT:
         # z is a conformal coordinate for every construction except the
         # linear Weingarten front itself (only its middle sphere
         # congruence shares the conformal structure of the Gauss map)
-        eg, f_res = _conformality(i_form)
-        scale = np.maximum(i_form[..., 0, 0] + i_form[..., 1, 1], 1e-30)
-        out["conformality"] = (eg + 2.0 * f_res) / scale
+        eg, f_res = _conformality(i_form)    # (|E-G| + 2|F|) / max(E + G, 1e-30), in eg
+        eg += np.multiply(2.0, f_res, out=f_res)
+        scale = np.add(i_form[..., 0, 0], i_form[..., 1, 1], out=f_res)
+        eg /= np.maximum(scale, 1e-30, out=scale)
+        out["conformality"] = eg
 
     if kind is GeometryKind.QUADRIC_LIGHTCONE:
-        out["K_int"], out["intrinsic_flatness_ok"] = intrinsic_curvature(i_form, grid)
-        out["intrinsic_flatness"] = out["K_int"]
+        k_int, k_ok = intrinsic_curvature(i_read, grid)
+        out["K_int"] = out["intrinsic_flatness"] = k_int[own]
+        out["intrinsic_flatness_ok"] = k_ok[own]
 
     gauss = None  # read only here and by the trapping check
     if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT and not soft:
-        gauss = _planar(surface.gauss[rows])
-        su, sv = _tangents(gauss, grid)
+        gauss = _planar(surface.gauss[read])
+        su, sv = (t[own] for t in _tangents(gauss, grid))
         # gate the scale-free version: the dual section diverges towards
         # non-immersion loci and would otherwise dominate the raw residual
-        scale = 1.0 + enorm(xu) * enorm(sv) + enorm(xv) * enorm(su)
+        scale = enorm(xu)    # 1 + |xu| |sv| + |xv| |su|
+        scale *= enorm(sv)
+        scale += 1.0
+        cross = enorm(xv)
+        cross *= enorm(su)
+        scale += cross
         pairing, wedge = _duality(xu, xv, su, sv)
-        out["christoffel_pairing"] = pairing / scale
-        out["christoffel_wedge"] = wedge / scale
-        ok = stencil_valid(_finite_all(gauss))  # the interior holds x's own validity
+        pairing /= scale
+        wedge /= scale
+        out["christoffel_pairing"], out["christoffel_wedge"] = pairing, wedge
+        ok = stencil_valid(_finite_all(gauss))[own]  # the interior holds x's own validity
+        gauss = gauss[own]
         out.update(christoffel_pairing_ok=ok, christoffel_wedge_ok=ok)
-        del su, sv, scale, pairing, wedge  # freed before the second derivatives
+        del su, sv, scale, cross, pairing, wedge  # freed before the second derivatives
 
     if surface.normal is not None or trapped:
-        d2 = _second_derivatives(x, xv, grid)
+        d2 = [d[own] for d in _second_derivatives(x_read, xv_read, grid)]
         if surface.normal is not None:
             ii_form, ff_valid = _second_form(surface, rows, x, valid, *d2)
             h, k, c_ok = curvatures(i_form, ii_form)
@@ -468,7 +522,8 @@ def _band_fields(surface: SurfaceSample, rows):
             elif kind is GeometryKind.QUADRIC_H3:
                 out[name] = h - 1.0 / np.sqrt(-params["mu"])
             elif kind is GeometryKind.QUADRIC_DESITTER:
-                out[name] = np.abs(h) - 1.0 / np.sqrt(params["mu"])
+                out[name] = np.abs(h)
+                out[name] -= 1.0 / np.sqrt(params["mu"])
             elif kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) and not soft:
                 out[name] = h
             if name in out:
@@ -498,7 +553,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     halo = 4 if surface.kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
     for r0, r1, lo, hi in _bands(*grid.shape, halo):
         with np.errstate(all="ignore"):    # the gates leave non-finite values out
-            band = _band_fields(surface, slice(lo, hi))
+            band = _band_fields(surface, slice(r0, r1), slice(lo, hi))
         if (lo, hi) == (r0, r1):    # the band spans the grid: its arrays are the fields
             fields = band
             continue
@@ -506,7 +561,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
             made = {id(values): np.empty(grid.shape, values.dtype) for values in band.values()}
             fields = {name: made[id(values)] for name, values in band.items()}
         for name, values in band.items():
-            fields[name][r0:r1] = values[r0 - lo:r1 - lo]
+            fields[name][r0:r1] = values
 
     report = CurvatureReport(kind=surface.kind.value, grid_shape=grid.shape,
                              interior=fields.pop("interior"))

@@ -1,6 +1,7 @@
 """Reference formulas shared by the tests."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -116,6 +117,62 @@ def whole_array_second_diff(field, step, axis):
     d -= f4
     d /= 12.0 * step ** 2
     return out
+
+# The verifier's kernels as whole expressions, one temporary per operation:
+# the in-place kernels must keep their bits (tests/test_properties.py).
+
+def ip31_expression(u, v):
+    """minkowski.ip31 as one expression."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    return (-u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+            + u[..., 2] * v[..., 2] + u[..., 3] * v[..., 3])
+
+
+def enorm_expression(v):
+    """minkowski.enorm as a sum over the last axis."""
+    return np.sqrt(np.sum(np.asarray(v) ** 2, axis=-1))
+
+
+def duality_expression(xu, xv, su, sv):
+    """verify._duality's (pairing, wedge), one temporary per operation."""
+    pairing = ip31_expression(xu, sv) - ip31_expression(xv, su)
+    sq = 0.0
+    for i, j in combinations(range(4), 2):
+        a_ij = (xu[..., i] * sv[..., j] - xu[..., j] * sv[..., i]
+                - (xv[..., i] * su[..., j] - xv[..., j] * su[..., i]))
+        sq = sq + a_ij * a_ij
+    return pairing, np.sqrt(2.0 * sq)
+
+
+def curvatures_expression(i_form, ii_form):
+    """verify.curvatures' (H, K, ok), one temporary per operation."""
+    e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]
+    l, m, n = ii_form[..., 0, 0], ii_form[..., 0, 1], ii_form[..., 1, 1]
+    det_i = e * g - f * f
+    scale = 0.25 * (np.abs(e) + np.abs(g)) ** 2
+    ok = (np.abs(det_i) > 1e-12) & (np.abs(det_i) > 1e-8 * scale)
+    h = np.where(ok, (e * n - 2.0 * f * m + g * l) / (2.0 * det_i), np.nan)
+    k = np.where(ok, (l * n - m * m) / det_i, np.nan)
+    return h, k, ok
+
+
+def dilate_mask_rings(masked, iterations=1):
+    """domain.dilate_mask as `iterations` rings of the 8 neighbours."""
+    masked = np.asarray(masked, dtype=bool)
+    for _ in range(iterations):
+        grown = masked.copy()
+        grown[1:, :] |= masked[:-1, :]
+        grown[:-1, :] |= masked[1:, :]
+        grown[:, 1:] |= masked[:, :-1]
+        grown[:, :-1] |= masked[:, 1:]
+        grown[1:, 1:] |= masked[:-1, :-1]
+        grown[1:, :-1] |= masked[:-1, 1:]
+        grown[:-1, 1:] |= masked[1:, :-1]
+        grown[:-1, :-1] |= masked[1:, 1:]
+        masked = grown
+    return masked
+
 
 def vec_density_from_matrix(m):
     """Complex 4-vector density w of the Hermitian-valued form M dz + (M dz)*.

@@ -301,6 +301,11 @@ def test_negative_tolerance_rejected(tmp_path, capsys, value):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_small_timelike_p_selects_affine_e3(tmp_path):
+    doc = _base_config(tmp_path, target={"kind": "affine-e3", "p": [1e-5, 0.0, 0.0, 0.0]})
+    assert parse_config(doc).target.kind is GeometryKind.AFFINE_E3
+
+
 def test_zero_tolerance_allowed(tmp_path):
     doc = _base_config(tmp_path)
     doc["verify"] = {"tolerances": {"hyperplane": 0}}

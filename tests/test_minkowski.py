@@ -40,6 +40,14 @@ def test_causal_classification():
     assert mk.causal_type(1e6 * (mk.E0 + mk.E3)) == mk.LIGHTLIKE
 
 
+def test_causal_type_reads_the_direction_only():
+    # below unit scale, and where (v, v) underflows to 0, the type is the direction's
+    assert mk.causal_type(1e-5 * mk.E0) == mk.TIMELIKE
+    assert mk.causal_type(1e-170 * mk.E0) == mk.TIMELIKE
+    assert mk.causal_type(1e-170 * mk.E3) == mk.SPACELIKE
+    assert mk.causal_type(1e-170 * (mk.E0 + mk.E3)) == mk.LIGHTLIKE
+
+
 def test_herm_from_vec_basis():
     assert np.allclose(mk.herm_from_vec(mk.E1), [[0, 1], [1, 0]])
     assert np.allclose(mk.herm_from_vec(mk.E0), np.eye(2))

@@ -10,15 +10,17 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from minksurf.domain import DomainGrid, sample_data
+from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import FUNCTIONS, Call, Div, Expr, Pow, differentiate, parse_expr, print_expr
 from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, enorm, ip31
-from minksurf.verify import _duality, intrinsic_curvature
-from reference import SingularPoint, eval_at, inv2, mobius_data
+from minksurf.verify import _duality, curvatures, intrinsic_curvature
+from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
+                       duality_expression, enorm_expression, eval_at, inv2,
+                       ip31_expression, mobius_data)
 
 # a fifth of the profile's examples: 20 locally, more under the ci profile (conftest.py)
 FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
@@ -401,3 +403,128 @@ def test_frames_are_sl2_covariant(a, side):
     want = a @ psi @ inv2(a)
     assert np.array_equal(got_valid, valid)
     assert np.max(np.abs(got - want)[valid]) <= 1e-12 * np.max(np.abs(want)[valid])
+
+
+# The verifier's in-place kernels against the expressions they replaced
+# (tests/reference.py): the same operations in the same order, so every value
+# keeps its bits, whatever the inputs' memory layout.  Only a NaN's sign may
+# differ, since numpy's SIMD loops pick it by the operands' place in the
+# vector blocks.  No kernel may write into its inputs.
+
+LAYOUTS = ("C", "component-first", "strided")
+# mostly moderate values, whose sums round, with any float now and then
+float_values = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(width=64))
+complex_values = st.builds(complex, float_values, float_values)
+grid_shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+
+def _laid_out(a, layout):
+    """a (C order) as a copy stored component-first (last axis first) or a strided view."""
+    if layout == "component-first":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    if layout == "strided":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return a
+
+
+def _same_bits_but_nan_sign(got, want):
+    """Same shape and dtype, NaN at the same places, every other value the same bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    got, want = (np.ascontiguousarray(a).reshape(-1).view(np.float64) for a in (got, want))
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(want))
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _kept(inputs, copies):
+    return all(_same_bits(np.ascontiguousarray(a), np.ascontiguousarray(c))
+               for a, c in zip(inputs, copies))
+
+
+@st.composite
+def vectors(draw, shape, dtype=float):
+    """A (shape + (4,)) array of any floats, in one of LAYOUTS."""
+    a = draw(hnp.arrays(dtype, shape + (4,),
+                        elements=float_values if dtype is float else complex_values))
+    return _laid_out(a, draw(st.sampled_from(LAYOUTS)))
+
+
+@FEW
+@given(st.data(), st.sampled_from(("grid", "grid and vector", "vectors")), st.booleans())
+def test_in_place_ip31_keeps_the_expression_bits(data, shapes, complex_v):
+    shape = data.draw(grid_shapes) if shapes != "vectors" else ()
+    u = data.draw(vectors(shape))
+    v = data.draw(vectors(shape if shapes == "grid" else (), complex if complex_v else float))
+    copies = (u.copy(), v.copy())
+    with np.errstate(all="ignore"):
+        for a, b in ((u, v), (v, u)):
+            got, want = ip31(a, b), ip31_expression(a, b)
+            assert _same_bits_but_nan_sign(got, want)
+            assert type(got) is type(want)    # a vector pair gives a numpy scalar
+    assert _kept((u, v), copies)
+
+
+@FEW
+@given(st.data(), st.booleans())
+def test_in_place_enorm_keeps_the_expression_bits(data, vector):
+    v = data.draw(vectors(() if vector else data.draw(grid_shapes)))
+    copy = v.copy()
+    with np.errstate(all="ignore"):
+        got, want = enorm(v), enorm_expression(v)
+    assert _same_bits_but_nan_sign(got, want) and type(got) is type(want)
+    assert _kept((v,), (copy,))
+
+
+@FEW
+@given(st.data())
+def test_in_place_duality_keeps_the_expression_bits(data):
+    shape = data.draw(grid_shapes)
+    tangents = [data.draw(vectors(shape)) for _ in range(4)]
+    copies = [t.copy() for t in tangents]
+    with np.errstate(all="ignore"):
+        got, want = _duality(*tangents), duality_expression(*tangents)
+    assert all(_same_bits_but_nan_sign(g, w) for g, w in zip(got, want))
+    assert _kept(tangents, copies)
+
+
+@st.composite
+def symmetric_forms(draw, shape):
+    """A symmetric (shape + (2, 2)) form, stored C order, entry-first or strided."""
+    entries = st.one_of(st.floats(-4.0, 4.0), float_values)    # small: det I near 0
+    e, f, g = (draw(hnp.arrays(float, shape, elements=entries)) for _ in range(3))
+    form = np.stack([np.stack([e, f], axis=-1), np.stack([f, g], axis=-1)], axis=-2)
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "component-first":    # entry-first, as verify._form stores it
+        return np.ascontiguousarray(form.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+    return _laid_out(form, layout)
+
+
+@FEW
+@given(st.data())
+def test_in_place_curvatures_keep_the_expression_bits(data):
+    shape = data.draw(grid_shapes)
+    forms = data.draw(symmetric_forms(shape)), data.draw(symmetric_forms(shape))
+    copies = [f.copy() for f in forms]
+    with np.errstate(all="ignore"):
+        h, k, ok = curvatures(*forms)
+        want_h, want_k, want_ok = curvatures_expression(*forms)
+    assert np.array_equal(ok, want_ok)
+    for got, want in ((h, want_h), (k, want_k)):
+        assert _same_bits_but_nan_sign(got, want)
+        assert _same_bits(got[~ok], want[~ok])    # the NaN np.where writes
+    assert _kept(forms, copies)
+
+
+@FEW
+@given(st.integers(1, 12).flatmap(
+           lambda nv: st.integers(1, 12).flatmap(
+               lambda nu: hnp.arrays(bool, (nv, nu)))),
+       st.integers(0, 3))
+def test_one_pass_dilate_mask_keeps_the_rings(masked, iterations):
+    copy = masked.copy()
+    assert np.array_equal(dilate_mask(masked, iterations), dilate_mask_rings(masked, iterations))
+    assert np.array_equal(masked, copy)

@@ -386,6 +386,20 @@ def test_report_fields_hold_one_nan(name):
         assert (bits == 0x7FF8000000000000).all(), field
 
 
+@pytest.mark.parametrize("make", (
+    PIN_SURFACES["quadric-h3-critical"],
+    # a pole of psi on a grid node
+    lambda: make_lw_bryant("1/z", "0.25", 1.0, -0.5, DomainGrid.square(0.6, 41, 0.3 + 0.3j))[0],
+), ids=("quadric-h3-critical", "lw-bryant-pole"))
+def test_surface_fields_hold_one_nan(make):
+    surface = make()
+    assert np.isnan(surface.x).any()
+    for field in ("x", "gauss", "normal"):
+        values = getattr(surface, field)
+        bits = values[np.isnan(values)].view(np.uint64)
+        assert (bits == 0x7FF8000000000000).all(), field
+
+
 def test_verify_surface_peak_is_the_fields_plus_a_band(monkeypatch):
     # with bands of 2 rows a run holds its whole-grid fields and little more;
     # whole-grid temporaries, as one band spanning the grid makes, peak at
