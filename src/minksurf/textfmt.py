@@ -5,7 +5,9 @@ Double.toString) on uint64 arrays: the shortest decimal that rounds back to
 x, nearest x on ties, as repr() prints it.  Zeros, NaN and the infinities
 are fixed strings; subnormals go through repr() itself.  Every field owns a
 fixed-width uint8 slot where byte 0 means "no byte": a chunk of rows is one
-matrix, and its text is the matrix's bytes with the zeros deleted.
+matrix, and its text is the matrix's bytes with the zeros deleted.  Values
+that repeat (grid lines, vertex numbers) are printed once into a table of
+slots, and the rows gather their bytes from it by index.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def _shortest(bits, bq):
     return np.where(upin ^ wpin, sp10 + _U(10) * wpin, f), k
 
 
-def _floats_into(out, x, sep):
-    """Write the repr() bytes of float64 x, then sep, into slots out[..., WIDTH]: byte 0
-    sign, 1-5 "0.000", 6-23 digits and dot, 24-28 exponent, 29 sep (one row each)."""
+def _float_slots(x, sep):
+    """The slots of float64 x, one row each: the repr() bytes, then sep.  Byte 0 is
+    the sign, 1-5 "0.000", 6-23 the digits and dot, 24-28 the exponent, 29 sep."""
     bits = x.reshape(-1).view(np.uint64)
     bq = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
     neg = (bits >> _U(63)).astype(bool)
@@ -140,43 +142,67 @@ def _floats_into(out, x, sep):
         slot[:-1, odd] = _CONSTANTS[kind[odd]].T
         for i in np.flatnonzero(odd & (bq == 0) & ~zero_or_inf):
             slot[:-1, i] = list(repr(float(x.flat[i])).encode().ljust(WIDTH - 1, b"\0"))
-    out[...] = slot.T.reshape(out.shape)
+    return slot.T
 
 
-def _ints_into(out, v, sep):
-    """Write the %d bytes of the ints v, right-aligned, then sep, into slots out."""
-    a = np.abs(v.reshape(-1))
-    width = out.shape[-1] - 1
+def table(values, sep):
+    """The slots of 1-D values, one row each: repr() bytes for floats, %d bytes
+    (right-aligned) for ints, then sep.  write_rows gathers fields from it by index."""
+    v = np.asarray(values)
+    if v.dtype.kind == "f":
+        return np.ascontiguousarray(_float_slots(v, sep))
+    a, neg = np.abs(v), v < 0
+    width = len(str(int(a.max(initial=0)))) + int(neg.any())
     slot = np.empty((width + 1, len(a)), dtype=np.uint8)  # one column per value
-    slot[0] = (v.reshape(-1) < 0) * np.uint8(45)
-    for i in range(width - int((v < 0).any())):
+    slot[0] = neg * np.uint8(45)
+    for i in range(width - int(neg.any())):
         q = a // 10
         slot[width - 1 - i] = (a - q * 10 + 48) * ((a > 0) | (i == 0))
         a = q
     slot[width] = ord(sep)
-    out[...] = slot.T.reshape(out.shape)
+    return slot.T.copy()
 
 
-def write_rows(fh, lead, sep, ints=None, floats=None, int_offset=0):
-    """Write (rows, fields) arrays to fh as rows, CHUNK floats (or rows) at a time:
-    lead, then the ints plus int_offset as %d and the floats as repr, sep-joined,
-    newline-ended.  The offset is added a chunk at a time."""
-    n = len(ints if ints is not None else floats)
-    ints = np.zeros((n, 0), dtype=np.int64) if ints is None else np.asarray(ints)
-    floats = np.ascontiguousarray(np.zeros((n, 0)) if floats is None else floats,
-                                  dtype=np.float64)
-    ni, nf = ints.shape[1], floats.shape[1]
-    lo, hi = (int(ints.min()) + int_offset, int(ints.max()) + int_offset) if ints.size else (0, 0)
-    iw = len(str(max(-lo, hi))) + (lo < 0) + 1     # digits, a sign, the separator
-    start = len(lead) + ni * iw
+def _columns(a):
+    return a[:, None] if a.ndim == 1 else a
+
+
+def write_rows(fh, lead, sep, *cols):
+    """Write n rows to fh, CHUNK floats (or rows) at a time: lead, then the fields of
+    each column in turn, newline-ended.  A column is an (n,) or (n, k) float array,
+    printed as repr() with sep after each field, or a pair (slots, index) of a table
+    and an (n,) or (n, k) int array, whose fields are the table rows at index.  A
+    float column given twice (the same array) is printed once and its bytes copied.
+    """
+    n = len(cols[0][1] if isinstance(cols[0], tuple) else cols[0])
+    floats = {}                     # the distinct float columns: (first float field, values)
+    spans, at = [], len(lead)       # per column: (first byte, fields, width, source)
+    for col in cols:
+        if isinstance(col, tuple):
+            source = (col[0], _columns(np.asarray(col[1])))
+            k, width = source[1].shape[1], col[0].shape[1]
+        else:
+            if id(col) not in floats:
+                values = _columns(np.asarray(col, dtype=np.float64))
+                floats[id(col)] = (sum(v.shape[1] for _f, v in floats.values()), values)
+            source, values = floats[id(col)]
+            k, width = values.shape[1], WIDTH
+        spans.append((at, k, width, source))
+        at += k * width
+    values = [v for _f, v in floats.values()]
+    nf = sum(v.shape[1] for v in values)
     step = max(1, CHUNK // max(nf, 1))
     for r in range(0, n, step):
-        block = np.zeros((min(step, n - r), start + nf * WIDTH), dtype=np.uint8)
+        block = np.empty((min(step, n - r), at), dtype=np.uint8)
         block[:, :len(lead)] = list(lead)
-        if ni:
-            _ints_into(block[:, len(lead):start].reshape(len(block), ni, iw),
-                       ints[r:r + step] + int_offset, sep)
         if nf:
-            _floats_into(block[:, start:].reshape(len(block), nf, WIDTH), floats[r:r + step], sep)
+            printed = _float_slots(np.concatenate([v[r:r + step] for v in values], axis=1),
+                                   sep).reshape(len(block), nf, WIDTH)
+        for start, k, width, source in spans:
+            out = block[:, start:start + k * width].reshape(len(block), k, width)
+            if isinstance(source, tuple):
+                out[...] = source[0].take(source[1][r:r + step], axis=0)
+            else:
+                out[...] = printed[:, source:source + k]
         block[:, -1] = ord("\n")
         fh.write(block.tobytes().translate(None, b"\0"))

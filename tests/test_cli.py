@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minksurf import cli
 from minksurf.cli import (EXIT_BASE_MASKED, EXIT_CONFIG, EXIT_OK, EXIT_PARSE,
                           EXIT_VERIFY, main)
 from minksurf.config import ConfigError, parse_config
@@ -129,6 +130,31 @@ def test_masked_base_exit_code(tmp_path):
 
 
 LW = {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}
+
+
+@pytest.mark.parametrize("target,data", [({"kind": "quadric-h3", "mu": -1.0, "m": 1.0}, None),
+                                         (LW, {"psi": "z", "eta": "0.3"})])
+def test_a_run_drops_the_frame_once_the_surface_is_built(tmp_path, monkeypatch, target, data):
+    seen = {}
+
+    def build(cfg):
+        surface = build_surface(cfg)
+        seen["built"] = sorted(surface.aux)
+        return surface
+
+    def export(surface, *args, **kwargs):
+        seen["exported"] = sorted(surface.aux)
+        return export_mesh(surface, *args, **kwargs)
+
+    build_surface, export_mesh = cli._build_surface, cli.export_mesh
+    monkeypatch.setattr(cli, "_build_surface", build)
+    monkeypatch.setattr(cli, "export_mesh", export)
+    doc = _base_config(tmp_path, target=target)
+    doc["domain"].update(re_min=-0.6, re_max=0.6, im_min=-0.6, im_max=0.6, nu=81, nv=81)
+    if data:
+        doc["data"] = data
+    assert main(["run", _write(tmp_path, doc), "--quiet"]) == EXIT_OK
+    assert "frame" in seen["built"] and "frame" not in seen["exported"]
 
 
 @pytest.mark.parametrize("data, target, message", [

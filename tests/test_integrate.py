@@ -5,6 +5,7 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
+from minksurf.surfaces import make_lw_bryant
 from minksurf.integrate import (FrameSide, FrameWithMovedIntegral, IterationLawFrames,
                                 PathOrder, integrate_closed_form, iteration_law_defect,
                                 path_independence_check, solve_path_system, solve_psi)
@@ -210,16 +211,21 @@ def test_rk4_global_order():
     assert 3.5 <= order <= 4.5
 
 
-def _exact_frame_error(n, m, a=None):
+def _exact_frame_error(n, m, a=None, side=FrameSide.LEFT):
     """The walker's worst error against the exact frame (reference.exact_frame, or its
     conjugate by a for the Moebius image data) over both path orders, relative to
-    max |Psi|; no node of the data or the frame is masked."""
+    max |Psi|; no node of the data or the frame is masked.
+
+    The RIGHT frame of phi = z, omega = 1 is exact too: if Psi solves
+    dPsi = -m xi Psi, then d(Psi^-1) = -Psi^-1 dPsi Psi^-1 = m Psi^-1 xi, so
+    Psi^-1 with -m in place of m solves dPhi = -m Phi xi, and it is I at z = 0.
+    """
     g = DomainGrid.square(1.0, n)
     data = sample_data(*(("z", "1") if a is None else mobius_data(a)), g)
-    want = exact_frame(g.zs(), m, a)
+    want = exact_frame(g.zs(), m, a) if side is FrameSide.LEFT else inv2(exact_frame(g.zs(), -m))
     errors = []
     for order in PathOrder:
-        frame = solve_psi(build_xi(data), m, g, order=order)
+        frame = solve_psi(build_xi(data), m, g, side=side, order=order)
         assert data.mask.all() and frame.valid.all()
         errors.append(np.max(np.abs(frame.values - want)) / np.max(np.abs(want)))
     return max(errors)
@@ -232,6 +238,26 @@ def test_frame_converges_to_the_exact_frame_at_order_4(m, measured):
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.8 <= math.log2(coarse / fine) <= 4.2
     assert errors[-1] <= 2 * measured
+
+
+# the 161^2 error measured on a 2-core x86-64 host (numpy 2.4.6): 16x per halving
+@pytest.mark.parametrize("m,measured", [(1.0, 1.12e-12), (-0.5, 2.72e-13), (2.0, 5.22e-12)])
+def test_right_frame_converges_to_the_exact_frame_at_order_4(m, measured):
+    errors = [_exact_frame_error(n, m, side=FrameSide.RIGHT) for n in (41, 81, 161)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 <= math.log2(coarse / fine) <= 4.2
+    assert errors[-1] <= 2 * measured
+
+
+def test_lw_frame_of_z_and_1_is_the_exact_right_frame():
+    # make_lw_bryant walks dPsi = -m Psi xi with the density of (psi, eta) = (z, 1);
+    # measured 8.36e-11 at 81^2, the RIGHT error above at m = 2
+    g = DomainGrid.square(1.0, 81)
+    surface, _middle = make_lw_bryant("z", "1", 2.0, -0.5, g)
+    want = inv2(exact_frame(g.zs(), -2.0))
+    assert surface.aux["frame"].valid.all()
+    error = np.max(np.abs(surface.aux["frame"].values - want)) / np.max(np.abs(want))
+    assert error <= 2 * 8.36e-11
 
 
 # phi' has a pole between the nodes, but the density and the frame stay entire;

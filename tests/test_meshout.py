@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,9 +261,60 @@ def test_text_bytes_pinned_across_block_seams(tmp_path, monkeypatch, name):
     # every fixture fits in one ROW_BLOCK; small blocks and kernel chunks cross seams
     monkeypatch.setattr(meshout, "ROW_BLOCK", 7)
     monkeypatch.setattr(textfmt, "CHUNK", 5)
-    for fmt in ("csv", "obj"):
+    for fmt in ("csv", "obj", "ply"):
         data = _golden_bytes(tmp_path, name, fmt)
         assert hashlib.sha256(data).hexdigest() == GOLDEN[(name, fmt)]
+
+
+@pytest.mark.parametrize("row_block", [7, meshout.ROW_BLOCK])
+@pytest.mark.parametrize("kind,alias", [("affine-e3", ("mean_curvature", "H")),
+                                        ("quadric-lightcone", ("intrinsic_flatness", "K_int"))])
+def test_a_field_under_two_names_prints_as_two_arrays_do(tmp_path, monkeypatch, row_block,
+                                                         kind, alias):
+    monkeypatch.setattr(meshout, "ROW_BLOCK", row_block)
+    data = sample_data("z", "1 + 0.1*z^2", DomainGrid.square(0.5, 17))
+    s = make_affine_surface(data, E0) if kind == "affine-e3" else make_quadric_surface(data, 1.0, 0.0)
+    rep = verify_surface(s)
+    assert rep.fields[alias[0]] is rep.fields[alias[1]]
+    write_curvature_csv(s, rep, tmp_path / "one.csv")
+    rep.fields[alias[0]] = rep.fields[alias[0]].copy()
+    write_curvature_csv(s, rep, tmp_path / "two.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_a_grid_line_holding_both_signs_of_zero_prints_each_node(tmp_path):
+    # re_max = -0.0: the last grid column's re_z is -0.0 below the real axis and
+    # 0.0 on and above it, so that column cannot print from one slot per line
+    g = DomainGrid(-1.0, -0.0, -0.5, 0.5, 5, 5, (2, 2))
+    zs = g.zs()
+    x = np.stack([np.zeros(g.shape), zs.real, zs.imag, np.zeros(g.shape)], axis=-1)
+    s = SurfaceSample(grid=g, kind=GeometryKind.AFFINE_E3, x=x,
+                      mask=np.ones(g.shape, dtype=bool), params={"p": (1.0, 0.0, 0.0, 0.0)})
+    s.mask[0, 1] = False
+    write_curvature_csv(s, verify_surface(s), tmp_path / "c.csv")
+    rows = [line.split(",")[:4] for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
+    want = [[str(iu), str(iv), repr(float(zs[iv, iu].real)), repr(float(zs[iv, iu].imag))]
+            for iv, iu in zip(*np.nonzero(s.mask))]
+    assert rows == want
+    assert {r[2] for r in rows if r[0] == "4"} == {"-0.0", "0.0"}
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_export_mesh_adds_less_than_its_face_array(tmp_path, monkeypatch, fmt):
+    # faces go out a block of grid rows at a time.  Small blocks and kernel chunks
+    # keep the fixed working set small, so what shows is what grows with the mesh:
+    # the projection (38 B per node), never the (faces, 3) int64 array (48 B per node)
+    monkeypatch.setattr(meshout, "ROW_BLOCK", 256)
+    monkeypatch.setattr(textfmt, "CHUNK", 256)
+    s, rep = _quadric("z", "1 + 0.1*z^2", DomainGrid.square(1.0, 161))
+    tracemalloc.start()
+    try:
+        _nverts, nfaces = export_mesh(s, tmp_path / f"m.{fmt}", mesh_format=fmt,
+                                      quality=rep.fields["H"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nfaces > 50_000 and peak < nfaces * 3 * 8
 
 
 def test_golden_fixtures_cover_the_cases():

@@ -16,11 +16,12 @@ from minksurf.expr import FUNCTIONS, Call, Div, Expr, Pow, differentiate, parse_
 from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
-from minksurf.minkowski import E0, E1, enorm, ip31
+from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
+from minksurf.surfaces import GeometryKind, make_affine_surface, make_quadric_surface
 from minksurf.verify import _duality, curvatures, intrinsic_curvature
 from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
                        duality_expression, enorm_expression, eval_at, inv2,
-                       ip31_expression, mobius_data)
+                       ip31_expression, mobius_data, vec_from_herm_unchecked)
 
 # a fifth of the profile's examples: 20 locally, more under the ci profile (conftest.py)
 FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
@@ -403,6 +404,55 @@ def test_frames_are_sl2_covariant(a, side):
     want = a @ psi @ inv2(a)
     assert np.array_equal(got_valid, valid)
     assert np.max(np.abs(got - want)[valid]) <= 1e-12 * np.max(np.abs(want)[valid])
+
+
+@st.composite
+def su2_group(draw):
+    """A in SU(2): [[a, b], [-conj b, conj a]] from a unit quaternion (a, b)."""
+    q = draw(hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)).filter(
+        lambda q: np.linalg.norm(q) >= 0.25))
+    a, b = complex(*q[:2] / np.linalg.norm(q)), complex(*q[2:] / np.linalg.norm(q))
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+
+
+def _lorentz(a, v):
+    """Lambda(A) v, defined by herm(Lambda(A) v) = A herm(v) A*, broadcasting."""
+    return vec_from_herm_unchecked(a @ herm_from_vec(v) @ a.conj().T)
+
+
+def _assert_moved_by(a, surface, moved):
+    """moved.x = Lambda(A) surface.x to 1e-12 of max |x| where both are finite.  (The
+    masks need not agree: their degeneracy tests are normed in Euclidean components.)"""
+    on = np.isfinite(surface.x).all(axis=-1) & np.isfinite(moved.x).all(axis=-1)
+    assert on.all()
+    want = _lorentz(a, surface.x)
+    assert np.max(np.abs(moved.x - want)[on]) <= 1e-12 * np.max(np.abs(want)[on])
+
+
+@FEW
+@given(su2_group())
+def test_quadric_h3_is_su2_covariant(a):
+    # x = Psi diag(1, -mu) Psi*, and the Moebius data's frame is A Psi A^-1; for mu = -1
+    # and A in SU(2), A^-1 diag(1, -mu) A^-* = I, so x' = A x A*
+    assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
+    surface, moved = (make_quadric_surface(sample_data(phi, omega, COVARIANCE_GRID), 1.0, -1.0)
+                      for phi, omega in (COVARIANCE_DATA, mobius_data(a, *COVARIANCE_DATA)))
+    _assert_moved_by(a, surface, moved)
+
+
+@FEW
+@given(sl2_group(), st.sampled_from([E0, E3]))
+def test_affine_surfaces_are_sl2_covariant(a, p):
+    # dx = -(zeta p) has the density M dz + (M dz)* with M = xi_hat herm(p).  The Moebius
+    # data's density is A xi_hat A^-1, so with herm(p') = A herm(p) A* M' = A M A*, and
+    # x' = Lambda(A) x from x = 0 at the base node; boosts included
+    assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
+    surface = make_affine_surface(sample_data(*COVARIANCE_DATA, COVARIANCE_GRID), p)
+    moved = make_affine_surface(sample_data(*mobius_data(a, *COVARIANCE_DATA), COVARIANCE_GRID),
+                                _lorentz(a, p))
+    assert surface.kind is moved.kind is (GeometryKind.AFFINE_E3 if p is E0
+                                          else GeometryKind.AFFINE_L3)
+    _assert_moved_by(a, surface, moved)
 
 
 # The verifier's in-place kernels against the expressions they replaced

@@ -9,22 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minksurf import textfmt
-from minksurf.textfmt import write_rows
+from minksurf.textfmt import table, write_rows
 
 
-def _text(lead, sep, **table):
+def _text(lead, sep, *cols):
     out = io.BytesIO()
-    write_rows(out, lead, sep, **table)
+    write_rows(out, lead, sep, *cols)
     return out.getvalue()
 
 
-def _lines(**table):
-    return _text(b"", b",", **table).split(b"\n")[:-1]
+def _lines(*cols):
+    return _text(b"", b",", *cols).split(b"\n")[:-1]
 
 
 def _assert_repr(x):
     x = np.asarray(x, dtype=float)
-    got = _lines(floats=x[:, None])
+    got = _lines(x[:, None])
     bad = [(v, g) for v, g in zip(x.tolist(), got) if g != repr(v).encode()]
     assert len(got) == len(x) and bad == []
 
@@ -55,8 +55,10 @@ SPECIAL = [
 
 def test_special_values_print_as_repr():
     nans = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
-    assert _lines(floats=nans[:, None]) == [b"nan"] * len(nans)
+    assert _lines(nans[:, None]) == [b"nan"] * len(nans)
     _assert_repr(SPECIAL + [-v for v in SPECIAL])
+    x = np.array(SPECIAL + [-v for v in SPECIAL])
+    assert _lines((table(x, b","), np.arange(len(x)))) == [repr(v).encode() for v in x.tolist()]
 
 
 INTS = [0] + [s * (10 ** k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)]
@@ -64,7 +66,7 @@ INTS = [0] + [s * (10 ** k + d) for k in range(19) for d in (-1, 0, 1) for s in 
 
 def test_ints_print_as_percent_d():
     v = np.array(INTS, dtype=np.int64)
-    assert _lines(ints=v[:, None]) == [b"%d" % i for i in INTS]
+    assert _lines((table(v, b","), np.arange(len(v)))) == [b"%d" % i for i in INTS]
 
 
 @pytest.mark.parametrize("chunk", [1, 5, textfmt.CHUNK])
@@ -75,31 +77,55 @@ def test_rows_match_the_percent_format(monkeypatch, chunk):
     floats[[2, 5, 7], [0, 2, 1]] = [np.nan, -0.0, 5e-324]
     ints = rng.integers(-5, 12345, (23, 2))
     want = "".join("%d %d %r %r %r\n" % (*i, *f) for i, f in zip(ints.tolist(), floats.tolist()))
-    assert _text(b"", b" ", ints=ints, floats=floats) == want.encode()
+    at = np.arange(ints.size).reshape(ints.shape)
+    assert _text(b"", b" ", (table(ints.ravel(), b" "), at), floats) == want.encode()
     want = "".join("v %r %r %r\n" % tuple(f) for f in floats.tolist())
-    assert _text(b"v ", b" ", floats=floats) == want.encode()
+    assert _text(b"v ", b" ", floats) == want.encode()
 
 
 @pytest.mark.parametrize("chunk", [1, 5, textfmt.CHUNK])
-def test_int_offset_prints_the_shifted_ints(monkeypatch, chunk):
+def test_table_columns_print_their_rows_at_the_index(monkeypatch, chunk):
     monkeypatch.setattr(textfmt, "CHUNK", chunk)
-    ints = np.random.default_rng(4).integers(-12345, 99999, (23, 3))
-    ints[0] = [-1, 99999, 9]    # the offset moves the sign and the digit count
-    want = "".join("f %d %d %d\n" % tuple(i + 1 for i in row) for row in ints.tolist())
-    assert _text(b"f ", b" ", ints=ints, int_offset=1) == want.encode()
+    rng = np.random.default_rng(4)
+    numbers = np.arange(-12345, 100000)         # the sign and the digit count vary
+    at = rng.integers(0, len(numbers), (23, 3))
+    grid = rng.standard_normal(11) * 10.0 ** rng.integers(-20, 20, 11)
+    line = rng.integers(0, len(grid), 23)
+    floats = rng.standard_normal(23)
+    want = "".join("f %d %d %d %r %r\n" % (*numbers[i], grid.tolist()[j], f)
+                   for i, j, f in zip(at.tolist(), line.tolist(), floats.tolist()))
+    got = _text(b"f ", b" ", (table(numbers, b" "), at), (table(grid, b" "), line), floats)
+    assert got == want.encode()
 
 
-def test_int_offset_adds_a_chunk_at_a_time():
-    # OBJ faces: no whole-array copy of the indices for the 1-based shift
+@pytest.mark.parametrize("chunk", [1, 5, textfmt.CHUNK])
+def test_a_float_column_given_twice_prints_once(monkeypatch, chunk):
+    monkeypatch.setattr(textfmt, "CHUNK", chunk)
+    printed = []
+    float_slots = textfmt._float_slots
+    monkeypatch.setattr(textfmt, "_float_slots", lambda x, sep: (printed.append(x.size),
+                                                                  float_slots(x, sep))[1])
+    rng = np.random.default_rng(5)
+    h, k = rng.standard_normal(23), rng.standard_normal((23, 2))
+    h[[3, 9]] = [np.nan, -np.inf]
+    want = "".join("%r,%r,%r,%r,%r\n" % (a, *b, a, a) for a, b in zip(h.tolist(), k.tolist()))
+    assert _text(b"", b",", h, k, h, h).decode() == want
+    assert sum(printed) == 3 * 23
+    assert _text(b"", b",", h, k, h.copy(), h) == want.encode()
+
+
+def test_table_columns_gather_a_chunk_at_a_time():
+    # OBJ faces: the vertex numbers print once, and no whole-array copy of the indices
     class Tail:
         def write(self, data):
             self.last = data
 
     tris = np.arange(600_000, dtype=np.int64).reshape(-1, 3)
+    numbers = table(np.arange(1, 600_001), b" ")
     sink = Tail()
     tracemalloc.start()
     try:
-        write_rows(sink, b"f ", b" ", ints=tris, int_offset=1)
+        write_rows(sink, b"f ", b" ", (numbers, tris))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
