@@ -17,9 +17,15 @@ for a block of edges in one batched call, and the walk composes
 Psi_next = P Psi (LEFT) or Psi P (RIGHT).  Every P is divided by the
 principal square root of its determinant; its raw |det P - 1| per unit
 length is the recorded drift.  The T-transform and the iteration law solve
-coupled local problems on the same edges.  A closed 1-form density is one
-more edge problem: RK4 on dy = f dz is composite Simpson, so each edge
-adds its Simpson sum to the state.
+coupled local problems on the same edges; the law moves its coefficient
+by the stage values S of F_t's propagator as (S xi adj S)(s delta / det S),
+one division per edge and stage.  A closed 1-form density is one more edge
+problem: RK4 on dy = f dz is composite Simpson, so each edge adds its
+Simpson sum to the state.
+
+The walk takes both halves of the base row as one batch, then both halves
+of the columns; each edge is still solved on its own and each line composes
+only its own states, so the batching moves no bit.
 """
 
 from __future__ import annotations
@@ -109,6 +115,11 @@ def _det(a):
     return a[0] * a[3] - a[1] * a[2]
 
 
+def _adj(a):
+    """Adjugate as a tuple of entries: a . adj(a) = det(a) I."""
+    return a[3], -a[1], -a[2], a[0]
+
+
 def _inv(a):
     out = a[[3, 1, 2, 0]]
     np.negative(out[1:3], out=out[1:3])
@@ -162,9 +173,9 @@ def _rk4_substeps(a, left):
 # Edge problems: a frame equation plus what rides on it, or a quadrature,
 # with state0 at the base node.  local(xi, delta) solves it on a batch of
 # edges, given the coefficient at every sample point (entries, points,
-# edges) and each edge's RK4 substep, and returns the local solutions and
-# the raw determinants of its frame propagators (none for a quadrature);
-# step(state, local) composes one edge into the state.
+# edges; its own to overwrite) and each edge's RK4 substep, and returns the
+# local solutions and the raw determinants of its frame propagators (none
+# for a quadrature); step(state, local) composes one edge into the state.
 
 @dataclass
 class FrameEquation:
@@ -182,7 +193,8 @@ class FrameEquation:
         self.state0 = self.psi0.reshape(4)
 
     def local(self, xi, delta):
-        for p, _, _ in _rk4_substeps(xi * (-self.m * delta), self.side is FrameSide.LEFT):
+        xi *= -self.m * delta
+        for p, _, _ in _rk4_substeps(xi, self.side is FrameSide.LEFT):
             pass
         return _renormalized(p)
 
@@ -202,7 +214,8 @@ class FrameWithMovedIntegral:
 
     def local(self, xi, delta):
         q = 0.0
-        for p, stages, slopes in _rk4_substeps(xi * (-self.m * delta), True):
+        xi *= -self.m * delta
+        for p, stages, slopes in _rk4_substeps(xi, True):
             g1, g2, g3, g4 = (_mul(_inv(s), k) for s, k in zip(stages, slopes))
             q = q + _rk4_sum(g1, g2, g3, g4)
         p, dets = _renormalized(p)
@@ -229,10 +242,14 @@ class IterationLawFrames:
     def local(self, xi, delta):
         first = _rk4_substeps(xi * (self.t * delta), False)
         third = _rk4_substeps(xi * ((self.t + self.s) * delta), False)
+        sd = self.s * delta
         p2 = np.repeat(IDENTITY2.reshape(4, 1), len(delta), axis=1)
         for k, ((p1, stages, _), (p3, _, _)) in enumerate(zip(first, third)):
-            moved = [(self.s * delta) * _mul(_mul(st, xi[:, 2 * k + j]), _inv(st))
+            # s delta S xi S^-1 = (S xi adj S) (s delta / det S): one division
+            moved = [_mul(_mul(st, xi[:, 2 * k + j]), _adj(st))
                      for st, j in zip(stages, (0, 1, 1, 2))]
+            for c, st in zip(moved, stages):
+                c *= sd / _det(st)
             p2, _, _ = _rk4_substep(p2, moved, False)
         return _renormalized(p1, p2, p3)
 
@@ -278,44 +295,58 @@ def _simpson_weights(substeps):
 
 def _edge_samples(coeff, z0, z1, substeps):
     """coeff at the 2*substeps + 1 sample points of the edges z0 -> z1, as
-    (entries, points, edges), and each edge's RK4 substep."""
+    (entries, points, edges), and each edge's RK4 substep.  The samples are
+    the walk's own (coeff returns a new array per call), so a local solver
+    may scale them in place."""
     dz = z1 - z0
     pts = z0.ravel() + dz.ravel() * (np.arange(2 * substeps + 1) / 2 / substeps)[:, None]
     f = np.moveaxis(np.reshape(coeff(pts), pts.shape + (-1,)), -1, 0)
     return np.ascontiguousarray(f), (dz / substeps).ravel()
 
 
-def _walk(problem, substeps, z, ok, out, valid):
-    """Compose edge solutions forward along axis 0 of one set of lines.
+def _walk(problem, substeps, halves):
+    """Compose edge solutions forward along axis 0 of sets of lines, as one batch.
 
-    z, ok and valid are (nodes, batch) views, out is (nodes, batch,
-    entries) with the first node filled in.  Returns the largest raw
-    |det P - 1| per unit length over edges that leave a valid node.
+    Each half is (z, ok, out, valid): z, ok and valid are (nodes, lines)
+    views, out is (nodes, lines, entries) with the first node filled in.
+    Each block solves the next rows of edges of every half still walking in
+    one local call and composes them one row at a time; a block stops where
+    a half ends, and that half drops out of the batch.  Returns the largest
+    raw |det P - 1| per unit length over edges that leave a valid node.
     """
-    drift = 0.0
-    state, live = out[0].T, valid[0]
-    rows = max(1, EDGE_BLOCK // z.shape[1])
-    for b0 in range(1, len(z), rows):
-        b1 = min(b0 + rows, len(z))
-        z0, z1 = z[b0 - 1:b1 - 1], z[b0:b1]
+    halves = sorted(halves, key=lambda h: -len(h[0]))   # those still walking lead
+    state = np.concatenate([out[0].T for _, _, out, _ in halves], axis=1)
+    live = np.concatenate([valid[0] for *_, valid in halves])
+    drift, b0 = 0.0, 1
+    while b0 < len(halves[0][0]):
+        walking = [h for h in halves if len(h[0]) > b0]
+        cols = np.cumsum([0] + [h[0].shape[1] for h in walking])
+        b1 = min(b0 + max(1, EDGE_BLOCK // cols[-1]), len(walking[-1][0]))
+        z, ok = (np.concatenate([h[k][b0 - 1:b1] for h in walking], axis=1) for k in (0, 1))
+        z0, z1 = z[:-1], z[1:]
+        state, live = state[:, :cols[-1]], live[:cols[-1]]
         local, dets = problem.local(*_edge_samples(problem.coeff, z0, z1, substeps))
         local = local.reshape(local.shape[:1] + z0.shape)
         for i in range(b1 - b0):
             state = problem.step(state, local[:, i])
-            live = live & ok[b0 + i] & np.isfinite(state).all(axis=0)
-            out[b0 + i] = state.T
-            valid[b0 + i] = live
+            live = live & ok[i + 1] & np.isfinite(state).all(axis=0)
+            for (_, _, out, valid), c0, c1 in zip(walking, cols, cols[1:]):
+                out[b0 + i] = state[:, c0:c1].T
+                valid[b0 + i] = live[c0:c1]
         bad = np.abs(dets.reshape(dets.shape[:1] + z0.shape) - 1.0) / np.abs(z1 - z0)
-        bad = bad[:, valid[b0 - 1:b1 - 1]]
+        bad = bad[:, np.concatenate([valid[b0 - 1:b1 - 1] for *_, valid in walking], axis=1)]
         drift = max(drift, float(np.max(bad, where=np.isfinite(bad), initial=0.0)))
+        b0 = b1
     return drift
 
 
 def _walk_staircases(grid, problem, mask, order, substeps):
     """States of an edge problem at every node, their validity and the drift.
 
-    Local solutions are computed for whole rows of edges, about EDGE_BLOCK
-    edges per call, and composed node by node.  A node is valid when the
+    The base row is walked as one batch of its two halves, then the columns
+    as one batch of the rows above and below it: local solutions are
+    computed for whole rows of edges, about EDGE_BLOCK edges per call, and
+    composed one row of nodes at a time.  A node is valid when the
     node before it on its path is, it is unmasked and its state is finite;
     invalid nodes hold NaN in both the real and the imaginary part.
     """
@@ -326,12 +357,10 @@ def _walk_staircases(grid, problem, mask, order, substeps):
     valid[r0, c0] = node_ok[r0, c0]
     drift = 0.0
     with np.errstate(all="ignore"):
-        for sl in (np.s_[c0:], np.s_[c0::-1]):
-            drift = max(drift, _walk(problem, substeps, zs[r0, sl, None],
-                                     node_ok[r0, sl, None], out[r0, sl, None],
-                                     valid[r0, sl, None]))
-        for sl in (np.s_[r0:], np.s_[r0::-1]):
-            drift = max(drift, _walk(problem, substeps, zs[sl], node_ok[sl], out[sl], valid[sl]))
+        for halves in ((np.s_[r0, c0:, None], np.s_[r0, c0::-1, None]),
+                       (np.s_[r0:], np.s_[r0::-1])):
+            drift = max(drift, _walk(problem, substeps,
+                                     [(zs[sl], node_ok[sl], out[sl], valid[sl]) for sl in halves]))
     out[~valid] = complex(np.nan, np.nan)
     if order is PathOrder.COLUMN_FIRST:
         return np.swapaxes(out, 0, 1), valid.T, drift
@@ -381,7 +410,8 @@ def solve_psi(xi, m, grid, psi0=None, *, side=FrameSide.LEFT, mask=None,
               order=PathOrder.ROW_FIRST, substeps=4) -> FrameField:
     """Integrate the frame equation for a matrix density xi.
 
-    xi is an XiField or a callable z -> (..., 2, 2); the equation side is
+    xi is an XiField or a callable z -> (..., 2, 2) that returns a new array
+    per call (the walk may scale it in place); the equation side is
     dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT).  psi0 must have
     determinant 1; m = 0 returns the constant frame psi0.
     """

@@ -226,8 +226,9 @@ def _frame_conjugate(psi, h):
 def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     """Frame transport x = Psi diag(1, -mu) Psi* with (x, x) = mu.
 
-    Masks nodes where x is orthogonal to the Gauss direction.  For mu != 0
-    an ambient-tangent unit normal gauss + x/mu is attached.
+    Masks nodes where x is orthogonal to the Gauss direction; for mu < 0, x
+    is timelike and the Gauss direction null, so none is.  For mu != 0 an
+    ambient-tangent unit normal gauss + x/mu is attached.
     """
     if m == 0:
         raise ValueError("m must be non-zero")
@@ -239,7 +240,9 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     with np.errstate(all="ignore"):    # a huge phi or x overflows the norms: degenerate there
         g = gauss_lift(data.phi)
         gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
-    mask = frame.valid & data.mask & ~degenerate
+    mask = frame.valid & data.mask
+    if mu >= 0:
+        mask &= ~degenerate
     with np.errstate(all="ignore"):    # a small mu can overflow x / mu
         normal = None if mu == 0 else gauss + x / mu
     return SurfaceSample(grid=data.grid, kind=quadric_kind_for(mu), x=x, mask=mask,

@@ -541,3 +541,69 @@ def test_iteration_law_matches_per_node_reference(case):
     fro = np.sqrt(np.sum(np.abs(prod - prod[g.base_index]) ** 2, axis=(-2, -1)))
     want = float(np.max(fro[valid]))
     assert abs(iteration_law_defect(xi, t, s, g) - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the two halves of the base row, and of the columns, are walked as one batch;
+# every edge is solved on its own and every line composes only its own states,
+# so walking each half on its own moves no bit
+
+def _walk_problems(xi_fn, density):
+    from minksurf.integrate import FrameEquation, _Quadrature, _simpson_weights
+    return {**{f"frame-{side.value}": (FrameEquation(xi_fn, 1.0, side, PSI0), 4)
+               for side in FrameSide},
+            "moved-integral": (FrameWithMovedIntegral(xi_fn, 1.0), 4),
+            "iteration-law": (IterationLawFrames(xi_fn, 0.5, 0.25), 4),
+            "quadrature": (_Quadrature(density, np.zeros(4, dtype=complex),
+                                       _simpson_weights(4)), 2)}
+
+
+def _walk_by_halves(grid, problem, mask, order, substeps, together):
+    """States, valid nodes and per-stage drifts (base row, columns) of the staircase,
+    its halves walked as one batch or one half at a time."""
+    from minksurf.integrate import _oriented, _walk
+    zs, ok, (r0, c0) = _oriented(grid, mask, order)
+    out = np.full(zs.shape + problem.state0.shape, np.nan, dtype=complex)
+    valid = np.zeros(zs.shape, dtype=bool)
+    out[r0, c0] = problem.state0
+    valid[r0, c0] = ok[r0, c0]
+    drifts = []
+    with np.errstate(all="ignore"):
+        for stage in ((np.s_[r0, c0:, None], np.s_[r0, c0::-1, None]),
+                      (np.s_[r0:], np.s_[r0::-1])):
+            halves = [(zs[sl], ok[sl], out[sl], valid[sl]) for sl in stage]
+            batches = [halves] if together else [[h] for h in halves]
+            drifts.append(max(_walk(problem, substeps, b) for b in batches))
+    return out, valid, drifts
+
+
+WALK_CASES = {**REF_CASES,
+              "masked-pole-off-center": (lambda: DomainGrid(-1.0, 1.0, -1.0, 1.0, 11, 9, (6, 3)),
+                                         "1/z", "1")}
+
+
+@pytest.mark.parametrize("case", ["masked-pole", "nv-ne-nu", "masked-pole-off-center"])
+@pytest.mark.parametrize("order", list(PathOrder))
+@pytest.mark.parametrize("edge_block", [4096, 40])
+def test_walking_both_halves_at_once_moves_no_bit(monkeypatch, case, order, edge_block):
+    # masked-pole: the base is a corner, so one half of each stage is the base node
+    # alone; the other two: every half has its own length, and with 40 edges per block
+    # the shorter half ends where a block of the batch would otherwise run on; the
+    # last one masks the pole's node and ring inside one half of the columns
+    from minksurf import integrate
+    from minksurf.forms import zeta_density_fn
+    from minksurf.minkowski import E0
+    monkeypatch.setattr(integrate, "EDGE_BLOCK", edge_block)
+    make_grid, phi, omega = WALK_CASES[case]
+    g = make_grid()
+    data = sample_data(phi, omega, g)
+    xi = build_xi(data)
+    for name, (problem, substeps) in _walk_problems(xi.fn, zeta_density_fn(data, E0)).items():
+        got, got_valid, got_drifts = _walk_by_halves(g, problem, xi.mask, order, substeps, True)
+        want, want_valid, want_drifts = _walk_by_halves(g, problem, xi.mask, order, substeps,
+                                                        False)
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert np.array_equal(got_valid, want_valid), name
+        assert got_drifts == want_drifts, name
+        assert want_valid.any() and want_valid.all() == (case == "nv-ne-nu"), name
+        assert max(want_drifts) > 0.0 or name == "quadrature", name

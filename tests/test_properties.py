@@ -17,7 +17,8 @@ from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
-from minksurf.surfaces import GeometryKind, make_affine_surface, make_quadric_surface
+from minksurf.surfaces import (GeometryKind, make_affine_surface, make_quadric_surface,
+                               uy_perturb)
 from minksurf.verify import _duality, curvatures, intrinsic_curvature
 from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
                        duality_expression, enorm_expression, eval_at, inv2,
@@ -437,6 +438,19 @@ def test_quadric_h3_is_su2_covariant(a):
     assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
     surface, moved = (make_quadric_surface(sample_data(phi, omega, COVARIANCE_GRID), 1.0, -1.0)
                       for phi, omega in (COVARIANCE_DATA, mobius_data(a, *COVARIANCE_DATA)))
+    _assert_moved_by(a, surface, moved)
+
+
+@FEW
+@given(su2_group())
+def test_uy_perturb_is_su2_covariant(a):
+    # the Moebius data's frame is A Psi A^-1, so M = int Psi^-1 dPsi moves to A M A^-1; x is
+    # vec(M C + (M C)*) from BASE_X = 0 with C = diag(1, -mu) = I at mu = -1, and A^-1 = A*
+    # in SU(2), so x' = A x A*; the anchor e0 and the Gauss map's masks move with it
+    assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
+    surface, moved = (uy_perturb(sample_data(phi, omega, COVARIANCE_GRID), 1.0, -1.0)
+                      for phi, omega in (COVARIANCE_DATA, mobius_data(a, *COVARIANCE_DATA)))
+    assert np.array_equal(moved.mask, surface.mask)
     _assert_moved_by(a, surface, moved)
 
 

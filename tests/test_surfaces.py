@@ -167,6 +167,16 @@ def test_quadric_matches_the_exact_frame(mu, pole):
     assert np.max(np.abs(s.x - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def test_h3_quadric_masks_no_node_of_pole_data():
+    # for mu < 0, x is timelike and g null, so (x, g) vanishes nowhere; a test
+    # normed by Euclidean |x| |g| masked 958 of these 6,561 good nodes
+    data = sample_data(*mobius_data(mobius_pole(0.31)), DomainGrid.square(1.0, 81))
+    s = make_quadric_surface(data, 1.0, -1.0)
+    assert data.mask.all() and s.aux["frame"].valid.all()
+    assert s.mask.all()
+    assert np.isfinite(s.gauss).all()
+
+
 @pytest.mark.parametrize("factory", [make_quadric_surface, uy_perturb])
 def test_quadric_rejects_zero_m(factory):
     g = DomainGrid.square(1.0, 9)
