@@ -16,17 +16,34 @@ log and sqrt use the principal branch.  Exponents are integer literals
 (chained "^" is rejected).  Evaluation is deterministic and vectorized;
 poles and branch-point hits are reported through an explicit singular
 mask, never as silent non-finite numbers.
+
+Trees are built from Const, Var, Neg, Pow, Call and BinOp, whose operator
+("+", "-", "*" or "/") keys the _OPS table: its precedence, printed separator
+and Python operator serve the printer, the evaluator and constant folding.
+An expression nests at most MAX_DEPTH levels (each binary operator, sign,
+"^", function call and pair of parentheses is one); deeper input is a syntax
+error at the token that passes the bound.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 CONSTANTS = {"i": 1j, "pi": complex(np.pi), "e": complex(np.e)}
-_DIGITS = frozenset("0123456789")   # str.isdigit() also accepts "²" and "٣"
+# operator: (precedence, printed separator, Python operator)
+_OPS = {"+": (1, " + ", operator.add), "-": (1, " - ", operator.sub),
+       "*": (2, "*", operator.mul), "/": (2, "/", operator.truediv)}
+# Inputs in use nest about 10 levels.  At 100 a derivative (up to 3x deeper)
+# takes about 300 frames to evaluate or print, and nested parentheses about
+# 800 to parse: inside Python's default recursion limit of 1,000.
+MAX_DEPTH = 100
+# [0-9], not \d or str.isdigit(): those also accept "²" and "٣"
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class ExprSyntaxError(ValueError):
@@ -53,25 +70,8 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+class BinOp(Expr):
+    op: str
     left: Expr
     right: Expr
 
@@ -111,47 +111,37 @@ def _tokenize(source):
             k += 1
             continue
         if c in "+-*/^()":
-            tokens.append((c, c, k))
-            k += 1
-            continue
-        if c in _DIGITS or (c == "." and k + 1 < n and source[k + 1] in _DIGITS):
-            j = k
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                j2 = j + 1
-                if j2 < n and source[j2] in "+-":
-                    j2 += 1
-                if j2 < n and source[j2] in _DIGITS:
-                    j = j2
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            if not np.isfinite(float(source[k:j])):    # exponents too: they become floats
-                raise ExprSyntaxError(f"number {source[k:j]!r} overflows a float", k)
-            tokens.append(("num", source[k:j], k))
-            k = j
-            continue
-        if c.isalpha() or c == "_":
-            j = k
+            kind, j = c, k + 1
+        elif number := _NUMBER.match(source, k):
+            kind, j = "num", number.end()
+            if not np.isfinite(float(number.group())):    # exponents too: they become floats
+                raise ExprSyntaxError(f"number {number.group()!r} overflows a float", k)
+        elif c.isalpha() or c == "_":
+            kind, j = "ident", k + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(("ident", source[k:j], k))
-            k = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", k)
+        else:
+            raise ExprSyntaxError(f"unexpected character {c!r}", k)
+        tokens.append((kind, source[k:j], k))
+        k = j
     tokens.append(("end", "", n))
     return tokens
 
 
+def _deeper(depth, tok):
+    """depth + 1: a level opened at tok over a subtree depth levels deep."""
+    if depth >= MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", tok[2])
+    return depth + 1
+
+
 class _Parser:
+    """Recursive descent; each rule returns (tree, depth in MAX_DEPTH's levels)."""
+
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.k = 0
+        self.open = 0       # signs, calls and parentheses the parser is inside
 
     def peek(self):
         return self.tokens[self.k]
@@ -167,48 +157,54 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nested(self, tok, rule):
+        """rule() inside one more sign, call or parenthesis opened at tok; refused
+        there, before recursing, once the open levels and an atom pass the bound."""
+        self.open += 1
+        _deeper(self.open, tok)
+        e, depth = rule()
+        self.open -= 1
+        return e, _deeper(depth, tok)
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return e
 
+    def _chain(self, ops, operand):
+        e, depth = operand()
+        while self.peek()[0] in ops:
+            tok = self.advance()
+            rhs, rhs_depth = operand()
+            e, depth = BinOp(tok[0], e, rhs), _deeper(max(depth, rhs_depth), tok)
+        return e, depth
+
     def expr(self):
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+        return self._chain("+-", self.term)
 
     def term(self):
-        e = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
+        return self._chain("*/", self.factor)
 
     def factor(self):
         tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return Neg(self.factor())
-        if tok[0] == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
+        if tok[0] not in "+-":
+            return self.power()
+        self.advance()
+        e, depth = self.nested(tok, self.factor)
+        return (Neg(e) if tok[0] == "-" else e), depth
 
     def power(self):
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
+        base, depth = self.atom()
+        tok = self.peek()
+        if tok[0] != "^":
+            return base, depth
         self.advance()
         n = self._integer_exponent()
         if self.peek()[0] == "^":
             raise ExprSyntaxError("chained '^' is not supported", self.peek()[2])
-        return Pow(base, n)
+        return Pow(base, n), _deeper(depth, tok)
 
     def _integer_exponent(self):
         paren = self.peek()[0] == "("
@@ -229,21 +225,21 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "num":
-            return Const(complex(float(text)))
+            return Const(complex(float(text))), 1
         if kind == "(":
-            e = self.expr()
+            e = self.nested(tok, self.expr)
             self.expect(")")
             return e
         if kind == "ident":
             if text == "z":
-                return Z
+                return Z, 1
             if text in CONSTANTS:
-                return Const(CONSTANTS[text])
+                return Const(CONSTANTS[text]), 1
             if text in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(tok, self.expr)
                 self.expect(")")
-                return Call(text, arg)
+                return Call(text, arg), depth
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
@@ -256,7 +252,7 @@ def parse_expr(source):
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Call: 5, Const: 5, Var: 5}
+_PREC = {Neg: 3, Pow: 4, Call: 5, Const: 5, Var: 5}
 
 
 def _fmt_real(x):
@@ -286,28 +282,20 @@ def print_expr(e):
 
 
 def _print(e, parent_prec):
-    prec = _PREC[type(e)]
+    prec = _OPS[e.op][0] if isinstance(e, BinOp) else _PREC[type(e)]
     if isinstance(e, Const):
         s = _print_const(e.value)
     elif isinstance(e, Var):
         s = "z"
-    elif isinstance(e, Add):
-        s = f"{_print(e.left, 1)} + {_print(e.right, 2)}"
-    elif isinstance(e, Sub):
-        s = f"{_print(e.left, 1)} - {_print(e.right, 2)}"
-    elif isinstance(e, Mul):
-        s = f"{_print(e.left, 2)}*{_print(e.right, 3)}"
-    elif isinstance(e, Div):
-        s = f"{_print(e.left, 2)}/{_print(e.right, 3)}"
+    elif isinstance(e, BinOp):
+        s = f"{_print(e.left, prec)}{_OPS[e.op][1]}{_print(e.right, prec + 1)}"
     elif isinstance(e, Neg):
         s = f"-{_print(e.arg, 3)}"
     elif isinstance(e, Pow):
         n = e.exponent
         s = f"{_print(e.base, 5)}^{n if n >= 0 else f'(-{-n})'}"
-    elif isinstance(e, Call):
-        s = f"{e.func}({_print(e.arg, 0)})"
     else:
-        raise TypeError(f"not an Expr node: {e!r}")
+        s = f"{e.func}({_print(e.arg, 0)})"
     if prec < parent_prec:
         return f"({s})"
     return s
@@ -341,18 +329,13 @@ def _eval(e, z):
     if isinstance(e, Neg):
         v, s = _eval(e.arg, z)
         return -v, s
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, BinOp):
         a, sa = _eval(e.left, z)
         b, sb = _eval(e.right, z)
-        if isinstance(e, Add):
-            v = a + b
-        elif isinstance(e, Sub):
-            v = a - b
-        elif isinstance(e, Mul):
-            v = a * b
-        else:
-            v = np.where(b == 0, np.nan, a) / np.where(b == 0, 1, b)
-            sb = sb | (b == 0)
+        if e.op == "/":
+            bad = b == 0
+            a, b, sb = np.where(bad, np.nan, a), np.where(bad, 1, b), sb | bad
+        v = _OPS[e.op][2](a, b)
         return v, sa | sb | ~np.isfinite(v)
     if isinstance(e, Pow):
         b, sb = _eval(e.base, z)
@@ -366,20 +349,10 @@ def _eval(e, z):
         return v, sb | ~np.isfinite(v)
     if isinstance(e, Call):
         a, sa = _eval(e.arg, z)
-        if e.func == "exp":
-            v = np.exp(a)
-        elif e.func == "sin":
-            v = np.sin(a)
-        elif e.func == "cos":
-            v = np.cos(a)
-        elif e.func == "log":
+        if e.func == "log":
             bad = a == 0
-            v = np.log(np.where(bad, 1, a))
-            sa = sa | bad
-        elif e.func == "sqrt":
-            v = np.sqrt(a)
-        else:
-            raise ValueError(f"unknown function {e.func!r}")
+            a, sa = np.where(bad, 1, a), sa | bad
+        v = getattr(np, e.func)(a)
         return v, sa | ~np.isfinite(v)
     raise TypeError(f"not an Expr node: {e!r}")
 
@@ -391,44 +364,19 @@ def _is_const(e, value=None):
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
-def _add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0j):
-        return b
-    if _is_const(b, 0j):
-        return a
-    return Add(a, b)
-
-
-def _sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0j):
-        return a
-    if _is_const(a, 0j):
-        return _neg(b)
-    return Sub(a, b)
-
-
-def _mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0j) or _is_const(b, 0j):
+def _bin(op, a, b):
+    """a op b, folded: constants fold except in quotients, 0 annihilates a
+    product or a numerator, and 0 (in + and -) or 1 (in * and /) drops out."""
+    if op != "/" and _is_const(a) and _is_const(b):
+        return Const(_OPS[op][2](a.value, b.value))
+    if _is_const(a, 0j) and op in "*/" or _is_const(b, 0j) and op == "*":
         return ZERO
-    if _is_const(a, 1 + 0j):
-        return b
-    if _is_const(b, 1 + 0j):
+    unit = 0j if op in "+-" else 1 + 0j
+    if _is_const(b, unit):
         return a
-    return Mul(a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0j):
-        return ZERO
-    if _is_const(b, 1 + 0j):
-        return a
-    return Div(a, b)
+    if _is_const(a, unit) and op != "/":
+        return _neg(b) if op == "-" else b
+    return BinOp(op, a, b)
 
 
 def _neg(a):
@@ -453,32 +401,27 @@ def differentiate(e):
         return ZERO
     if isinstance(e, Var):
         return ONE
-    if isinstance(e, Add):
-        return _add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Mul):
-        return _add(_mul(differentiate(e.left), e.right),
-                    _mul(e.left, differentiate(e.right)))
-    if isinstance(e, Div):
-        num = _sub(_mul(differentiate(e.left), e.right),
-                   _mul(e.left, differentiate(e.right)))
-        return _div(num, _pow(e.right, 2))
+    if isinstance(e, BinOp):
+        da, db = differentiate(e.left), differentiate(e.right)
+        if e.op in "+-":
+            return _bin(e.op, da, db)
+        num = _bin("+" if e.op == "*" else "-", _bin("*", da, e.right), _bin("*", e.left, db))
+        return num if e.op == "*" else _bin("/", num, _pow(e.right, 2))
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg))
     if isinstance(e, Pow):
-        inner = _mul(Const(complex(e.exponent)), _pow(e.base, e.exponent - 1))
-        return _mul(inner, differentiate(e.base))
+        inner = _bin("*", Const(complex(e.exponent)), _pow(e.base, e.exponent - 1))
+        return _bin("*", inner, differentiate(e.base))
     if isinstance(e, Call):
-        da = differentiate(e.arg)
+        u, du = e.arg, differentiate(e.arg)
         if e.func == "exp":
-            return _mul(e, da)
+            return _bin("*", e, du)
         if e.func == "log":
-            return _div(da, e.arg)
+            return _bin("/", du, u)
         if e.func == "sin":
-            return _mul(Call("cos", e.arg), da)
+            return _bin("*", Call("cos", u), du)
         if e.func == "cos":
-            return _neg(_mul(Call("sin", e.arg), da))
+            return _neg(_bin("*", Call("sin", u), du))
         if e.func == "sqrt":
-            return _div(da, _mul(Const(2 + 0j), e))
+            return _bin("/", du, _bin("*", Const(2 + 0j), e))
     raise TypeError(f"not an Expr node: {e!r}")

@@ -478,6 +478,17 @@ def test_readme_example_runs(tmp_path, monkeypatch):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cmc1.obj", "curv.csv", "report.json"]
 
 
+@pytest.mark.parametrize("phi", [pytest.param("z" + "+z" * 1500, id="1500 sums"),
+                                 pytest.param("(" * 1000 + "z" + ")" * 1000, id="1000 parentheses")])
+def test_deeply_nested_expression_is_parse_error(tmp_path, monkeypatch, capsys, phi):
+    # these ran out of Python's recursion (exit 1), in evaluate and in the parser
+    doc = json.loads((ROOT / "examples" / "quadric-h3.json").read_text(encoding="utf-8"))
+    doc["data"]["phi"] = phi
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write(tmp_path, doc), "--verify-only", "--quiet"]) == EXIT_PARSE
+    assert "nested deeper than" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
+
 # Every config exits with a documented code, and input its kind does not read
 # changes no output.  The draws start from a CLI_PINS config on a small grid and
 # set one to three fields from these pools; "{out}" is the run's directory.

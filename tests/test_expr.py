@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minksurf.expr import ExprSyntaxError, differentiate, evaluate, parse_expr, print_expr
+from minksurf.expr import MAX_DEPTH, ExprSyntaxError, differentiate, evaluate, parse_expr, print_expr
 from reference import SingularPoint, eval_at
 
 CORPUS = [
@@ -16,6 +16,31 @@ CORPUS = [
     "log(z + 3) + 2e-3*z",
     "+z^2 - (+i)*z",
 ]
+# print_expr(differentiate(parse_expr(s))): evaluation order follows the tree,
+# so its shape, not only its value, is part of the result
+DERIVATIVES = {
+    "z^2 + i": "2*z",
+    "1/z": "(-1)/z^2",
+    "exp(2*log(z))": "exp(2*log(z))*(2*(1/z))",
+    "sin(z)*cos(z) - z^3/(1 + z^2)":
+        "cos(z)*cos(z) + sin(z)*-sin(z) - (3*z^2*(1 + z^2) - z^3*(2*z))/(1 + z^2)^2",
+    "sqrt(z + 2)": "1/(2*sqrt(z + 2))",
+    "-z^(-2) + pi*e": "-((-2)*z^(-3))",
+    "0.5*exp(-z)*sin(2*z)": "0.5*(exp(-z)*(-1))*sin(2*z) + 0.5*exp(-z)*(cos(2*z)*2)",
+    "(z - i)*(z + i)/(z^2 + 1)":
+        "((z + i + (z - i))*(z^2 + 1) - (z - i)*(z + i)*(2*z))/(z^2 + 1)^2",
+    "log(z + 3) + 2e-3*z": "1/(z + 3) + 0.002",
+    "+z^2 - (+i)*z": "2*z - i",
+}
+
+# each source nested k levels deep
+NESTINGS = {
+    "sums": lambda k: "z" + "+z" * (k - 1),
+    "quotients": lambda k: "z" + "/z" * (k - 1),
+    "signs": lambda k: "-" * (k - 1) + "z",
+    "parentheses": lambda k: "(" * (k - 1) + "z" + ")" * (k - 1),
+    "calls": lambda k: "sin(" * (k - 1) + "z" + ")" * (k - 1),
+}
 
 
 def test_parse_eval_basic():
@@ -139,3 +164,31 @@ def test_derivative_of_sqrt_singular_at_origin():
     d = differentiate(parse_expr("sqrt(z)"))
     _vals, sing = evaluate(d, np.array([0j]))
     assert bool(sing[0])
+
+
+@pytest.mark.parametrize("source", CORPUS)
+def test_derivative_trees_are_pinned(source):
+    assert print_expr(differentiate(parse_expr(source))) == DERIVATIVES[source]
+
+
+@pytest.mark.parametrize("text,pos", [
+    pytest.param("z" + "+z" * 1500, 2 * MAX_DEPTH - 1, id="1500 sums"),
+    pytest.param("(" * 1000 + "z" + ")" * 1000, MAX_DEPTH - 1, id="1000 parentheses")])
+def test_nesting_past_the_bound_is_syntax_error(text, pos):
+    # these ran out of Python's recursion, in evaluate and in the parser
+    with pytest.raises(ExprSyntaxError, match="nested deeper than") as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("nesting", NESTINGS.values(), ids=NESTINGS.keys())
+def test_the_deepest_accepted_tree_evaluates_differentiates_and_prints(nesting):
+    ast = parse_expr(nesting(MAX_DEPTH))
+    d = differentiate(ast)          # the quotients' is about three times deeper
+    assert parse_expr(print_expr(ast)) == ast
+    assert print_expr(d)
+    for e in (ast, d):
+        vals, sing = evaluate(e, np.array([0.5 + 0.25j]))
+        assert np.isfinite(vals).all() and not sing.any()
+    with pytest.raises(ExprSyntaxError, match="nested deeper than"):
+        parse_expr(nesting(MAX_DEPTH + 1))

@@ -12,13 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
-from minksurf.expr import FUNCTIONS, Call, Div, Expr, Pow, differentiate, parse_expr, print_expr
+from minksurf.expr import FUNCTIONS, BinOp, Call, Expr, Pow, differentiate, parse_expr, print_expr
 from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
-from minksurf.surfaces import (GeometryKind, make_affine_surface, make_quadric_surface,
-                               uy_perturb)
+from minksurf.surfaces import (GeometryKind, make_affine_surface, make_lw_bryant,
+                               make_quadric_surface, uy_perturb)
 from minksurf.verify import _duality, curvatures, intrinsic_curvature
 from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
                        duality_expression, enorm_expression, eval_at, inv2,
@@ -152,7 +152,7 @@ def _subtrees(e):
 def _hazards(e):
     """(subtree, cut): values that must stay clear of 0, or of the cut (-inf, 0]."""
     for node in _subtrees(e):
-        if isinstance(node, Div):
+        if isinstance(node, BinOp) and node.op == "/":
             yield node.right, False
         elif isinstance(node, Pow) and node.exponent < 0:
             yield node.base, False
@@ -453,6 +453,26 @@ def test_uy_perturb_is_su2_covariant(a):
     assert np.array_equal(moved.mask, surface.mask)
     _assert_moved_by(a, surface, moved)
 
+
+LW_DATA = ("z", "0.3 + 0.1*z^2")
+
+
+@FEW
+@given(su2_group(), st.sampled_from([-1.0, -0.5, -2.0]))
+def test_lw_bryant_is_covariant(u, mu):
+    # A = D U D^-1 with D = diag(1, sqrt|mu|) keeps C = diag(1, -mu): A C A* = C.  The Moebius
+    # data's RIGHT frame is A Psi A^-1, so x_m = Psi C Psi* moves to A x_m A*; and
+    # lift(psi') = A lift(psi) A* / |c psi + d|^2 with 1 - mu |psi'|^2 = (1 - mu |psi|^2) /
+    # |c psi + d|^2, so g~' = A g~ A*: the front and the middle sphere both move by Lambda(A)
+    scale = np.array([1.0, np.sqrt(-mu)])
+    a = scale[:, None] * u / scale
+    assume(np.min(np.abs(a[1, 0] * COVARIANCE_GRID.zs() + a[1, 1])) >= 0.1)
+    (surface, middle), (moved, moved_middle) = (
+        make_lw_bryant(psi, eta, 1.0, mu, COVARIANCE_GRID)
+        for psi, eta in (LW_DATA, mobius_data(a, *LW_DATA)))
+    for before, after in ((surface, moved), (middle, moved_middle)):
+        assert np.array_equal(after.mask, before.mask)
+        _assert_moved_by(a, before, after)
 
 @FEW
 @given(sl2_group(), st.sampled_from([E0, E3]))
