@@ -365,10 +365,11 @@ def _is_const(e, value=None):
 
 
 def _bin(op, a, b):
-    """a op b, folded: constants fold except in quotients, 0 annihilates a
-    product or a numerator, and 0 (in + and -) or 1 (in * and /) drops out."""
-    if op != "/" and _is_const(a) and _is_const(b):
-        return Const(_OPS[op][2](a.value, b.value))
+    """a op b, folded: constants fold, if finite and not in a quotient; 0 annihilates
+    a product or a numerator, and 0 (in + and -) or 1 (in * and /) drops out."""
+    folded = _OPS[op][2](a.value, b.value) if op != "/" and _is_const(a) and _is_const(b) else None
+    if folded is not None and np.isfinite(folded):
+        return Const(folded)
     if _is_const(a, 0j) and op in "*/" or _is_const(b, 0j) and op == "*":
         return ZERO
     unit = 0j if op in "+-" else 1 + 0j

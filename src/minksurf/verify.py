@@ -19,8 +19,8 @@ writes them into one whole-grid array per band array, whatever names that
 array has.  Its kernels accumulate in the buffer of their first product,
 with at most one scratch array, by the same operations in the same order
 as the plain expressions (tests/reference.py holds those).  The
-band decides, from the surface alone, which residuals the construction
-certifies, and hands each back with its gate; the interior (the stencil
+band reads which residuals the construction certifies from its row of
+CERTIFICATES, and hands each back with its gate; the interior (the stencil
 validity of the mask and of finite x) and the Christoffel gate are band
 fields too, since the halo holds every stencil of the band's own rows.
 Only the trapping floor, a maximum over the grid, needs the whole grid:
@@ -53,7 +53,7 @@ import numpy as np
 
 from .fd import central_diff, second_diff, stencil_valid
 from .minkowski import enorm, ip31
-from .surfaces import AFFINE_KINDS, QUADRIC_KINDS, GeometryKind, SurfaceSample, canonical_nans
+from .surfaces import GeometryKind, SurfaceSample, canonical_nans
 
 EPS_METRIC = 1e-12
 BAND_NODES = 8192  # nodes per verify_surface band: the temporaries stay in cache
@@ -117,15 +117,15 @@ def _second_derivatives(x, xv, grid):
                 central_diff(xv, grid.du, axis=1))
 
 
-def _second_form(surface: SurfaceSample, rows, x, valid, xuu, xvv, xuv):
-    """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric),
-    on the rows of the grid that x holds."""
+def _second_form(surface: SurfaceSample, cert, rows, x, valid, xuu, xvv, xuv):
+    """(II, valid) from the unit normal orthogonal to the carrier (hyperplane or quadric)
+    of the surface's certificate `cert`, on the rows of the grid that x holds."""
     if surface.normal is None:
         raise ValueError(f"{surface.kind.value} surface carries no normal field")
     n = np.empty_like(x, dtype=float)  # in x's layout, worked in place
     n[...] = surface.normal[rows]
     with np.errstate(all="ignore"):
-        if surface.kind in AFFINE_KINDS:
+        if cert.carrier == "hyperplane":
             p = surface.hyperplane_normal
             pp = float(ip31(p, p))
             if abs(pp) > 1e-14:
@@ -149,7 +149,7 @@ def fundamental_forms(surface: SurfaceSample):
     |(n, n)| = 1 before pairing with the FD second derivatives.
     """
     x, i_form, _xu, xv, valid = _band(surface)
-    ii_form, valid = _second_form(surface, slice(None), x, valid,
+    ii_form, valid = _second_form(surface, _certificate(surface), slice(None), x, valid,
                                   *_second_derivatives(x, xv, surface.grid))
     return i_form, ii_form, valid
 
@@ -341,6 +341,57 @@ def lw_residual(h, k, mu):
     return np.abs((mu + 1.0) * k - 2.0 * mu * h + (mu - 1.0))
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """What one construction certifies: its carrier residual ("hyperplane", or (x, x) less
+    `level`, None reading params["mu"], as "quadric" or "lightcone"), its mean-curvature
+    residual (name, f(H, K, mu)) if any, the checks flagged, and tolerance overrides."""
+
+    carrier: str
+    level: float | None = None
+    mean: tuple | None = None
+    conformal: bool = True
+    christoffel: bool = True
+    trapped: bool = False
+    k_int: bool = False
+    tolerances: dict = dc_field(default_factory=dict)
+
+
+_ZERO_H = ("mean_curvature", lambda h, _k, _mu: h)    # the very array H: one field
+_H3 = ("mean_curvature", lambda h, _k, mu: h - 1.0 / np.sqrt(-mu))
+_DS = ("mean_curvature", lambda h, _k, mu: np.subtract(a := np.abs(h), 1.0 / np.sqrt(mu), out=a))
+_CMC, _PERTURBED = {"mean_curvature": 1e-4}, {"mean_curvature": 1e-4, "hyperplane": 1e-9}
+_NULL_HVEC, _CONE = ({"marginally_trapped": t, "gauss_alignment": t} for t in (1e-5, 1e-2))
+_K = GeometryKind
+# Keyed by (kind, aux["perturbed"]).  Trapping is gated where Hvec has scale (quadrics)
+# or vanishes exactly (polynomial-exact isotropic case); LW fronts are envelopes, and
+# conformal in z only through their middle spheres.  Only the timelike perturbed surface
+# keeps H and duality gates: the others' conditioning near a degenerate band dominates them.
+CERTIFICATES = {
+    (_K.AFFINE_E3, False): Certificate("hyperplane", mean=_ZERO_H),
+    (_K.AFFINE_L3, False): Certificate("hyperplane", mean=_ZERO_H),
+    (_K.AFFINE_ISOTROPIC, False): Certificate("hyperplane", trapped=True, tolerances=_NULL_HVEC),
+    (_K.QUADRIC_H3, False): Certificate("quadric", mean=_H3, trapped=True, tolerances=_CMC),
+    (_K.QUADRIC_DESITTER, False): Certificate("quadric", mean=_DS, trapped=True, tolerances=_CMC),
+    (_K.QUADRIC_LIGHTCONE, False): Certificate("lightcone", 0.0, trapped=True, k_int=True,
+                                               tolerances=_CONE),
+    (_K.LW_BRYANT, False): Certificate("quadric", -1.0, mean=("linear_weingarten", lw_residual),
+                                       conformal=False, christoffel=False, tolerances=_CMC),
+    (_K.AFFINE_E3, True): Certificate("hyperplane", mean=_ZERO_H, tolerances=_PERTURBED),
+    (_K.AFFINE_L3, True): Certificate("hyperplane", christoffel=False, tolerances=_PERTURBED),
+    (_K.AFFINE_ISOTROPIC, True): Certificate("hyperplane", christoffel=False,
+                                             tolerances={**_NULL_HVEC, **_PERTURBED}),
+}
+
+
+def _certificate(surface: SurfaceSample) -> Certificate:
+    """The CERTIFICATES row of the surface's construction; ValueError if it has none."""
+    key = (surface.kind, bool(surface.aux.get("perturbed")))
+    if (cert := CERTIFICATES.get(key)) is None:
+        raise ValueError(f"no certificate for {surface.kind.value} with perturbed={key[1]}")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -414,18 +465,7 @@ def default_tolerances(surface: SurfaceSample):
         "christoffel_wedge": 50.0 * h ** 2,
         "conformality": 20.0 * h ** 2,
     }
-    if surface.kind is GeometryKind.AFFINE_ISOTROPIC:
-        tol["marginally_trapped"] = 1e-5
-        tol["gauss_alignment"] = 1e-5
-    if surface.kind is GeometryKind.QUADRIC_LIGHTCONE:
-        tol["marginally_trapped"] = 1e-2
-        tol["gauss_alignment"] = 1e-2
-    if surface.aux.get("perturbed"):
-        tol["mean_curvature"] = 1e-4
-        tol["hyperplane"] = 1e-9
-    if surface.kind in (GeometryKind.QUADRIC_H3, GeometryKind.QUADRIC_DESITTER,
-                        GeometryKind.LW_BRYANT):
-        tol["mean_curvature"] = 1e-4
+    tol.update(_certificate(surface).tolerances)
     return tol
 
 
@@ -448,49 +488,33 @@ def _band_fields(surface: SurfaceSample, rows, read):
 
     The stencils read the rows `read`, which hold `rows` and their halo; every
     other value is worked on `rows` alone."""
-    grid, kind, params = surface.grid, surface.kind, surface.params
+    grid, params, cert = surface.grid, surface.params, _certificate(surface)
     own = slice(rows.start - read.start, rows.stop - read.start)
     x_read, i_read, xu, xv_read, valid = _band(surface, read)
     x, i_form, xu, xv, valid = x_read[own], i_read[own], xu[own], xv_read[own], valid[own]
-    # Perturbed surfaces are transport-based (no polynomial exactness), so
-    # near the secondary degenerate band the curvature and dual-section
-    # statistics are conditioning-dominated; they stay gated only for the
-    # timelike case, whose pairing is bounded away from zero everywhere.
-    soft = surface.aux.get("perturbed") and kind is not GeometryKind.AFFINE_E3
-    # Marginal trapping is gated where the mean curvature vector has scale
-    # (quadrics) or vanishes identically in exact arithmetic (the
-    # polynomial-exact isotropic case); linear Weingarten surfaces are
-    # envelopes, not marginally trapped, so the check is skipped there.
-    trapped = kind in (GeometryKind.AFFINE_ISOTROPIC, *QUADRIC_KINDS) and not soft
     out = {"interior": valid}
-    if kind in AFFINE_KINDS:
+    if cert.carrier == "hyperplane":
         p = surface.hyperplane_normal
         out["hyperplane"] = ip31(x, p)
         out["hyperplane"] -= float(ip31(surface.x[grid.base_index], p))
-    elif kind is GeometryKind.QUADRIC_LIGHTCONE:
-        out["lightcone"] = ip31(x, x)
     else:
-        mu = -1.0 if kind is GeometryKind.LW_BRYANT else params["mu"]
-        out["quadric"] = ip31(x, x)
-        out["quadric"] -= mu
+        out[cert.carrier] = ip31(x, x)
+        out[cert.carrier] -= params["mu"] if cert.level is None else cert.level
 
-    if kind is not GeometryKind.LW_BRYANT:
-        # z is a conformal coordinate for every construction except the
-        # linear Weingarten front itself (only its middle sphere
-        # congruence shares the conformal structure of the Gauss map)
+    if cert.conformal:
         eg, f_res = _conformality(i_form)    # (|E-G| + 2|F|) / max(E + G, 1e-30), in eg
         eg += np.multiply(2.0, f_res, out=f_res)
         scale = np.add(i_form[..., 0, 0], i_form[..., 1, 1], out=f_res)
         eg /= np.maximum(scale, 1e-30, out=scale)
         out["conformality"] = eg
 
-    if kind is GeometryKind.QUADRIC_LIGHTCONE:
+    if cert.k_int:
         k_int, k_ok = intrinsic_curvature(i_read, grid)
         out["K_int"] = out["intrinsic_flatness"] = k_int[own]
         out["intrinsic_flatness_ok"] = k_ok[own]
 
     gauss = None  # read only here and by the trapping check
-    if surface.gauss is not None and kind is not GeometryKind.LW_BRYANT and not soft:
+    if surface.gauss is not None and cert.christoffel:
         gauss = _planar(surface.gauss[read])
         su, sv = (t[own] for t in _tangents(gauss, grid))
         # gate the scale-free version: the dual section diverges towards
@@ -510,25 +534,17 @@ def _band_fields(surface: SurfaceSample, rows, read):
         out.update(christoffel_pairing_ok=ok, christoffel_wedge_ok=ok)
         del su, sv, scale, cross, pairing, wedge  # freed before the second derivatives
 
-    if surface.normal is not None or trapped:
+    if surface.normal is not None or cert.trapped:
         d2 = [d[own] for d in _second_derivatives(x_read, xv_read, grid)]
         if surface.normal is not None:
-            ii_form, ff_valid = _second_form(surface, rows, x, valid, *d2)
+            ii_form, ff_valid = _second_form(surface, cert, rows, x, valid, *d2)
             h, k, c_ok = curvatures(i_form, ii_form)
             out["H"], out["K"] = h, k
-            name = "linear_weingarten" if kind is GeometryKind.LW_BRYANT else "mean_curvature"
-            if kind is GeometryKind.LW_BRYANT:
-                out[name] = lw_residual(h, k, params["mu"])
-            elif kind is GeometryKind.QUADRIC_H3:
-                out[name] = h - 1.0 / np.sqrt(-params["mu"])
-            elif kind is GeometryKind.QUADRIC_DESITTER:
-                out[name] = np.abs(h)
-                out[name] -= 1.0 / np.sqrt(params["mu"])
-            elif kind in (GeometryKind.AFFINE_E3, GeometryKind.AFFINE_L3) and not soft:
-                out[name] = h
-            if name in out:
+            if cert.mean is not None:
+                name, residual = cert.mean
+                out[name] = residual(h, k, params.get("mu"))
                 out[name + "_ok"] = ff_valid & c_ok
-        if trapped:
+        if cert.trapped:
             parts = _trapping_parts(gauss, i_form, xu, xv, valid, *d2)
             out.update((name, part) for name, part in zip(_TRAPPING_PARTS, parts)
                        if part is not None)
@@ -550,7 +566,7 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     tol = {**default_tolerances(surface), **(tolerances or {})}
     grid = surface.grid
     fields = {}
-    halo = 4 if surface.kind is GeometryKind.QUADRIC_LIGHTCONE else 2   # K_int differences I
+    halo = 4 if _certificate(surface).k_int else 2   # K_int differences I
     for r0, r1, lo, hi in _bands(*grid.shape, halo):
         with np.errstate(all="ignore"):    # the gates leave non-finite values out
             band = _band_fields(surface, slice(r0, r1), slice(lo, hi))

@@ -162,6 +162,9 @@ def test_a_run_drops_the_frame_once_the_surface_is_built(tmp_path, monkeypatch, 
     ({"phi": "0", "omega": "1"}, None, "no grid node is usable"),
     # an exponent past int64 but within float range: z^n is 0 or overflows
     ({"phi": "z^99999999999999999999", "omega": "1"}, None, "no grid node is usable"),
+    # phi is finite on the grid, but its derivative 1e308 + 1e308 is not
+    ({"phi": "1e308*z + 1e308*z", "omega": "1"}, {"kind": "quadric-h3", "mu": -1.0, "m": 1.0},
+     "no grid node is usable"),
     ({"psi": "1/z", "eta": "0.3"}, LW, "base node is masked; choose another base point"),
     ({"psi": "1", "eta": "0.3"}, dict(LW, mu=1.0), "no grid node is usable"),
 ])

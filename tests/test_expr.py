@@ -166,6 +166,17 @@ def test_derivative_of_sqrt_singular_at_origin():
     assert bool(sing[0])
 
 
+def test_folding_keeps_an_overflowing_sum_as_a_node():
+    # 1e308*z + 1e308*z is finite near 0, but its derivative 1e308 + 1e308 is not
+    # a finite constant: it stays a sum, which prints, re-parses and evaluates as
+    # singular instead of an unflagged inf
+    d = differentiate(parse_expr("1e308*z + 1e308*z"))
+    assert print_expr(d) == "1e+308 + 1e+308"
+    assert parse_expr(print_expr(d)) == d
+    vals, sing = evaluate(d, np.array([0.25, 0.1j]))
+    assert sing.all() and (vals == 0).all()
+
+
 @pytest.mark.parametrize("source", CORPUS)
 def test_derivative_trees_are_pinned(source):
     assert print_expr(differentiate(parse_expr(source))) == DERIVATIVES[source]

@@ -7,6 +7,7 @@ from dataclasses import fields
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,7 +18,7 @@ from minksurf.forms import build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
                                 integrate_closed_form, solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
-from minksurf.surfaces import (GeometryKind, make_affine_surface, make_lw_bryant,
+from minksurf.surfaces import (BASE_X, GeometryKind, make_affine_surface, make_lw_bryant,
                                make_quadric_surface, uy_perturb)
 from minksurf.verify import _duality, curvatures, intrinsic_curvature
 from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
@@ -487,6 +488,31 @@ def test_affine_surfaces_are_sl2_covariant(a, p):
     assert surface.kind is moved.kind is (GeometryKind.AFFINE_E3 if p is E0
                                           else GeometryKind.AFFINE_L3)
     _assert_moved_by(a, surface, moved)
+
+
+M_DERIVATIVE_DATA = (("z", "1 + 0.1*z^2"), ("1/(z - 0.31)", "(z - 0.31)^2"))
+
+
+@pytest.mark.parametrize("make", (make_quadric_surface, uy_perturb))
+@pytest.mark.parametrize("mu", (-1.0, 0.0, 2.0))
+@pytest.mark.parametrize("phi, omega", M_DERIVATIVE_DATA)
+def test_affine_kinds_are_the_m_derivative_of_the_transport_families(phi, omega, mu, make):
+    # The frame is I + m int xi + O(m^2), so both transport families are, to first
+    # order in m, the affine surface through BASE_X normal to their anchor
+    # p = vec diag(1, -mu); the central difference in m is second order, so its
+    # error falls four-fold per halving of m
+    data = sample_data(phi, omega, DomainGrid.square(0.6, 41))
+    affine = make_affine_surface(data, (0.5 * (1.0 - mu), 0.0, 0.0, 0.5 * (1.0 + mu)))
+    errors = []
+    for m in (1e-2, 5e-3, 2.5e-3):
+        plus, minus = make(data, m, mu), make(data, -m, mu)
+        ok = plus.mask & minus.mask & affine.mask
+        assert np.count_nonzero(ok) > ok.size // 2
+        slope = (plus.x[ok] - minus.x[ok]) / (2.0 * m)
+        errors.append(float(np.max(np.abs(slope - (affine.x[ok] - BASE_X)))))
+    assert errors[-1] < 1e-6, errors
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, errors
 
 
 # The verifier's in-place kernels against the expressions they replaced

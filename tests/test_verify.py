@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +368,56 @@ def test_pinned_surfaces_cover_the_branches():
         assert "christoffel_pairing" not in reports[soft].stats
     mask = built["quadric-h3-critical"].mask
     assert 0 < int(mask.sum()) < mask.size
+
+
+# the pinned surface of each CERTIFICATES row
+CERTIFIED_BY = {**{(kind, False): kind.value for kind in GeometryKind},
+                (GeometryKind.AFFINE_E3, True): "uy-perturb-timelike",
+                (GeometryKind.AFFINE_L3, True): "uy-perturb-spacelike",
+                (GeometryKind.AFFINE_ISOTROPIC, True): "uy-perturb-lightlike"}
+
+
+def _readme_kind_table():
+    """README's kind table: {(kind, perturbed): the names in its gated-residuals cell}."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| kind |"))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return table
+        cells = line.strip("|").split("|")
+        kind = GeometryKind(re.search(r"`([^`]+)`", cells[0]).group(1))
+        table[kind, "perturbed" in cells[0]] = set(re.findall(r"`([^`]+)`", cells[-1]))
+    return table
+
+
+def _gated(cert):
+    """The residual names a certificate gates."""
+    names = {cert.carrier, *(cert.mean[:1] if cert.mean else ())}
+    for flag, flagged in ((cert.conformal, {"conformality"}),
+                          (cert.christoffel, {"christoffel_pairing", "christoffel_wedge"}),
+                          (cert.trapped, {"marginally_trapped", "gauss_alignment"}),
+                          (cert.k_int, {"intrinsic_flatness"})):
+        if flag:
+            names |= flagged
+    return names
+
+
+def test_readme_kind_table_is_the_certificate_table():
+    readme = _readme_kind_table()
+    assert set(readme) == set(verify.CERTIFICATES) == set(CERTIFIED_BY)
+    for pair, cert in verify.CERTIFICATES.items():
+        reported = set(verify_surface(PIN_SURFACES[CERTIFIED_BY[pair]]()).stats)
+        assert readme[pair] == _gated(cert) == reported, pair
+
+
+def test_a_surface_without_a_certificate_is_refused():
+    # no factory makes a perturbed quadric; a hand-built one has no row
+    surface = PIN_SURFACES["quadric-h3"]()
+    surface.aux["perturbed"] = True
+    for check in (verify_surface, default_tolerances, fundamental_forms):
+        with pytest.raises(ValueError, match="no certificate for quadric-h3 with perturbed=True"):
+            check(surface)
 
 
 @pytest.mark.parametrize("rows", (1, 2, 3, 7, None))
