@@ -16,12 +16,16 @@ matrix P: classical RK4 with fixed substeps integrates it from the identity
 for a block of edges in one batched call, and the walk composes
 Psi_next = P Psi (LEFT) or Psi P (RIGHT).  Every P is divided by the
 principal square root of its determinant; its raw |det P - 1| per unit
-length is the recorded drift.  The T-transform and the iteration law solve
-coupled local problems on the same edges; the law moves its coefficient
-by the stage values S of F_t's propagator as (S xi adj S)(s delta / det S),
-one division per edge and stage.  A closed 1-form density is one more edge
-problem: RK4 on dy = f dz is composite Simpson, so each edge adds its
-Simpson sum to the state.
+length is the recorded drift; a frame whose determinant leaves 1 by more
+than EPS_DET ends its path (a pole within rounding of a node does that).
+The T-transform and the iteration law solve coupled local problems on the
+same edges.  The law walks its two sides, G = F^t_s F_t as values and
+F_{t+s} as coupled: G moves by P2 P1 and F_{t+s} by P3, the propagators of
+F_t, F^t_s and F_{t+s}.  One stage loop over the samples, scaled in place
+by delta, gives F_t's slope t u from u = S (delta xi) at its stage values
+S, and P2's coefficient (u adj S)(s / det S), one division per edge and
+stage.  A closed 1-form density is one more edge problem: RK4 on dy = f dz
+is composite Simpson, so each edge adds its Simpson sum to the state.
 
 The walk takes both halves of the base row as one batch, then both halves
 of the columns; each edge is still solved on its own and each line composes
@@ -127,12 +131,12 @@ def _inv(a):
     return out
 
 
-def _renormalized(*props):
-    """Propagators divided in place by sqrt(det), stacked, and their dets."""
+def _renormalize(*props):
+    """Divide propagators in place by sqrt(det); returns their raw dets, stacked."""
     dets = np.stack([_det(p) for p in props])
     for p, d in zip(props, dets):
         p /= np.sqrt(d)
-    return np.concatenate(props), dets
+    return dets
 
 
 def _rk4_sum(k1, k2, k3, k4):
@@ -146,27 +150,34 @@ def _rk4_sum(k1, k2, k3, k4):
     return out
 
 
-def _rk4_substep(p, coeffs, left):
-    """RK4 substep of dP = A P (left) or P A: next P, stage values, slopes."""
+def _rk4_substep(p, slope):
+    """RK4 substep of dP = slope(j, P) from p, j the stage, which reads the
+    substep's sample point (j + 1) // 2: next P, stage values, slopes."""
     stages, slopes = [], []
-    for j, a in enumerate(coeffs):
+    for j in range(4):
         s = p if j == 0 else p + slopes[-1] if j == 3 else 0.5 * slopes[-1]
         if j in (1, 2):
             s += p              # p + k/2 without a second temporary
         stages.append(s)
-        slopes.append(_mul(a, s) if left else _mul(s, a))
+        slopes.append(slope(j, s))
     out = _rk4_sum(*slopes)
     out += p
     return out, stages, slopes
 
 
+def _identities(edges):
+    return np.repeat(IDENTITY2.reshape(4, 1), edges, axis=1)
+
+
 def _rk4_substeps(a, left):
-    """RK4 from the identity over a batch of edges; yields each substep's
-    (P, stage values, stage slopes).  a is A at the 2*substeps + 1 sample
-    points of every edge, shape (4, points, edges)."""
-    p = np.repeat(IDENTITY2.reshape(4, 1), a.shape[2], axis=1)
+    """RK4 from the identity over a batch of edges of dP = A P (left) or P A;
+    yields each substep's (P, stage values, stage slopes).  a is A at the
+    2*substeps + 1 sample points of every edge, shape (4, points, edges)."""
+    p = _identities(a.shape[2])
     for k in range(a.shape[1] // 2):
-        p, stages, slopes = _rk4_substep(p, [a[:, 2 * k + j] for j in (0, 1, 1, 2)], left)
+        coeffs = [a[:, 2 * k + (j + 1) // 2] for j in range(4)]
+        p, stages, slopes = _rk4_substep(
+            p, (lambda j, s: _mul(coeffs[j], s)) if left else (lambda j, s: _mul(s, coeffs[j])))
         yield p, stages, slopes
 
 
@@ -196,7 +207,8 @@ class FrameEquation:
         xi *= -self.m * delta
         for p, _, _ in _rk4_substeps(xi, self.side is FrameSide.LEFT):
             pass
-        return _renormalized(p)
+        dets = _renormalize(p)
+        return p, dets
 
     def step(self, state, p):
         return _mul(p, state) if self.side is FrameSide.LEFT else _mul(state, p)
@@ -218,7 +230,7 @@ class FrameWithMovedIntegral:
         for p, stages, slopes in _rk4_substeps(xi, True):
             g1, g2, g3, g4 = (_mul(_inv(s), k) for s, k in zip(stages, slopes))
             q = q + _rk4_sum(g1, g2, g3, g4)
-        p, dets = _renormalized(p)
+        dets = _renormalize(p)
         return np.concatenate((p, q)), dets
 
     def step(self, state, local):
@@ -229,35 +241,40 @@ class FrameWithMovedIntegral:
 
 @dataclass
 class IterationLawFrames:
-    """F_t, F^t_s and F_{t+s} of the iteration law, all from the identity:
-    dF_t = t F_t xi, dF^t_s = s F^t_s (F_t xi F_t^{-1}), dF_{t+s} = (t+s)
-    F_{t+s} xi.  Across an edge from F_t, F^t_s becomes F^t_s F_t P F_t^{-1}
-    where dP = s P (S xi S^{-1}) over the stage values S of F_t's propagator."""
+    """The two sides of the iteration law, both from the identity: G =
+    F^t_s F_t and F_{t+s}, where dF_t = t F_t xi, dF^t_s = s F^t_s (F_t xi
+    F_t^{-1}) and dF_{t+s} = (t+s) F_{t+s} xi.  Across an edge F_t moves by
+    its propagator P1, F^t_s to F^t_s F_t P2 F_t^{-1} with dP2 = s P2 (S xi
+    S^{-1}) over the stage values S of P1, and F_{t+s} by P3; so G moves by
+    P2 P1 and F_{t+s} by P3.  values is G, coupled is (F_{t+s},)."""
 
     coeff: Callable
     t: float
     s: float
-    state0 = np.tile(IDENTITY2.reshape(4), 3)
+    state0 = np.tile(IDENTITY2.reshape(4), 2)
 
     def local(self, xi, delta):
-        first = _rk4_substeps(xi * (self.t * delta), False)
-        third = _rk4_substeps(xi * ((self.t + self.s) * delta), False)
-        sd = self.s * delta
-        p2 = np.repeat(IDENTITY2.reshape(4, 1), len(delta), axis=1)
-        for k, ((p1, stages, _), (p3, _, _)) in enumerate(zip(first, third)):
-            # s delta S xi S^-1 = (S xi adj S) (s delta / det S): one division
-            moved = [_mul(_mul(st, xi[:, 2 * k + j]), _adj(st))
-                     for st, j in zip(stages, (0, 1, 1, 2))]
-            for c, st in zip(moved, stages):
-                c *= sd / _det(st)
-            p2, _, _ = _rk4_substep(p2, moved, False)
-        return _renormalized(p1, p2, p3)
+        xi *= delta
+        p1, p2 = _identities(len(delta)), _identities(len(delta))
+        for k, (p3, _, _) in enumerate(_rk4_substeps(xi * (self.t + self.s), False)):
+            moved = []
+
+            def slope(j, st):
+                # u = S delta xi: P1's slope is t u, and s delta S xi S^-1 is
+                # (u adj S) (s / det S), one division per edge and stage
+                u = _mul(st, xi[:, 2 * k + (j + 1) // 2])
+                moved.append(_mul(u, _adj(st)))
+                moved[-1] *= self.s / _det(st)
+                u *= self.t
+                return u
+
+            p1, _, _ = _rk4_substep(p1, slope)
+            p2, _, _ = _rk4_substep(p2, lambda j, st: _mul(st, moved[j]))
+        dets = _renormalize(p1, p2, p3)
+        return np.concatenate((_mul(p2, p1), p3)), dets
 
     def step(self, state, local):
-        f1, f2, f3 = state[:4], state[4:8], state[8:]
-        return np.concatenate((_mul(f1, local[:4]),
-                               _mul(_mul(f2, f1), _mul(local[4:8], _inv(f1))),
-                               _mul(f3, local[8:])))
+        return np.concatenate((_mul(state[:4], local[:4]), _mul(state[4:], local[4:])))
 
 
 @dataclass
@@ -313,6 +330,15 @@ def _walk(problem, substeps, halves):
     one local call and composes them one row at a time; a block stops where
     a half ends, and that half drops out of the batch.  Returns the largest
     raw |det P - 1| per unit length over edges that leave a valid node.
+
+    For a frame problem (local returns determinants) a node is valid only
+    while its state's first frame keeps |det Psi - 1| <= EPS_DET.  Every
+    renormalized P has det 1 to rounding, so det Psi drifts only where a
+    sample near a pole blows P up past its precision.  The drift reaches the
+    surfaces directly: x = Psi diag(1, -mu) Psi* has (x, x) - mu =
+    mu (|det Psi|^2 - 1).  Good frames read about 1e-14, and a pole within
+    rounding of a node, or 1e-3 from one, more than 1e-6; EPS_DET (1e-8,
+    the bound a frame start must meet) lies between.
     """
     halves = sorted(halves, key=lambda h: -len(h[0]))   # those still walking lead
     state = np.concatenate([out[0].T for _, _, out, _ in halves], axis=1)
@@ -330,6 +356,8 @@ def _walk(problem, substeps, halves):
         for i in range(b1 - b0):
             state = problem.step(state, local[:, i])
             live = live & ok[i + 1] & np.isfinite(state).all(axis=0)
+            if len(dets):    # a frame problem: its first frame keeps det 1
+                live &= np.abs(_det(state) - 1.0) <= EPS_DET
             for (_, _, out, valid), c0, c1 in zip(walking, cols, cols[1:]):
                 out[b0 + i] = state[:, c0:c1].T
                 valid[b0 + i] = live[c0:c1]
@@ -347,8 +375,9 @@ def _walk_staircases(grid, problem, mask, order, substeps):
     as one batch of the rows above and below it: local solutions are
     computed for whole rows of edges, about EDGE_BLOCK edges per call, and
     composed one row of nodes at a time.  A node is valid when the
-    node before it on its path is, it is unmasked and its state is finite;
-    invalid nodes hold NaN in both the real and the imaginary part.
+    node before it on its path is, it is unmasked, its state is finite and
+    a frame's determinant is 1 to EPS_DET (_walk); invalid nodes hold NaN
+    in both the real and the imaginary part.
     """
     zs, node_ok, (r0, c0) = _oriented(grid, mask, order)
     out = np.empty(zs.shape + problem.state0.shape, dtype=complex)
@@ -424,20 +453,20 @@ def iteration_law_defect(xi, t, s, grid):
     """Defect of composing trivializing gauges: F^t_s F_t against F_{t+s}.
 
     F_t solves dF = t F xi; the second-stage gauge F^t_s solves
-    dF = s F (F_t xi F_t^{-1}) coupled to the first; both are compared to
-    the directly solved F_{t+s}.  The product (F^t_s F_t) F_{t+s}^{-1}
-    should be a constant matrix over the grid; returns its maximum
-    Frobenius distance from the base-node value.
+    dF = s F (F_t xi F_t^{-1}) coupled to the first; their product G =
+    F^t_s F_t is walked against the directly solved F_{t+s}
+    (IterationLawFrames).  G F_{t+s}^{-1} should be a constant matrix over
+    the grid; returns its maximum Frobenius distance from the base-node value.
     """
     fn, node_mask = _xi_inputs(xi, None)
     frames = solve_path_system(grid, IterationLawFrames(fn, t, s), mask=node_mask)
-    f_t, f_st, f_ts = (np.moveaxis(f.reshape(f.shape[:2] + (4,)), -1, 0)
-                       for f in (frames.values,) + frames.coupled)
+    g, f_ts = (np.moveaxis(f.reshape(f.shape[:2] + (4,)), -1, 0)
+               for f in (frames.values,) + frames.coupled)
     with np.errstate(all="ignore"):
-        prod = _mul(_mul(f_st, f_t), _inv(f_ts))
+        prod = _mul(g, _inv(f_ts))
     r0, c0 = grid.base_index
-    return _max_frobenius(np.moveaxis(prod - prod[:, r0, c0, None, None], 0, -1),
-                          frames.valid)
+    prod -= prod[:, r0, c0, None, None]
+    return _max_frobenius(np.moveaxis(prod, 0, -1), frames.valid)
 
 
 def path_independence_check(xi, m, grid):

@@ -216,10 +216,12 @@ def _frame_conjugate(psi, h):
     """vec(Psi H Psi*) for Hermitian H, entry by entry, broadcasting."""
     a, b, c, d = psi[..., 0, 0], psi[..., 0, 1], psi[..., 1, 0], psi[..., 1, 1]
     u0, u1 = a * h[..., 0, 0] + b * h[..., 1, 0], a * h[..., 0, 1] + b * h[..., 1, 1]
-    w0, w1 = c * h[..., 0, 0] + d * h[..., 1, 0], c * h[..., 0, 1] + d * h[..., 1, 1]
     m00 = (u0 * np.conj(a) + u1 * np.conj(b)).real
-    m11 = (w0 * np.conj(c) + w1 * np.conj(d)).real
     m01 = u0 * np.conj(c) + u1 * np.conj(d)
+    del u0, u1
+    w0, w1 = c * h[..., 0, 0] + d * h[..., 1, 0], c * h[..., 0, 1] + d * h[..., 1, 1]
+    m11 = (w0 * np.conj(c) + w1 * np.conj(d)).real
+    del w0, w1
     return np.stack((0.5 * (m00 + m11), m01.real, m01.imag, 0.5 * (m00 - m11)), axis=-1)
 
 
@@ -304,6 +306,7 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
     m00, m01, m10, m11 = (frame.coupled[0][..., i, j] for i in (0, 1) for j in (0, 1))
     x = BASE_X + np.stack((m00.real - mu * m11.real, m10.real - mu * m01.real,
                            -mu * m01.imag - m10.imag, m00.real + mu * m11.real), axis=-1)
+    del m00, m01, m10, m11
     frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
 
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
@@ -359,7 +362,8 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
 
     xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
     with np.errstate(all="ignore"):
-        gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v))) / pole[..., None]
+        gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v)))
+        gtilde /= pole[..., None]
         x = xm + 0.5 * (mu + 1.0) * gtilde
         normal = gtilde - x
         middle_normal = None if mu == 0 else gtilde + xm / mu

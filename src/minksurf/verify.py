@@ -556,13 +556,16 @@ def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
 
     Residual maxima exclude a 2-ring around masked nodes and the grid
     boundary.  Pass/fail is decided against default_tolerances() merged
-    with the given overrides, whose names must be in RESIDUAL_NAMES
-    (ValueError).  The per-node fields are computed one band of rows at a
-    time (see the module docstring).
+    with the given overrides, whose names must be in RESIDUAL_NAMES and
+    whose values must be finite and non-negative (ValueError).  The per-node
+    fields are computed one band of rows at a time (see the module docstring).
     """
     unknown = sorted(set(tolerances or ()) - set(RESIDUAL_NAMES))
     if unknown:
         raise ValueError(f"unknown tolerance names: {unknown}")
+    bad = sorted(k for k, v in (tolerances or {}).items() if not 0.0 <= v < np.inf)
+    if bad:
+        raise ValueError(f"tolerances must be finite and non-negative: {bad}")
     tol = {**default_tolerances(surface), **(tolerances or {})}
     grid = surface.grid
     fields = {}

@@ -277,6 +277,19 @@ def test_iteration_law_defect():
     assert iteration_law_defect(xi, 0.0, 0.0, g) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+def test_iteration_law_left_side_is_f_t_when_s_is_zero(t):
+    # with s = 0, F^t_s = I and G = F_t, the RIGHT frame of dF = t F xi
+    g = DomainGrid.square(1.0, 21, base=1 + 1j)
+    xi = build_xi(sample_data("1/z", "1", g))
+    law = solve_path_system(g, IterationLawFrames(xi.fn, t, 0.0), mask=xi.mask)
+    f_t = solve_psi(xi, -t, g, side=FrameSide.RIGHT)
+    assert np.array_equal(law.valid, f_t.valid)
+    assert not law.valid.all()
+    scale = np.max(np.abs(f_t.values[f_t.valid]))
+    assert np.max(np.abs(law.values - f_t.values)[law.valid]) <= 1e-12 * scale
+
+
 def test_masked_region_blocks_frames():
     g = DomainGrid.square(1.0, 11, base=1 + 1j)
     data = sample_data("1/z", "1", g)
@@ -285,6 +298,28 @@ def test_masked_region_blocks_frames():
     iv, iu = g.nearest_index(0j)
     assert not ff.valid[iv, iu]
     assert ff.valid[g.base_index]
+
+
+@pytest.mark.parametrize("pole,masked", [(0.3, 21), (0.3013, 20)])
+def test_a_pole_next_to_a_node_ends_the_frame_walk(pole, masked):
+    # 1/(z - 0.3) is finite (1.8e16) at the node 0.30000000000000004, and a pole
+    # 1.3e-3 from a node passes sampling too; their frames lose det 1 there, and
+    # the walk stops at the first frame with |det - 1| > EPS_DET
+    from minksurf.minkowski import EPS_DET
+    from minksurf.surfaces import make_quadric_surface
+    from minksurf.verify import verify_surface
+    g = DomainGrid.square(1.0, 41, base=1 + 1j)
+    data = sample_data(f"1/(z - {pole})", "1", g)
+    assert data.mask.all()
+    surface = make_quadric_surface(data, 1.0, -1.0)
+    frame = surface.aux["frame"]
+    # the base is the top right corner: the pole's column is cut below the pole
+    cut = g.zs()[~frame.valid]
+    assert len(cut) == masked and np.allclose(cut.real, 0.3) and np.all(cut.imag <= 0.0)
+    psi = frame.values[frame.valid]
+    det = psi[:, 0, 0] * psi[:, 1, 1] - psi[:, 0, 1] * psi[:, 1, 0]
+    assert np.max(np.abs(det - 1.0)) <= EPS_DET
+    assert verify_surface(surface).stats["quadric"].passed
 
 
 def test_invalid_nodes_hold_nan_in_both_parts():
@@ -534,7 +569,7 @@ def test_iteration_law_matches_per_node_reference(case):
     (f_t, f_st, f_ts), valid, drifts = _staircase_reference(
         g, deriv, [np.eye(2)] * 3, 3, mask=xi.mask)
     frames = solve_path_system(g, IterationLawFrames(xi.fn, t, s), mask=xi.mask)
-    for got, want in zip((frames.values,) + frames.coupled, (f_t, f_st, f_ts)):
+    for got, want in zip((frames.values,) + frames.coupled, (f_st @ f_t, f_ts)):
         _assert_matches(got, want, frames.valid, valid)
     assert abs(frames.det_drift - max(drifts)) <= 1e-12
     prod = (f_st @ f_t) @ inv2(f_ts)

@@ -15,8 +15,9 @@ from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import FUNCTIONS, BinOp, Call, Expr, Pow, differentiate, parse_expr, print_expr
 from minksurf.forms import build_xi, xi_hat_values
-from minksurf.integrate import (FrameSide, PathOrder, _inv, _mul, _rk4_sum,
-                                integrate_closed_form, solve_psi)
+from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder, _inv, _mul,
+                                _rk4_sum, integrate_closed_form, solve_path_system,
+                                solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
 from minksurf.surfaces import (BASE_X, GeometryKind, make_affine_surface, make_lw_bryant,
                                make_quadric_surface, uy_perturb)
@@ -38,20 +39,34 @@ def sl2_algebra(draw):
     return np.array([[a, b], [c, -a]])
 
 
-@st.composite
-def transports(draw):
-    """A linear sl(2,C) coefficient A + B z on a small grid, solved by solve_psi."""
+def _linear_coefficient(draw):
+    """A linear sl(2,C) coefficient A + B z and a small grid with any base node."""
     a, b = draw(sl2_algebra()), draw(sl2_algebra())
     nu, nv = draw(st.integers(3, 9)), draw(st.integers(3, 9))
     base = (draw(st.integers(0, nv - 1)), draw(st.integers(0, nu - 1)))
-    grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, base)
-    kwargs = dict(side=draw(st.sampled_from(FrameSide)), order=draw(st.sampled_from(PathOrder)))
-    m = draw(st.floats(-1.0, 1.0))
 
     def coeff(z):
         return a + np.asarray(z)[..., None, None] * b
 
+    return coeff, DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, base)
+
+
+@st.composite
+def transports(draw):
+    """A linear sl(2,C) coefficient on a small grid, solved by solve_psi."""
+    coeff, grid = _linear_coefficient(draw)
+    kwargs = dict(side=draw(st.sampled_from(FrameSide)), order=draw(st.sampled_from(PathOrder)))
+    m = draw(st.floats(-1.0, 1.0))
     return partial(solve_psi, coeff, m, grid, **kwargs)
+
+
+@st.composite
+def iteration_laws(draw):
+    """A linear sl(2,C) coefficient on a small grid, its iteration law's two sides
+    solved by solve_path_system."""
+    coeff, grid = _linear_coefficient(draw)
+    t, s = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    return partial(solve_path_system, grid, IterationLawFrames(coeff, t, s))
 
 
 @FEW
@@ -375,6 +390,17 @@ def xi_inputs(draw):
 def test_xi_hat_values_keep_the_entries_last_bits(inputs):
     with np.errstate(all="ignore"):
         assert _same_bits(xi_hat_values(*inputs), _xi_hat_entries_last(*inputs))
+
+
+@FEW
+@given(iteration_laws())
+def test_iteration_law_sides_keep_unit_determinant(solve):
+    # both sides, G = F^t_s F_t and F_{t+s}, are products of SL(2,C) frames
+    law = solve()
+    assert law.valid.all()
+    for side in (law.values,) + law.coupled:
+        det = side[..., 0, 0] * side[..., 1, 1] - side[..., 0, 1] * side[..., 1, 0]
+        assert np.max(np.abs(det - 1.0)) <= 1e-12
 
 
 COVARIANCE_GRID = DomainGrid.square(0.6, 41)

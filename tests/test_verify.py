@@ -262,6 +262,14 @@ def test_verify_surface_rejects_unknown_tolerance_names():
     assert rep.to_dict() == verify_surface(s).to_dict()
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_verify_surface_rejects_negative_or_non_finite_tolerances(value):
+    # a negative or NaN gate fails silently, NaN is no JSON number, and inf passes anything
+    s = make_quadric_surface(sample_data("z", "1", DomainGrid.square(1.0, 21)), 1.0, -1.0)
+    with pytest.raises(ValueError, match=r"finite and non-negative: \['quadric'\]"):
+        verify_surface(s, tolerances={"quadric": value, "mean_curvature": 0.0})
+
+
 def test_fundamental_forms_requires_normal():
     g, s = _flat_plane()
     s.normal = None
