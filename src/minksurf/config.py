@@ -1,56 +1,39 @@
 """Run configuration: a single JSON document per run, strictly validated.
 
-Schema (unknown keys are rejected everywhere):
+Schema (the sections and keys of _SCHEMA; any other is rejected):
 
     {
-      "data":    {"phi": "z", "omega": "1", "psi": null, "eta": null},
-      "domain":  {"re_min": -1.0, "re_max": 1.0, "im_min": -1.0,
-                  "im_max": 1.0, "nu": 41, "nv": 41, "base": [0.0, 0.0]},
-      "target":  {"kind": "affine-e3 | affine-l3 | affine-isotropic |"
-                          " quadric-h3 | quadric-desitter |"
-                          " quadric-lightcone | lw-bryant",
-                  "mu": -1.0, "m": 1.0, "p": [1.0, 0.0, 0.0, 0.0]},
-      "output":  {"mesh_path": "surface.obj", "mesh_format": "obj | ply",
-                  "report_path": "report.json",
-                  "curvature_csv_path": "curvature.csv"},
-      "verify":  {"tolerances": {"mean_curvature": 1e-4}},
+      "data":       {"phi": "z", "omega": "1", "psi": null, "eta": null},
+      "domain":     {"re_min": -1.0, "re_max": 1.0, "im_min": -1.0, "im_max": 1.0,
+                     "nu": 41, "nv": 41, "base": [0.0, 0.0]},
+      "target":     {"kind": "quadric-h3", "mu": -1.0, "m": 1.0, "p": [1.0, 0.0, 0.0, 0.0]},
+      "output":     {"mesh_path": "surface.obj", "mesh_format": "obj",
+                     "report_path": "report.json", "curvature_csv_path": "curvature.csv"},
+      "verify":     {"tolerances": {"mean_curvature": 1e-4}},
       "projection": {"model": "default"}
     }
 
-"data", "domain" and "target" are required; linear-Weingarten targets
-need (psi, eta), every other target needs (phi, omega).  mu and the kind
-must agree in sign for quadrics, m must be non-zero away from the affine
-cases, and p must be a non-zero 4-vector whose causal type matches the
-affine kind.
+Required: the domain's bounds and node counts, and target.kind.  The config
+checks JSON types (numbers are finite: JSON has no NaN or Infinity); every
+rule beyond them has one owner, whose check it calls: DomainGrid.snapped (the
+grid; the base point moves to its nearest node), GeometryKind, TargetGeometry,
+meshout.MESH_FORMATS and PROJECTIONS, verify.check_tolerances.  Its own rule:
+lw-bryant needs data.psi and data.eta, every other kind data.phi and
+data.omega.  Every error is a ConfigError naming the section or section.key.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
-import math
-
-from .surfaces import GeometryKind, TargetGeometry
 from .domain import DomainGrid
-from .meshout import PROJECTIONS
-from .verify import RESIDUAL_NAMES
+from .meshout import MESH_FORMATS, PROJECTIONS
+from .surfaces import GeometryKind, TargetGeometry
+from .verify import check_tolerances
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
-
-
-_SECTIONS = {"data", "domain", "target", "output", "verify", "projection"}
-_KEYS = {
-    "data": {"phi", "omega", "psi", "eta"},
-    "domain": {"re_min", "re_max", "im_min", "im_max", "nu", "nv", "base"},
-    "target": {"kind", "mu", "m", "p"},
-    "output": {"mesh_path", "mesh_format", "report_path", "curvature_csv_path"},
-    "verify": {"tolerances"},
-    "projection": {"model"},
-}
-MESH_FORMATS = ("obj", "ply")
 
 
 @dataclass
@@ -61,12 +44,12 @@ class RunConfig:
     eta: str | None
     grid: DomainGrid
     target: TargetGeometry
-    mesh_path: str | None = None
-    mesh_format: str = "obj"
-    report_path: str | None = None
-    curvature_csv_path: str | None = None
-    tolerances: dict = field(default_factory=dict)
-    projection: str = "default"
+    mesh_path: str | None
+    mesh_format: str
+    report_path: str | None
+    curvature_csv_path: str | None
+    tolerances: dict
+    projection: str
 
 
 def _require(cond, message):
@@ -74,120 +57,100 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _check_keys(section, obj):
-    _require(isinstance(obj, dict), f"section {section!r} must be an object")
-    unknown = set(obj) - _KEYS[section]
-    _require(not unknown, f"unknown keys in {section!r}: {sorted(unknown)}")
+def _number(value, name):
+    """A JSON number as a float: not a boolean, and finite (JSON has no NaN or
+    Infinity, and an integer past float range has no float)."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, f"{name} must be a finite number")
+    return float(value)
 
 
-def _number(obj, name):
-    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool)
-             and math.isfinite(obj), f"{name} must be a finite number")
-    return float(obj)
+def _text(value, name):
+    _require(isinstance(value, str) and value.strip() != "", f"{name} must be text")
+    return value
 
 
-def _optional_text(obj, name):
-    if obj is None:
-        return None
-    _require(isinstance(obj, str) and obj.strip() != "", f"{name} must be text")
-    return obj
+def _integer(value, name):
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
+    return value
+
+
+def _numbers(n):
+    def check(value, name):
+        _require(isinstance(value, list) and len(value) == n, f"{name} must be {n} numbers")
+        return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(value))
+    return check
+
+
+def _one_of(choices):
+    def check(value, name):
+        _require(value in choices, f"unknown {name} {value!r}: not one of {choices}")
+        return value
+    return check
+
+
+def _tolerances(value, name):
+    _require(isinstance(value, dict), f"{name} must be an object")
+    tols = {key: _number(tol, f"{name}.{key}") for key, tol in value.items()}
+    for key, tol in tols.items():
+        try:
+            check_tolerances({key: tol})
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from None
+    return tols
+
+
+# section -> key -> (checker(value, "section.key") -> value, default): a default of ...
+# marks a required key, a default of None a key that takes null
+_SCHEMA = {
+    "data": dict.fromkeys(("phi", "omega", "psi", "eta"), (_text, None)),
+    "domain": {**dict.fromkeys(("re_min", "re_max", "im_min", "im_max"), (_number, ...)),
+               "nu": (_integer, ...), "nv": (_integer, ...), "base": (_numbers(2), [0.0, 0.0])},
+    "target": {"kind": (_one_of(tuple(kind.value for kind in GeometryKind)), ...),
+               "mu": (_number, 0.0), "m": (_number, 1.0), "p": (_numbers(4), None)},
+    "output": {**dict.fromkeys(("mesh_path", "report_path", "curvature_csv_path"), (_text, None)),
+               "mesh_format": (_one_of(MESH_FORMATS), "obj")},
+    "verify": {"tolerances": (_tolerances, {})},
+    "projection": {"model": (_one_of(("default", *sorted(PROJECTIONS))), "default")},
+}
+
+
+def _walk(doc):
+    """{section: {key: checked value}} for every key of _SCHEMA, defaults filled in."""
+    _require(isinstance(doc, dict), "configuration must be a JSON object")
+    for section in doc:
+        _require(section in _SCHEMA, f"unknown section {section!r}")
+    checked = {}
+    for section, keys in _SCHEMA.items():
+        body = doc.get(section, {})
+        _require(isinstance(body, dict), f"section {section!r} must be an object")
+        for key in body:
+            _require(key in keys, f"unknown key {section}.{key}")
+        checked[section] = out = {}
+        for key, (check, default) in keys.items():
+            value = body.get(key, default)
+            _require(value is not ..., f"{section}.{key} is required")
+            null = value is None and default is None
+            out[key] = value if null else check(value, f"{section}.{key}")
+    return checked
 
 
 def parse_config(doc) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
-    _require(isinstance(doc, dict), "configuration must be a JSON object")
-    unknown = set(doc) - _SECTIONS
-    _require(not unknown, f"unknown sections: {sorted(unknown)}")
-    for required in ("data", "domain", "target"):
-        _require(required in doc, f"missing required section {required!r}")
-
-    data = doc["data"]
-    _check_keys("data", data)
-    phi = _optional_text(data.get("phi"), "data.phi")
-    omega = _optional_text(data.get("omega"), "data.omega")
-    psi = _optional_text(data.get("psi"), "data.psi")
-    eta = _optional_text(data.get("eta"), "data.eta")
-
-    dom = doc["domain"]
-    _check_keys("domain", dom)
-    for key in ("re_min", "re_max", "im_min", "im_max", "nu", "nv"):
-        _require(key in dom, f"domain.{key} is required")
-    nu, nv = dom["nu"], dom["nv"]
-    _require(isinstance(nu, int) and isinstance(nv, int) and nu >= 2 and nv >= 2,
-             "domain.nu and domain.nv must be integers >= 2")
-    base = dom.get("base", [0.0, 0.0])
-    _require(isinstance(base, (list, tuple)) and len(base) == 2,
-             "domain.base must be [re, im]")
-    base_z = complex(_number(base[0], "domain.base[0]"),
-                     _number(base[1], "domain.base[1]"))
+    c = _walk(doc)
     try:
-        probe = DomainGrid(_number(dom["re_min"], "domain.re_min"),
-                           _number(dom["re_max"], "domain.re_max"),
-                           _number(dom["im_min"], "domain.im_min"),
-                           _number(dom["im_max"], "domain.im_max"),
-                           nu, nv, (0, 0))
-        grid = DomainGrid(probe.re_min, probe.re_max, probe.im_min, probe.im_max,
-                          nu, nv, probe.nearest_index(base_z))
+        grid = DomainGrid.snapped(**{**c["domain"], "base": complex(*c["domain"]["base"])})
     except ValueError as exc:
         raise ConfigError(f"invalid domain: {exc}") from None
-
-    tgt = doc["target"]
-    _check_keys("target", tgt)
-    _require("kind" in tgt, "target.kind is required")
     try:
-        kind = GeometryKind(tgt["kind"])
-    except ValueError:
-        raise ConfigError(f"unknown target.kind {tgt['kind']!r}") from None
-    p = tgt.get("p")
-    if p is not None:
-        _require(isinstance(p, (list, tuple)) and len(p) == 4,
-                 "target.p must be a 4-vector")
-        p = tuple(_number(c, "target.p[...]") for c in p)
-    try:
-        target = TargetGeometry(kind=kind,
-                                mu=_number(tgt.get("mu", 0.0), "target.mu"),
-                                m=_number(tgt.get("m", 1.0), "target.m"),
-                                p=p)
+        target = TargetGeometry(**{**c["target"], "kind": GeometryKind(c["target"]["kind"])})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    if kind is GeometryKind.LW_BRYANT:
-        _require(psi is not None and eta is not None,
-                 "lw-bryant targets need data.psi and data.eta")
-    else:
-        _require(phi is not None and omega is not None,
-                 f"{kind.value} targets need data.phi and data.omega")
-
-    cfg = RunConfig(phi=phi, omega=omega, psi=psi, eta=eta, grid=grid,
-                    target=target)
-
-    out = doc.get("output", {})
-    _check_keys("output", out)
-    cfg.mesh_path = _optional_text(out.get("mesh_path"), "output.mesh_path")
-    cfg.report_path = _optional_text(out.get("report_path"), "output.report_path")
-    cfg.curvature_csv_path = _optional_text(out.get("curvature_csv_path"),
-                                            "output.curvature_csv_path")
-    fmt = out.get("mesh_format", "obj")
-    _require(fmt in MESH_FORMATS, f"output.mesh_format must be one of {MESH_FORMATS}")
-    cfg.mesh_format = fmt
-
-    ver = doc.get("verify", {})
-    _check_keys("verify", ver)
-    tols = ver.get("tolerances", {})
-    _require(isinstance(tols, dict), "verify.tolerances must be an object")
-    unknown = set(tols) - set(RESIDUAL_NAMES)
-    _require(not unknown, f"unknown keys in 'verify.tolerances': {sorted(unknown)}")
-    cfg.tolerances = {k: _number(v, f"verify.tolerances.{k}") for k, v in tols.items()}
-    for k, v in cfg.tolerances.items():
-        _require(v >= 0, f"verify.tolerances.{k} must be non-negative")
-
-    proj = doc.get("projection", {})
-    _check_keys("projection", proj)
-    model = proj.get("model", "default")
-    allowed = ("default", *sorted(PROJECTIONS))
-    _require(model in allowed, f"projection.model must be one of {allowed}")
-    cfg.projection = model
-    return cfg
+        raise ConfigError(f"invalid target: {exc}") from None
+    need = ("psi", "eta") if target.kind is GeometryKind.LW_BRYANT else ("phi", "omega")
+    _require(None not in map(c["data"].get, need),
+             "%s targets need data.%s and data.%s" % (target.kind.value, *need))
+    return RunConfig(**c["data"], grid=grid, target=target, **c["output"], **c["verify"],
+                     projection=c["projection"]["model"])
 
 
 def load_config(path) -> RunConfig:

@@ -9,7 +9,7 @@ integrates path-independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,19 +70,22 @@ class DomainGrid:
     def nearest_index(self, z):
         """Grid index (iv, iu) closest to a complex point."""
         z = complex(z)
-        iu = int(round((z.real - self.re_min) / self.du))
-        iv = int(round((z.imag - self.im_min) / self.dv))
-        if not (0 <= iv < self.nv and 0 <= iu < self.nu):
+        fu, fv = (z.real - self.re_min) / self.du, (z.imag - self.im_min) / self.dv
+        if not (math.isfinite(fu) and math.isfinite(fv)
+                and 0 <= round(fv) < self.nv and 0 <= round(fu) < self.nu):
             raise ValueError(f"point {z} lies outside the grid")
-        return (iv, iu)
+        return (round(fv), round(fu))
 
-    @staticmethod
-    def square(half_extent, n, base=0j):
+    @classmethod
+    def snapped(cls, re_min, re_max, im_min, im_max, nu, nv, base=0j):
+        """The grid whose base node is the node nearest the point base."""
+        grid = cls(re_min, re_max, im_min, im_max, nu, nv, (0, 0))
+        return replace(grid, base_index=grid.nearest_index(base))
+
+    @classmethod
+    def square(cls, half_extent, n, base=0j):
         """Centered square [-h, h]^2 with n x n nodes."""
-        probe = DomainGrid(-half_extent, half_extent, -half_extent, half_extent,
-                           n, n, (0, 0))
-        return DomainGrid(-half_extent, half_extent, -half_extent, half_extent,
-                          n, n, probe.nearest_index(base))
+        return cls.snapped(-half_extent, half_extent, -half_extent, half_extent, n, n, base)
 
 
 def dilate_mask(masked, iterations=1):

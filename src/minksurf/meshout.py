@@ -75,6 +75,7 @@ PROJECTIONS = {
     "desitter-stereo": _proj_desitter,
     "lightcone-slice": _proj_lightcone,
 }
+MESH_FORMATS = ("obj", "ply")   # export_mesh's mesh_format values
 
 DEFAULT_PROJECTION = {
     GeometryKind.AFFINE_E3: "euclid-123",

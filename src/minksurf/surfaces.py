@@ -35,7 +35,7 @@ import numpy as np
 from .domain import DomainGrid, SampledData, _as_expr, check_base, dilate_mask, grid_line_interpolant
 from .expr import Expr, evaluate
 from .forms import build_xi, xi_hat_values, zeta_density_fn
-from .integrate import (FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
+from .integrate import (EDGE_BLOCK, FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
                         integrate_closed_form, solve_path_system, solve_psi)
 from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type, enorm,
                         herm_from_vec, ip31)
@@ -361,8 +361,11 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     surf_mask = frame.valid & usable
 
     xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
+    gtilde, rows = np.empty_like(xm), max(1, EDGE_BLOCK // grid.nu)   # no whole-grid lift
     with np.errstate(all="ignore"):
-        gtilde = _frame_conjugate(frame.values, herm_from_vec(gauss_lift(psi_v)))
+        for band in (slice(r, r + rows) for r in range(0, grid.nv, rows)):
+            gtilde[band] = _frame_conjugate(frame.values[band],
+                                            herm_from_vec(gauss_lift(psi_v[band])))
         gtilde /= pole[..., None]
         x = xm + 0.5 * (mu + 1.0) * gtilde
         normal = gtilde - x

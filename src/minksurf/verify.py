@@ -46,6 +46,7 @@ standard horosphere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -551,21 +552,25 @@ def _band_fields(surface: SurfaceSample, rows, read):
     return out
 
 
+def check_tolerances(tolerances):
+    """ValueError unless every override is a RESIDUAL_NAMES name with a finite value >= 0."""
+    unknown = sorted(set(tolerances) - set(RESIDUAL_NAMES))
+    if unknown:
+        raise ValueError(f"unknown tolerance names: {unknown}")
+    bad = sorted(k for k, v in tolerances.items() if not 0.0 <= v <= sys.float_info.max)
+    if bad:
+        raise ValueError(f"tolerances must be finite and non-negative: {bad}")
+
+
 def verify_surface(surface: SurfaceSample, tolerances=None) -> CurvatureReport:
     """Run the geometry-specific residual suite for a pipeline surface.
 
     Residual maxima exclude a 2-ring around masked nodes and the grid
     boundary.  Pass/fail is decided against default_tolerances() merged
-    with the given overrides, whose names must be in RESIDUAL_NAMES and
-    whose values must be finite and non-negative (ValueError).  The per-node
-    fields are computed one band of rows at a time (see the module docstring).
+    with the given overrides, which check_tolerances must accept (ValueError).
+    The per-node fields are computed one band of rows at a time (module docstring).
     """
-    unknown = sorted(set(tolerances or ()) - set(RESIDUAL_NAMES))
-    if unknown:
-        raise ValueError(f"unknown tolerance names: {unknown}")
-    bad = sorted(k for k, v in (tolerances or {}).items() if not 0.0 <= v < np.inf)
-    if bad:
-        raise ValueError(f"tolerances must be finite and non-negative: {bad}")
+    check_tolerances(tolerances or {})
     tol = {**default_tolerances(surface), **(tolerances or {})}
     grid = surface.grid
     fields = {}

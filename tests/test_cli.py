@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -8,13 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minksurf import cli
+from minksurf import cli, config
 from minksurf.cli import (EXIT_BASE_MASKED, EXIT_CONFIG, EXIT_OK, EXIT_PARSE,
                           EXIT_VERIFY, main)
 from minksurf.config import ConfigError, parse_config
+from minksurf.domain import DomainGrid, sample_data
 from minksurf.meshout import PROJECTIONS
-from minksurf.surfaces import GeometryKind
-from minksurf.verify import RESIDUAL_NAMES
+from minksurf.surfaces import GeometryKind, make_affine_surface
+from minksurf.verify import RESIDUAL_NAMES, verify_surface
 
 
 def _base_config(tmp_path, **overrides):
@@ -341,6 +343,73 @@ def test_zero_tolerance_allowed(tmp_path):
     assert parse_config(doc).tolerances == {"hyperplane": 0.0}
 
 
+def _rejects(error, fn, *args):
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name, value, rejected", [
+    ("hyperplane", -1.0, True), ("hyperplane", -1e-300, True), ("hyperplane", math.nan, True),
+    ("hyperplane", math.inf, True), ("hyperplane", 0.0, False), ("hyperplane", 1e300, False),
+    pytest.param("hyperplane", 10 ** 400, True, id="hyperplane-int-past-float-range"),
+    ("mean_curvatur", 1.0, True)])
+def test_config_rejects_a_tolerance_exactly_where_verify_does(tmp_path, name, value, rejected):
+    # verify.check_tolerances is the one rule; the config only adds the JSON type
+    surface = make_affine_surface(sample_data("z", "1", DomainGrid.square(1.0, 9)),
+                                  (1.0, 0.0, 0.0, 0.0))
+    doc = _base_config(tmp_path)
+    doc["verify"] = {"tolerances": {name: value}}
+    assert _rejects(ValueError, verify_surface, surface, {name: value}) is rejected
+    assert _rejects(ConfigError, parse_config, doc) is rejected
+
+
+@pytest.mark.parametrize("base, index", [(0.25 + 0.5j, (6, 5)),    # on a node
+                                         (0.3 - 0.1j, (4, 5)),     # between nodes
+                                         (-1.0 + 1.0j, (8, 0)),    # on the edge
+                                         (1.1 + 0j, (4, 8))])      # past it, nearest the edge
+def test_config_grid_snaps_its_base_as_the_square_grid_does(tmp_path, base, index):
+    doc = _base_config(tmp_path)
+    doc["domain"].update(nu=9, nv=9, base=[base.real, base.imag])
+    grid = DomainGrid.snapped(-1.0, 1.0, -1.0, 1.0, 9, 9, base)
+    assert grid.base_index == index
+    assert grid == DomainGrid.square(1.0, 9, base) == parse_config(doc).grid
+
+
+def test_base_outside_the_grid_fails_in_grid_and_config(tmp_path):
+    for fn, args in ((DomainGrid.square, (1.0, 9, 1.2 + 0j)),
+                     (DomainGrid.snapped, (-1.0, 1.0, -1.0, 1.0, 9, 9, 1.2 + 0j)),
+                     # the point's distance in steps overflows a float
+                     (DomainGrid.snapped, (0.0, 1e-300, -1.0, 1.0, 2, 9, 1e10 + 0j))):
+        assert _rejects(ValueError, fn, *args)
+    doc = _base_config(tmp_path)
+    doc["domain"].update(nu=9, nv=9, base=[1.2, 0.0])
+    with pytest.raises(ConfigError, match="invalid domain"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("target", "p", [10 ** 400, 0, 0, 0]),
+    ("verify", "tolerances", {"quadric": 10 ** 400}),
+    ("domain", "re_min", -(10 ** 400)),
+    ("domain", "base", [1e10, 0.0]),    # with re_max = 1e-300 below
+], ids=["p", "tolerance", "re_min", "base"])
+def test_numbers_past_float_range_are_config_errors(tmp_path, section, key, value):
+    # float() of each overflows: a config error to report, not a traceback (exit 1)
+    doc = _base_config(tmp_path)
+    doc["domain"].update(re_min=0.0, re_max=1e-300, nu=2)
+    doc.setdefault(section, {})[key] = value
+    assert main(["run", _write(tmp_path, doc)]) == EXIT_CONFIG
+
+
+def test_config_docstring_names_the_schema():
+    block = re.search(r"\n    (\{\n.*?\n    \})\n", config.__doc__, re.S).group(1)
+    documented = {section: set(keys) for section, keys in json.loads(block).items()}
+    assert documented == {section: set(keys) for section, keys in config._SCHEMA.items()}
+
+
 def test_unmeshable_run_writes_csv_and_report(tmp_path, capsys):
     # lightcone-slice divides by x0, which is 0 on the whole affine-e3 surface
     doc = _base_config(tmp_path, projection={"model": "lightcone-slice"})
@@ -455,6 +524,7 @@ def _cli_outputs(tmp_path, name):
                        for f in (f"mesh.{fmt}", "curv.csv", "report.json"))
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("name", sorted(CLI_PINS))
 def test_cli_output_bytes_pinned(tmp_path, name):
     code, digests = _cli_outputs(tmp_path, name)

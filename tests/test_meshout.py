@@ -250,12 +250,14 @@ def _golden_bytes(tmp_path, name, fmt):
     return path.read_bytes()
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("name,fmt", sorted(GOLDEN))
 def test_writer_bytes_pinned(tmp_path, name, fmt):
     data = _golden_bytes(tmp_path, name, fmt)
     assert hashlib.sha256(data).hexdigest() == GOLDEN[(name, fmt)]
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("name", ["quadric-critical", "nonfinite-fields"])
 def test_text_bytes_pinned_across_block_seams(tmp_path, monkeypatch, name):
     # every fixture fits in one ROW_BLOCK; small blocks and kernel chunks cross seams

@@ -345,6 +345,7 @@ def _relaid(field, layout):
     return wide[..., ::2]
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("layout", ("C", "F", "strided"))
 @pytest.mark.parametrize("name", sorted(PIN_SURFACES))
 def test_report_bytes_pinned(name, layout):
@@ -428,6 +429,7 @@ def test_a_surface_without_a_certificate_is_refused():
             check(surface)
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("rows", (1, 2, 3, 7, None))
 @pytest.mark.parametrize("name", sorted(PIN_SURFACES))
 def test_report_bytes_do_not_depend_on_the_band_size(monkeypatch, name, rows):
@@ -521,6 +523,7 @@ def test_verify_surface_differences_each_band_once(monkeypatch, name):
     assert calls == {"first_form": 0, "_second_derivatives": second}
 
 
+@pytest.mark.sha256_pin
 @pytest.mark.parametrize("name,alias", [("affine-e3", ("mean_curvature", "H")),
                                         ("quadric-lightcone", ("intrinsic_flatness", "K_int"))])
 def test_a_band_array_under_two_names_is_one_field(monkeypatch, name, alias):
