@@ -34,7 +34,11 @@ class DomainGrid:
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
         width, height = self.re_max - self.re_min, self.im_max - self.im_min
-        if not (self.du > 0 and self.dv > 0 and math.isfinite(width * width + height * height)):
+        try:
+            du, dv = self.du, self.dv
+        except OverflowError:       # a node count past float range
+            raise ValueError("grid steps cannot be formed from the node counts") from None
+        if not (du > 0 and dv > 0 and math.isfinite(width * width + height * height)):
             raise ValueError("grid steps must be positive and the diameter squared finite")
         iv, iu = self.base_index
         if not (0 <= iv < self.nv and 0 <= iu < self.nu):

@@ -19,13 +19,11 @@ principal square root of its determinant; its raw |det P - 1| per unit
 length is the recorded drift; a frame whose determinant leaves 1 by more
 than EPS_DET ends its path (a pole within rounding of a node does that).
 The T-transform and the iteration law solve coupled local problems on the
-same edges.  The law walks its two sides, G = F^t_s F_t as values and
+same edges; one RK4 (_rk4) advances every frame problem, which states only
+its slopes.  The law walks its two sides, G = F^t_s F_t as values and
 F_{t+s} as coupled: G moves by P2 P1 and F_{t+s} by P3, the propagators of
-F_t, F^t_s and F_{t+s}.  One stage loop over the samples, scaled in place
-by delta, gives F_t's slope t u from u = S (delta xi) at its stage values
-S, and P2's coefficient (u adj S)(s / det S), one division per edge and
-stage.  A closed 1-form density is one more edge problem: RK4 on dy = f dz
-is composite Simpson, so each edge adds its Simpson sum to the state.
+F_t, F^t_s and F_{t+s}.  A closed 1-form density is one more edge problem:
+RK4 on dy = f dz is composite Simpson, so each edge adds its Simpson sum.
 
 The walk takes both halves of the base row as one batch, then both halves
 of the columns; each edge is still solved on its own and each line composes
@@ -103,11 +101,13 @@ def _max_frobenius(diff, valid):
 EDGE_BLOCK = 4096   # edges whose local solutions are computed in one call
 
 
-def _mul(a, b):
-    """Product of two complex batches of the same shape."""
+def _mul(a, b, out=None):
+    """Product of two complex batches of the same shape, into out if given
+    (an array that shares no memory with a or b)."""
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
-    out = np.empty((4,) + a00.shape, dtype=complex)
+    if out is None:
+        out = np.empty((4,) + a00.shape, dtype=complex)
     for o, x, y, u, v in ((out[0], a00, b00, a01, b10), (out[1], a00, b01, a01, b11),
                           (out[2], a10, b00, a11, b10), (out[3], a10, b01, a11, b11)):
         np.multiply(x, y, out=o)
@@ -139,46 +139,36 @@ def _renormalize(*props):
     return dets
 
 
-def _rk4_sum(k1, k2, k3, k4):
-    """(k1 + 2 k2 + 2 k3 + k4) / 6, summed in that order; the division is a
-    multiply, so a zero part may differ in sign (see above)."""
-    out = 2.0 * k2
-    out += k1
-    out += 2.0 * k3
-    out += k4
-    out *= 1.0 / 6.0
-    return out
-
-
-def _rk4_substep(p, slope):
-    """RK4 substep of dP = slope(j, P) from p, j the stage, which reads the
-    substep's sample point (j + 1) // 2: next P, stage values, slopes."""
-    stages, slopes = [], []
-    for j in range(4):
-        s = p if j == 0 else p + slopes[-1] if j == 3 else 0.5 * slopes[-1]
-        if j in (1, 2):
-            s += p              # p + k/2 without a second temporary
-        stages.append(s)
-        slopes.append(slope(j, s))
-    out = _rk4_sum(*slopes)
-    out += p
-    return out, stages, slopes
-
-
 def _identities(edges):
     return np.repeat(IDENTITY2.reshape(4, 1), edges, axis=1)
 
 
-def _rk4_substeps(a, left):
-    """RK4 from the identity over a batch of edges of dP = A P (left) or P A;
-    yields each substep's (P, stage values, stage slopes).  a is A at the
-    2*substeps + 1 sample points of every edge, shape (4, points, edges)."""
-    p = _identities(a.shape[2])
-    for k in range(a.shape[1] // 2):
-        coeffs = [a[:, 2 * k + (j + 1) // 2] for j in range(4)]
-        p, stages, slopes = _rk4_substep(
-            p, (lambda j, s: _mul(coeffs[j], s)) if left else (lambda j, s: _mul(s, coeffs[j])))
-        yield p, stages, slopes
+def _rk4(states, slopes, points):
+    """Classical RK4 for coupled (4, edges) batches from `states` (its own to
+    overwrite) over an edge's sample points 0 .. points - 1, a substep per two;
+    slopes(i, stages, out) writes every state's slope at sample point i, given
+    every state's stage value there, into out.  Each slope joins the sum once
+    the next stage value is formed: stages p + k1/2, p + k2/2, p + k3, then
+    k1 + 2 k2 + 2 k3 + k4, times 1/6, plus p.  Returns the last point's batches."""
+    stage, k, acc = ([np.empty_like(p) for p in states] for _ in range(3))
+    for i in range(0, points - 1, 2):
+        slopes(i, states, acc)                      # k1 starts the sum
+        for j in (1, 2, 3):
+            for s, last, a, p in zip(stage, acc if j == 1 else k, acc, states):
+                if j == 3:
+                    np.add(p, last, out=s)
+                else:
+                    np.multiply(0.5, last, out=s)
+                    s += p
+                if j > 1:                           # 2 k2 and 2 k3 join the sum
+                    a += np.multiply(2.0, last, out=last)
+            slopes(i + (j + 1) // 2, stage, k)
+        for a, k4, p in zip(acc, k, states):
+            a += k4
+            a *= 1.0 / 6.0
+            a += p
+        states, acc = acc, states
+    return states
 
 
 # Edge problems: a frame equation plus what rides on it, or a quadrature,
@@ -205,10 +195,13 @@ class FrameEquation:
 
     def local(self, xi, delta):
         xi *= -self.m * delta
-        for p, _, _ in _rk4_substeps(xi, self.side is FrameSide.LEFT):
-            pass
-        dets = _renormalize(p)
-        return p, dets
+
+        def slopes(i, st, out):
+            a, b = (xi[:, i], st[0]) if self.side is FrameSide.LEFT else (st[0], xi[:, i])
+            _mul(a, b, out=out[0])
+
+        p, = _rk4([_identities(len(delta))], slopes, xi.shape[1])
+        return p, _renormalize(p)
 
     def step(self, state, p):
         return _mul(p, state) if self.side is FrameSide.LEFT else _mul(state, p)
@@ -225,11 +218,14 @@ class FrameWithMovedIntegral:
     state0 = np.concatenate((IDENTITY2.reshape(4), np.zeros(4)))
 
     def local(self, xi, delta):
-        q = 0.0
         xi *= -self.m * delta
-        for p, stages, slopes in _rk4_substeps(xi, True):
-            g1, g2, g3, g4 = (_mul(_inv(s), k) for s, k in zip(stages, slopes))
-            q = q + _rk4_sum(g1, g2, g3, g4)
+
+        def slopes(i, st, out):         # Q's slope S^{-1} dS does not read Q
+            _mul(xi[:, i], st[0], out=out[0])
+            _mul(_inv(st[0]), out[0], out=out[1])
+
+        p, q = _rk4([_identities(len(delta)), np.zeros((4, len(delta)), complex)],
+                    slopes, xi.shape[1])
         dets = _renormalize(p)
         return np.concatenate((p, q)), dets
 
@@ -255,21 +251,21 @@ class IterationLawFrames:
 
     def local(self, xi, delta):
         xi *= delta
-        p1, p2 = _identities(len(delta)), _identities(len(delta))
-        for k, (p3, _, _) in enumerate(_rk4_substeps(xi * (self.t + self.s), False)):
-            moved = []
+        xi_ts = xi * (self.t + self.s)
+        moved = np.empty((4, len(delta)), complex)
 
-            def slope(j, st):
-                # u = S delta xi: P1's slope is t u, and s delta S xi S^-1 is
-                # (u adj S) (s / det S), one division per edge and stage
-                u = _mul(st, xi[:, 2 * k + (j + 1) // 2])
-                moved.append(_mul(u, _adj(st)))
-                moved[-1] *= self.s / _det(st)
-                u *= self.t
-                return u
+        def slopes(i, st, out):
+            # u = S delta xi at P1's stage value S: P1's slope is t u, and P2's
+            # coefficient s delta S xi S^-1 is (u adj S) (s / det S), one
+            # division per edge and stage
+            u = _mul(st[0], xi[:, i], out=out[0])
+            _mul(u, _adj(st[0]), out=moved)
+            np.multiply(moved, self.s / _det(st[0]), out=moved)
+            u *= self.t
+            _mul(st[1], moved, out=out[1])
+            _mul(st[2], xi_ts[:, i], out=out[2])
 
-            p1, _, _ = _rk4_substep(p1, slope)
-            p2, _, _ = _rk4_substep(p2, lambda j, st: _mul(st, moved[j]))
+        p1, p2, p3 = _rk4([_identities(len(delta)) for _ in range(3)], slopes, xi.shape[1])
         dets = _renormalize(p1, p2, p3)
         return np.concatenate((_mul(p2, p1), p3)), dets
 

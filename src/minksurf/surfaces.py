@@ -237,9 +237,8 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     _check_mu(mu)
     xi = build_xi(data)
     frame = solve_psi(xi, m, data.grid)
-    x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
-
-    with np.errstate(all="ignore"):    # a huge phi or x overflows the norms: degenerate there
+    with np.errstate(all="ignore"):    # a huge mu, phi or x overflows x or the norms
+        x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
         g = gauss_lift(data.phi)
         gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask
@@ -360,9 +359,9 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     frame = solve_psi(coeff, m, grid, side=FrameSide.RIGHT, mask=node_ok)
     surf_mask = frame.valid & usable
 
-    xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
-    gtilde, rows = np.empty_like(xm), max(1, EDGE_BLOCK // grid.nu)   # no whole-grid lift
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):    # a huge mu overflows x_m
+        xm = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
+        gtilde, rows = np.empty_like(xm), max(1, EDGE_BLOCK // grid.nu)   # no whole-grid lift
         for band in (slice(r, r + rows) for r in range(0, grid.nv, rows)):
             gtilde[band] = _frame_conjugate(frame.values[band],
                                             herm_from_vec(gauss_lift(psi_v[band])))

@@ -145,6 +145,19 @@ def duality_expression(xu, xv, su, sv):
     return pairing, np.sqrt(2.0 * sq)
 
 
+def rk4_expression(states, slopes, points):
+    """integrate._rk4 as plain expressions, one temporary per operation:
+    slopes(i, stages) returns every state's slope at sample point i."""
+    for i in range(0, points - 1, 2):
+        k1 = slopes(i, states)
+        k2 = slopes(i + 1, [p + 0.5 * k for p, k in zip(states, k1)])
+        k3 = slopes(i + 1, [p + 0.5 * k for p, k in zip(states, k2)])
+        k4 = slopes(i + 2, [p + k for p, k in zip(states, k3)])
+        states = [(2.0 * b + a + 2.0 * c + d) * (1.0 / 6.0) + p
+                  for p, a, b, c, d in zip(states, k1, k2, k3, k4)]
+    return states
+
+
 def curvatures_expression(i_form, ii_form):
     """verify.curvatures' (H, K, ok), one temporary per operation."""
     e, f, g = i_form[..., 0, 0], i_form[..., 0, 1], i_form[..., 1, 1]

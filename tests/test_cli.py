@@ -395,7 +395,9 @@ def test_base_outside_the_grid_fails_in_grid_and_config(tmp_path):
     ("verify", "tolerances", {"quadric": 10 ** 400}),
     ("domain", "re_min", -(10 ** 400)),
     ("domain", "base", [1e10, 0.0]),    # with re_max = 1e-300 below
-], ids=["p", "tolerance", "re_min", "base"])
+    ("domain", "nu", 10 ** 400),
+    ("domain", "nv", 10 ** 400),
+], ids=["p", "tolerance", "re_min", "base", "nu", "nv"])
 def test_numbers_past_float_range_are_config_errors(tmp_path, section, key, value):
     # float() of each overflows: a config error to report, not a traceback (exit 1)
     doc = _base_config(tmp_path)
@@ -640,6 +642,12 @@ def _fuzz_run(doc):
     # (x, x) and |x|_E overflow in the build and in the verifier
     ("quadric-h3", {("target", "mu"): -1e300}, EXIT_VERIFY),
     ("quadric-desitter", {("target", "mu"): 1e300}, EXIT_VERIFY),
+    # 1/mu is finite, but x = Psi diag(1, -mu) Psi* (x_m for LW) overflows
+    ("quadric-h3", {("target", "mu"): -1e308}, EXIT_VERIFY),
+    ("quadric-h3", {("target", "kind"): "quadric-desitter", ("target", "mu"): 1e308},
+     EXIT_VERIFY),
+    ("quadric-h3", {("target", "kind"): "lw-bryant", ("target", "mu"): -1e308,
+                    ("data", "psi"): "z", ("data", "eta"): "1"}, EXIT_VERIFY),
     # |psi|^2 overflows at the LW pole test
     ("lw-bryant", {("data", "psi"): "1e308*z"}, EXIT_VERIFY),
     # (p, p) overflows, so every node would be degenerate

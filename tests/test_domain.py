@@ -17,6 +17,13 @@ def test_grid_validation():
         DomainGrid(-1.0, float("inf"), -1.0, 1.0, 5, 5, (0, 0))
 
 
+@pytest.mark.parametrize("nu, nv", [(10 ** 400, 5), (5, 10 ** 400)], ids=["nu", "nv"])
+def test_node_counts_past_float_range_are_value_errors(nu, nv):
+    # the step width / (n - 1) cannot be formed in floating point
+    with pytest.raises(ValueError, match="step"):
+        DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, (0, 0))
+
+
 def test_grid_coordinates():
     g = DomainGrid.square(1.0, 5)
     zs = g.zs()

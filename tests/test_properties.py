@@ -15,16 +15,15 @@ from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import FUNCTIONS, BinOp, Call, Expr, Pow, differentiate, parse_expr, print_expr
 from minksurf.forms import build_xi, xi_hat_values
-from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder, _inv, _mul,
-                                _rk4_sum, integrate_closed_form, solve_path_system,
-                                solve_psi)
+from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder, _inv, _mul, _rk4,
+                                integrate_closed_form, solve_path_system, solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
 from minksurf.surfaces import (BASE_X, GeometryKind, make_affine_surface, make_lw_bryant,
                                make_quadric_surface, uy_perturb)
 from minksurf.verify import _duality, curvatures, intrinsic_curvature
 from reference import (SingularPoint, curvatures_expression, dilate_mask_rings,
                        duality_expression, enorm_expression, eval_at, inv2,
-                       ip31_expression, mobius_data, vec_from_herm_unchecked)
+                       ip31_expression, mobius_data, rk4_expression, vec_from_herm_unchecked)
 
 # a fifth of the profile's examples: 20 locally, more under the ci profile (conftest.py)
 FEW = settings(max_examples=settings.default.max_examples // 5, deadline=None, database=None)
@@ -364,16 +363,58 @@ def test_mul_and_inv_keep_the_stacked_bits(ab):
         assert _same_bits(_inv(a), _stacked_inv(a))
 
 
+def _rk4_substep_with_slopes(p, k):
+    """_rk4 over one substep from p whose four slopes are k, whatever the stages."""
+    given = iter(k)
+
+    def slopes(i, stages, out):
+        out[0][...] = next(given)
+
+    return _rk4([p.copy()], slopes, 3)[0]
+
+
 @FEW
 @given(_batches(5))
 @example(np.full((5, 4, 2), complex(-0.0, -0.0)))
 @example(np.full((5, 4, 2), complex(1.0, -0.0)))
-def test_rk4_sum_keeps_the_bits_of_the_division(ks):
+def test_rk4_keeps_the_bits_of_the_division(ks):
     p, k = ks[0] + 0.0, ks[1:]      # + 0.0: a state never holds -0
     old = (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]) / 6.0
-    new = _rk4_sum(*k)
+    new = _rk4_substep_with_slopes(np.zeros_like(p), k)
     assert np.array_equal(new, old)             # a zero part may differ in sign
-    assert _same_bits(p + new, p + old)         # which p + sum does not see
+    assert _same_bits(_rk4_substep_with_slopes(p, k), p + old)   # which p + sum does not see
+
+
+@st.composite
+def coupled_linear_slopes(draw):
+    """Start states and coefficients C_r of one to three coupled (4, edges)
+    states over one to three substeps: state r's slope is C_r S_r, plus
+    S_{r-1} for r > 0, at the stage values S.  Entries of modulus <= 1 keep
+    every value finite, where addition commutes bit for bit (_rk4 sums
+    k1 + 2 k2, the expression 2 k2 + k1)."""
+    count, substeps, edges = (draw(st.integers(1, top)) for top in (3, 3, 5))
+    return (draw(hnp.arrays(complex, (count, 4, edges), elements=entry)),
+            draw(hnp.arrays(complex, (count, 4, 2 * substeps + 1, edges), elements=entry)))
+
+
+@FEW
+@given(coupled_linear_slopes())
+def test_rk4_keeps_the_bits_of_the_expression_substeps(problem):
+    states, coeffs = problem
+
+    def slopes(i, stages, out):
+        for r, (c, s, o) in enumerate(zip(coeffs, stages, out)):
+            _mul(c[:, i], s, out=o)
+            if r:
+                o += stages[r - 1]
+
+    def slopes_expression(i, stages):
+        ks = [_stacked_mul(c[:, i], s) for c, s in zip(coeffs, stages)]
+        return [k + stages[r - 1] if r else k for r, k in enumerate(ks)]
+
+    got = _rk4([s.copy() for s in states], slopes, coeffs.shape[2])
+    want = rk4_expression(list(states), slopes_expression, coeffs.shape[2])
+    assert _same_bits(np.stack(got), np.stack(want))
 
 
 @st.composite
