@@ -180,18 +180,12 @@ def _rk4(states, slopes, points):
 
 @dataclass
 class FrameEquation:
-    """dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT), from psi0."""
+    """dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT), from I."""
 
     coeff: Callable
     m: float
     side: FrameSide = FrameSide.LEFT
-    psi0: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.psi0 = IDENTITY2 if self.psi0 is None else np.asarray(self.psi0, dtype=complex)
-        if self.psi0.shape != (2, 2) or not abs(_det(self.psi0.reshape(4)) - 1.0) <= EPS_DET:
-            raise ValueError("psi0 must be a 2x2 matrix with determinant 1")
-        self.state0 = self.psi0.reshape(4)
+    state0 = IDENTITY2.reshape(4)
 
     def local(self, xi, delta):
         xi *= -self.m * delta
@@ -296,10 +290,8 @@ class _Quadrature:
 
 
 def _simpson_weights(substeps):
-    """Composite Simpson weights over `substeps` (even, >= 2) intervals of an
-    edge, for a step of two intervals: the edge integral is delta (w . f)."""
-    if substeps % 2 != 0 or substeps < 2:
-        raise ValueError("substeps must be even and >= 2")
+    """Composite Simpson weights over `substeps` (even) intervals of an edge,
+    for a step of two intervals: the edge integral is delta (w . f)."""
     w = np.ones(substeps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -333,8 +325,8 @@ def _walk(problem, substeps, halves):
     sample near a pole blows P up past its precision.  The drift reaches the
     surfaces directly: x = Psi diag(1, -mu) Psi* has (x, x) - mu =
     mu (|det Psi|^2 - 1).  Good frames read about 1e-14, and a pole within
-    rounding of a node, or 1e-3 from one, more than 1e-6; EPS_DET (1e-8,
-    the bound a frame start must meet) lies between.
+    rounding of a node, or 1e-3 from one, more than 1e-6; EPS_DET (1e-8)
+    lies between.
     """
     halves = sorted(halves, key=lambda h: -len(h[0]))   # those still walking lead
     state = np.concatenate([out[0].T for _, _, out, _ in halves], axis=1)
@@ -405,68 +397,57 @@ def solve_path_system(grid, problem, *, mask=None, order=PathOrder.ROW_FIRST,
                       coupled=tuple(mats[:, :, i] for i in range(1, mats.shape[2])))
 
 
-def integrate_closed_form(density, grid, base_value=0.0, *, mask=None,
-                          order=PathOrder.ROW_FIRST, substeps=4):
-    """Integrate a closed 1-form density along staircase paths.
+def integrate_closed_form(density, grid, *, mask=None):
+    """Integrate a closed 1-form density along row-first staircase paths.
 
     density is a callable z -> values (any tail shape, NaN marking
-    singular points).  Returns (field, valid): field[iv, iu] = base_value
-    + integral of density dz from the base node to node (iv, iu), composite
-    Simpson over `substeps` intervals per edge; nodes that cannot be
-    reached through unmasked, finite samples are invalid and NaN.
+    singular points).  Returns (field, valid): field[iv, iu] = the integral
+    of density dz from the base node to node (iv, iu), composite Simpson
+    over 4 intervals per edge; nodes that cannot be reached through
+    unmasked, finite samples are invalid and NaN.
     """
-    weights = _simpson_weights(substeps)
-    tail = np.broadcast_shapes(np.shape(base_value),
-                               np.shape(density(np.array([grid.base_z])))[1:])
-    state0 = np.broadcast_to(np.asarray(base_value, dtype=complex), tail).ravel()
-    out, valid, _ = _walk_staircases(grid, _Quadrature(density, state0, weights),
-                                     mask, order, substeps // 2)
+    tail = np.shape(density(np.array([grid.base_z])))[1:]
+    problem = _Quadrature(density, np.zeros(tail, dtype=complex).ravel(), _simpson_weights(4))
+    out, valid, _ = _walk_staircases(grid, problem, mask, PathOrder.ROW_FIRST, 2)
     return out.reshape(grid.shape + tail), valid
 
 
-def _xi_inputs(xi, mask):
-    from .forms import XiField
-    if not isinstance(xi, XiField):
-        return xi, mask
-    return xi.fn, xi.mask if mask is None else (xi.mask & np.asarray(mask, dtype=bool))
+def solve_psi(xi, m, grid, *, side=FrameSide.LEFT, order=PathOrder.ROW_FIRST,
+              substeps=4) -> FrameField:
+    """Integrate the frame equation for an XiField xi from I at the base node.
 
-
-def solve_psi(xi, m, grid, psi0=None, *, side=FrameSide.LEFT, mask=None,
-              order=PathOrder.ROW_FIRST, substeps=4) -> FrameField:
-    """Integrate the frame equation for a matrix density xi.
-
-    xi is an XiField or a callable z -> (..., 2, 2) that returns a new array
-    per call (the walk may scale it in place); the equation side is
-    dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT).  psi0 must have
-    determinant 1; m = 0 returns the constant frame psi0.
+    xi.fn must return a new array per call (the walk may scale it in place),
+    and only the nodes of xi.mask are usable; the equation side is
+    dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT).  m = 0 returns
+    the constant frame I.
     """
-    fn, node_mask = _xi_inputs(xi, mask)
-    return solve_path_system(grid, FrameEquation(fn, m, side, psi0), mask=node_mask,
+    return solve_path_system(grid, FrameEquation(xi.fn, m, side), mask=xi.mask,
                              order=order, substeps=substeps)
 
 
 def iteration_law_defect(xi, t, s, grid):
     """Defect of composing trivializing gauges: F^t_s F_t against F_{t+s}.
 
-    F_t solves dF = t F xi; the second-stage gauge F^t_s solves
-    dF = s F (F_t xi F_t^{-1}) coupled to the first; their product G =
-    F^t_s F_t is walked against the directly solved F_{t+s}
-    (IterationLawFrames).  G F_{t+s}^{-1} should be a constant matrix over
-    the grid; returns its maximum Frobenius distance from the base-node value.
+    F_t solves dF = t F xi for an XiField xi; the second-stage gauge F^t_s
+    solves dF = s F (F_t xi F_t^{-1}) coupled to the first; their product
+    G = F^t_s F_t is walked against the directly solved F_{t+s}
+    (IterationLawFrames).  G F_{t+s}^{-1}, formed as G adj(F_{t+s}) since
+    F_{t+s} has det 1 to rounding, should be a constant matrix over the
+    grid; returns its maximum Frobenius distance from the base-node value.
     """
-    fn, node_mask = _xi_inputs(xi, None)
-    frames = solve_path_system(grid, IterationLawFrames(fn, t, s), mask=node_mask)
+    frames = solve_path_system(grid, IterationLawFrames(xi.fn, t, s), mask=xi.mask)
     g, f_ts = (np.moveaxis(f.reshape(f.shape[:2] + (4,)), -1, 0)
                for f in (frames.values,) + frames.coupled)
     with np.errstate(all="ignore"):
-        prod = _mul(g, _inv(f_ts))
+        prod = _mul(g, _adj(f_ts))
     r0, c0 = grid.base_index
     prod -= prod[:, r0, c0, None, None]
     return _max_frobenius(np.moveaxis(prod, 0, -1), frames.valid)
 
 
 def path_independence_check(xi, m, grid):
-    """Max Frobenius deviation between row-first and column-first transport."""
+    """Max Frobenius deviation between row-first and column-first transport
+    of an XiField xi."""
     a = solve_psi(xi, m, grid, order=PathOrder.ROW_FIRST)
     b = solve_psi(xi, m, grid, order=PathOrder.COLUMN_FIRST)
     return _max_frobenius((a.values - b.values).reshape(a.valid.shape + (4,)),

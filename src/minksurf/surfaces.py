@@ -34,8 +34,8 @@ import numpy as np
 
 from .domain import DomainGrid, SampledData, _as_expr, check_base, dilate_mask, grid_line_interpolant
 from .expr import Expr, evaluate
-from .forms import build_xi, xi_hat_values, zeta_density_fn
-from .integrate import (EDGE_BLOCK, FrameField, FrameSide, FrameWithMovedIntegral, PathOrder,
+from .forms import XiField, build_xi, xi_hat_values, zeta_density_fn
+from .integrate import (EDGE_BLOCK, FrameField, FrameSide, FrameWithMovedIntegral,
                         integrate_closed_form, solve_path_system, solve_psi)
 from .minkowski import (LIGHTLIKE, SPACELIKE, TIMELIKE, causal_type, enorm,
                         herm_from_vec, ip31)
@@ -73,6 +73,17 @@ def _check_mu(mu):
         raise ValueError(f"mu={mu} is too close to 0: 1/mu is not finite")
 
 
+def _check_p(p):
+    """A hyperplane normal p as floats: non-zero, with (p, p) finite, else every
+    node would be degenerate."""
+    p = np.asarray(p, dtype=float)
+    if not np.any(p):
+        raise ValueError("hyperplane normal p must be non-zero")
+    if not np.isfinite(sum(c * c for c in p.tolist())):
+        raise ValueError("hyperplane normal p is too large: (p, p) overflows a float")
+    return p
+
+
 def quadric_kind_for(mu):
     if mu < 0:
         return GeometryKind.QUADRIC_H3
@@ -94,11 +105,7 @@ class TargetGeometry:
         if self.kind in AFFINE_KINDS:
             if self.p is None:
                 raise ValueError("affine targets need the hyperplane normal p")
-            p = np.asarray(self.p, dtype=float)
-            if not np.any(p):
-                raise ValueError("hyperplane normal p must be non-zero")
-            if not np.isfinite(sum(c * c for c in p.tolist())):   # every node would be degenerate
-                raise ValueError("hyperplane normal p is too large: (p, p) overflows a float")
+            p = _check_p(self.p)
             expected = _AFFINE_KIND_BY_CAUSAL[causal_type(p)]
             if expected is not self.kind:
                 raise ValueError(
@@ -203,12 +210,8 @@ def _affine_sample(data: SampledData, x, valid, phi, p, params, aux=None):
 
 def make_affine_surface(data: SampledData, p) -> SurfaceSample:
     """Integrate dx = -(zeta p) from BASE_X into the affine hyperplane normal to p."""
-    p = np.asarray(p, dtype=float)
-    if not np.any(p):
-        raise ValueError("hyperplane normal p must be non-zero")
-    density = zeta_density_fn(data, p)
-    integral, valid = integrate_closed_form(
-        density, data.grid, base_value=np.zeros(4, dtype=complex), mask=data.mask)
+    p = _check_p(p)
+    integral, valid = integrate_closed_form(zeta_density_fn(data, p), data.grid, mask=data.mask)
     return _affine_sample(data, BASE_X - integral.real, valid, data.phi, p, {})
 
 
@@ -287,7 +290,7 @@ def secondary_form(frame: FrameField, data: SampledData):
     return psi, eta
 
 
-def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> SurfaceSample:
+def uy_perturb(data: SampledData, m, mu) -> SurfaceSample:
     """T-transform of the quadric surface: a zero-mean-curvature affine surface.
 
     Couples the frame transport to the quadrature of the gauge-moved form
@@ -299,8 +302,7 @@ def uy_perturb(data: SampledData, m, mu, *, order=PathOrder.ROW_FIRST) -> Surfac
         raise ValueError("m must be non-zero")
     xi = build_xi(data)
     c_vec = np.array([0.5 * (1.0 - mu), 0.0, 0.0, 0.5 * (1.0 + mu)])   # vec diag(1, -mu)
-    frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask,
-                              order=order)
+    frame = solve_path_system(data.grid, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask)
     # x = vec(M C + (M C)*) with C = diag(1, -mu), from M's entries
     m00, m01, m10, m11 = (frame.coupled[0][..., i, j] for i in (0, 1) for j in (0, 1))
     x = BASE_X + np.stack((m00.real - mu * m11.real, m10.real - mu * m01.real,
@@ -327,8 +329,7 @@ def _as_field_and_fn(obj, grid, mask):
     return vals, grid_line_interpolant(vals, grid, mask=mask)
 
 
-def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
-                   eps_pole=EPS_LW_POLE):
+def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None):
     """Linear Weingarten surface of Bryant type plus its middle sphere.
 
     psi and eta_hat may be expressions/text or per-node sampled arrays
@@ -344,19 +345,16 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None,
     _check_mu(mu)
     psi_v, psi_fn = _as_field_and_fn(psi, grid, mask)
     eta_v, eta_fn = _as_field_and_fn(eta_hat, grid, mask)
-
-    def coeff(z):
-        return xi_hat_values(psi_fn(z), eta_fn(z))
-
     node_ok = np.isfinite(psi_v) & np.isfinite(eta_v)
     if mask is not None:
         node_ok &= np.asarray(mask, dtype=bool)
     with np.errstate(all="ignore"):    # a huge psi overflows |psi|^2; the walk drops its node
         r2 = np.abs(psi_v) ** 2
         pole = 1.0 - mu * r2
-        usable = node_ok & ~dilate_mask(np.abs(pole) < eps_pole * (1.0 + abs(mu) * r2))
+        usable = node_ok & ~dilate_mask(np.abs(pole) < EPS_LW_POLE * (1.0 + abs(mu) * r2))
     check_base(usable, grid)
-    frame = solve_psi(coeff, m, grid, side=FrameSide.RIGHT, mask=node_ok)
+    xi = XiField(mask=node_ok, fn=lambda z: xi_hat_values(psi_fn(z), eta_fn(z)))
+    frame = solve_psi(xi, m, grid, side=FrameSide.RIGHT)
     surf_mask = frame.valid & usable
 
     with np.errstate(all="ignore"):    # a huge mu overflows x_m

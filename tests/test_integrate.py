@@ -28,15 +28,6 @@ def test_linear_density_exact():
     assert abs(fld[iv, iu] - (1 + 1j) ** 2 / 2) <= 1e-10
 
 
-def test_base_value_respected():
-    g = DomainGrid.square(1.0, 11)
-    base = np.array([1.0 + 0j, -2.0 + 0j])
-    fld, ok = integrate_closed_form(lambda z: np.stack([z, z * z], axis=-1),
-                                    g, base_value=base)
-    iv, iu = g.base_index
-    assert np.allclose(fld[iv, iu], base)
-
-
 def test_quadrature_convergence_on_entire_density():
     errs = []
     for n in (11, 21, 41):
@@ -87,10 +78,9 @@ def test_singular_edge_blocks_paths():
 
 def test_column_first_order_walks_transposed():
     g = DomainGrid.square(1.0, 11)
-    mask = np.ones(g.shape, dtype=bool)
-    mask[:, 7] = False  # wall right of the base column blocks COLUMN_FIRST
-    _fld, ok = integrate_closed_form(lambda z: np.ones_like(z), g, mask=mask,
-                                     order=PathOrder.COLUMN_FIRST)
+    xi = build_xi(sample_data("z", "1", g))
+    xi.mask[:, 7] = False   # wall right of the base column blocks COLUMN_FIRST
+    ok = solve_psi(xi, 1.0, g, order=PathOrder.COLUMN_FIRST).valid
     assert not ok[:, 7:].any()
     assert ok[:, :7].all()
 
@@ -98,19 +88,8 @@ def test_column_first_order_walks_transposed():
 def test_solve_psi_m_zero_is_constant():
     g = DomainGrid.square(1.0, 9)
     xi = build_xi(sample_data("z", "1", g))
-    psi0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
-    ff = solve_psi(xi, 0.0, g, psi0)
-    assert np.max(np.abs(ff.values - psi0)) == 0.0
-
-
-@pytest.mark.parametrize("psi0", [2.0 * np.eye(2), np.zeros((2, 2)),
-                                  np.full((2, 2), np.nan), np.eye(3)])
-def test_solve_psi_rejects_a_start_outside_sl2(psi0):
-    # a start with det != 1 would keep its det at the base node only
-    g = DomainGrid.square(1.0, 5)
-    xi = build_xi(sample_data("z", "1", g))
-    with pytest.raises(ValueError, match="determinant 1"):
-        solve_psi(xi, 1.0, g, psi0)
+    ff = solve_psi(xi, 0.0, g)
+    assert np.array_equal(ff.values, np.broadcast_to(np.eye(2), ff.values.shape))
 
 
 def test_solve_psi_nilpotent_closed_form():
@@ -336,12 +315,6 @@ def test_invalid_nodes_hold_nan_in_both_parts():
         assert np.isnan(values[~valid].imag).all()
 
 
-def test_substeps_must_be_even():
-    g = DomainGrid.square(1.0, 5)
-    with pytest.raises(ValueError):
-        integrate_closed_form(lambda z: z, g, substeps=3)
-
-
 @pytest.mark.parametrize("substeps", [0, -2, 2.5, True, "4", None])
 def test_transport_rejects_invalid_substeps(substeps):
     g = DomainGrid.square(1.0, 5)
@@ -399,14 +372,15 @@ def test_iteration_law_survives_masked_data():
 
 
 def test_coupled_integrals_transpose_consistently():
-    # the same flat transport walked in either staircase order agrees
-    from minksurf.surfaces import uy_perturb
+    # the same flat transport walked in either staircase order agrees, and so
+    # does the integral M of Psi^-1 dPsi that rides on it
     g = DomainGrid.square(1.0, 21)
-    a = uy_perturb(sample_data("z", "1", g), 1.0, -1.0)
-    b = uy_perturb(sample_data("z", "1", g), 1.0, -1.0, order=PathOrder.COLUMN_FIRST)
-    sel = a.mask & b.mask
-    assert sel.any()
-    assert np.nanmax(np.abs(a.x - b.x)[sel]) < 1e-9
+    xi = build_xi(sample_data("z", "1", g))
+    a, b = (solve_path_system(g, FrameWithMovedIntegral(xi.fn, 1.0), mask=xi.mask, order=order)
+            for order in PathOrder)
+    sel = a.valid & b.valid
+    assert sel.all()
+    assert np.max(np.abs(a.coupled[0] - b.coupled[0])[sel]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +472,6 @@ REF_CASES = {
     "masked-pole": (lambda: DomainGrid.square(1.0, 11, base=1 + 1j), "1/z", "1"),
     "nv-ne-nu": (lambda: DomainGrid(-1.0, 1.0, -0.6, 0.6, 9, 6, (4, 2)), "z", "1 + 0.1*z^2"),
 }
-PSI0 = np.array([[2.0, 1.0 + 0.5j], [1.0, 1.0 + 0.25j]], dtype=complex)
-PSI0 = PSI0 / np.sqrt(_det(PSI0))
 
 
 def _assert_matches(got, want, valid_got, valid_want, tol=1e-12):
@@ -514,22 +486,19 @@ def _assert_matches(got, want, valid_got, valid_want, tol=1e-12):
 @pytest.mark.parametrize("case", sorted(REF_CASES))
 @pytest.mark.parametrize("side", list(FrameSide))
 @pytest.mark.parametrize("order", list(PathOrder))
-@pytest.mark.parametrize("identity_start", [True, False])
-def test_solve_psi_matches_per_node_reference(case, side, order, identity_start):
+def test_solve_psi_matches_per_node_reference(case, side, order):
     make_grid, phi, omega = REF_CASES[case]
     g = make_grid()
     xi = build_xi(sample_data(phi, omega, g))
-    psi0 = np.eye(2, dtype=complex) if identity_start else PSI0
-    ff = solve_psi(xi, 1.0, g, None if identity_start else psi0, side=side, order=order)
+    ff = solve_psi(xi, 1.0, g, side=side, order=order)
     (want,), valid, (drift,) = _staircase_reference(
-        g, _frame_deriv(xi.fn, 1.0, side), [psi0], 1, mask=xi.mask, order=order)
+        g, _frame_deriv(xi.fn, 1.0, side), [np.eye(2)], 1, mask=xi.mask, order=order)
     _assert_matches(ff.values, want, ff.valid, valid)
     assert abs(ff.det_drift - drift) <= 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(REF_CASES))
-@pytest.mark.parametrize("order", list(PathOrder))
-def test_uy_perturb_matches_per_node_reference(case, order):
+def test_uy_perturb_matches_per_node_reference(case):
     from minksurf.surfaces import uy_perturb
     make_grid, phi, omega = REF_CASES[case]
     g = make_grid()
@@ -544,13 +513,33 @@ def test_uy_perturb_matches_per_node_reference(case, order):
         dens = -m * vec_density_from_matrix(inv2(psi) @ c @ psi @ c_mat)
         return [-m * h * (c @ psi), dens * h]
 
-    surface = uy_perturb(data, m, mu, order=order)
+    surface = uy_perturb(data, m, mu)
     frame = surface.aux["frame"]
     (psi, integral), valid, _ = _staircase_reference(
-        g, deriv, [np.eye(2), np.zeros(4)], 1, mask=xi.mask, order=order)
+        g, deriv, [np.eye(2), np.zeros(4)], 1, mask=xi.mask)
     _assert_matches(frame.values, psi, frame.valid, valid)
     x = np.where(np.isfinite(integral.real), integral.real, np.nan)
     _assert_matches(surface.x, x, frame.valid, valid)
+
+
+@pytest.mark.parametrize("case", sorted(REF_CASES))
+@pytest.mark.parametrize("order", list(PathOrder))
+def test_moved_integral_matches_per_node_reference(case, order):
+    # the T-transform's frame and M, the integral of Psi^-1 dPsi = -m Psi^-1 xi Psi dz
+    make_grid, phi, omega = REF_CASES[case]
+    g = make_grid()
+    xi = build_xi(sample_data(phi, omega, g))
+
+    def deriv(z, h, states):
+        c = xi.fn(np.asarray(z))
+        return [-h * (c @ states[0]), -h * (inv2(states[0]) @ c @ states[0])]
+
+    frame = solve_path_system(g, FrameWithMovedIntegral(xi.fn, 1.0), mask=xi.mask, order=order)
+    (psi, moved), valid, (drift,) = _staircase_reference(
+        g, deriv, [np.eye(2), np.zeros((2, 2))], 1, mask=xi.mask, order=order)
+    _assert_matches(frame.values, psi, frame.valid, valid)
+    _assert_matches(frame.coupled[0], moved, frame.valid, valid)
+    assert abs(frame.det_drift - drift) <= 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(REF_CASES))
@@ -585,7 +574,7 @@ def test_iteration_law_matches_per_node_reference(case):
 
 def _walk_problems(xi_fn, density):
     from minksurf.integrate import FrameEquation, _Quadrature, _simpson_weights
-    return {**{f"frame-{side.value}": (FrameEquation(xi_fn, 1.0, side, PSI0), 4)
+    return {**{f"frame-{side.value}": (FrameEquation(xi_fn, 1.0, side), 4)
                for side in FrameSide},
             "moved-integral": (FrameWithMovedIntegral(xi_fn, 1.0), 4),
             "iteration-law": (IterationLawFrames(xi_fn, 0.5, 0.25), 4),

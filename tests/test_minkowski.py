@@ -1,10 +1,7 @@
 import numpy as np
-import pytest
 
 from minksurf import minkowski as mk
-from minksurf.domain import DomainGrid, sample_data
-from minksurf.forms import build_xi, zeta_vector_density
-from minksurf.integrate import solve_psi
+from minksurf.forms import zeta_vector_density
 from minksurf.surfaces import _frame_conjugate
 from reference import vec_density_from_matrix, vec_from_herm_unchecked
 
@@ -103,17 +100,6 @@ def test_sl2_action_preserves_ip():
         bound = 1e-10 * (1 + float(np.dot(u, u)) + float(np.dot(v, v)))
         assert abs(lhs - rhs) <= bound
         assert np.max(np.abs(au - _conjugate_matmul(a, u))) <= bound
-
-
-def test_sl2_rejects_non_unit_det():
-    # a frame start is accepted up to |det - 1| <= EPS_DET and refused beyond
-    g = DomainGrid.square(1.0, 5)
-    xi = build_xi(sample_data("z", "1", g))
-    near = np.diag([1.0 + 0.5 * mk.EPS_DET, 1.0]).astype(complex)
-    solve_psi(xi, 1.0, g, near)
-    far = np.diag([1.0 + 2.0 * mk.EPS_DET, 1.0]).astype(complex)
-    with pytest.raises(ValueError, match="determinant 1"):
-        solve_psi(xi, 1.0, g, far)
 
 
 def _alg_act(b, v):

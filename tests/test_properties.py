@@ -3,7 +3,7 @@
 Examples are few, so tier-1 stays quick, and no example database is kept.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from minksurf.domain import DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, mixed_diff, second_diff
 from minksurf.expr import FUNCTIONS, BinOp, Call, Expr, Pow, differentiate, parse_expr, print_expr
-from minksurf.forms import build_xi, xi_hat_values
+from minksurf.forms import XiField, build_xi, xi_hat_values
 from minksurf.integrate import (FrameSide, IterationLawFrames, PathOrder, _inv, _mul, _rk4,
                                 integrate_closed_form, solve_path_system, solve_psi)
 from minksurf.minkowski import E0, E1, E3, enorm, herm_from_vec, ip31
@@ -50,13 +50,25 @@ def _linear_coefficient(draw):
     return coeff, DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, base)
 
 
+def _unmasked(coeff, grid):
+    return XiField(mask=np.ones(grid.shape, dtype=bool), fn=coeff)
+
+
 @st.composite
 def transports(draw):
     """A linear sl(2,C) coefficient on a small grid, solved by solve_psi."""
     coeff, grid = _linear_coefficient(draw)
     kwargs = dict(side=draw(st.sampled_from(FrameSide)), order=draw(st.sampled_from(PathOrder)))
     m = draw(st.floats(-1.0, 1.0))
-    return partial(solve_psi, coeff, m, grid, **kwargs)
+    return partial(solve_psi, _unmasked(coeff, grid), m, grid, **kwargs)
+
+
+@st.composite
+def base_changes(draw):
+    """A linear sl(2,C) coefficient on a small grid, a frame side, m and a column."""
+    coeff, grid = _linear_coefficient(draw)
+    return (coeff, grid, draw(st.sampled_from(FrameSide)), draw(st.floats(-1.0, 1.0)),
+            draw(st.integers(0, grid.nu - 1)))
 
 
 @st.composite
@@ -77,19 +89,19 @@ def test_transport_keeps_unit_determinant(solve):
 
 
 @FEW
-@given(transports(), st.lists(entry, min_size=4, max_size=4))
-def test_transport_composes_with_the_start(solve, entries):
-    # Psi[psi0 = G] = Psi[I] G (LEFT) and G Psi[I] (RIGHT) for G in SL(2,C)
-    g = np.array(entries).reshape(2, 2)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    assume(abs(det) > 0.1)
-    g = g / np.sqrt(det)
-    from_identity = solve()
-    want = from_identity.values @ g if solve.keywords["side"] is FrameSide.LEFT \
-        else g @ from_identity.values
-    got = solve(g).values
-    scale = np.max(np.abs(from_identity.values)) * np.max(np.abs(g))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+@given(base_changes())
+def test_transport_composes_across_a_change_of_base(problem):
+    # the row-first path from the base A to a node C passes B, the node of A's row
+    # in C's column, so Psi_A(C) = Psi_B(C) Psi_A(B) (LEFT) and Psi_A(B) Psi_B(C) (RIGHT)
+    coeff, grid, side, m, col = problem
+    b = (grid.base_index[0], col)
+    xi = _unmasked(coeff, grid)
+    from_a = solve_psi(xi, m, grid, side=side).values[:, col]
+    from_b = solve_psi(xi, m, replace(grid, base_index=b), side=side).values[:, col]
+    a_to_b = from_a[b[0]]
+    want = from_b @ a_to_b if side is FrameSide.LEFT else a_to_b @ from_b
+    scale = np.max(np.abs(from_b)) * np.max(np.abs(a_to_b))
+    assert np.max(np.abs(from_a - want)) <= 1e-12 * scale
 
 
 @FEW
@@ -97,7 +109,7 @@ def test_transport_composes_with_the_start(solve, entries):
        st.data())
 def test_quadrature_is_exact_on_cubics(coefs, nu, nv, data):
     # Simpson is exact on cubics, so every node, reached forwards or
-    # backwards along either path order, holds the exact antiderivative
+    # backwards, holds the exact antiderivative
     base = (data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nu - 1)))
     grid = DomainGrid(-1.0, 1.0, -1.0, 1.0, nu, nv, base)
     c = np.array(coefs)
@@ -108,10 +120,9 @@ def test_quadrature_is_exact_on_cubics(coefs, nu, nv, data):
     zs = grid.zs()
     want = antiderivative(zs) - antiderivative(zs[base])
     scale = 1.0 + np.max(np.abs(want))
-    for order in PathOrder:
-        fld, ok = integrate_closed_form(lambda z: np.polyval(c[::-1], z), grid, order=order)
-        assert ok.all()
-        assert np.max(np.abs(fld - want)) <= 1e-12 * scale
+    fld, ok = integrate_closed_form(lambda z: np.polyval(c[::-1], z), grid)
+    assert ok.all()
+    assert np.max(np.abs(fld - want)) <= 1e-12 * scale
 
 
 numbers = st.one_of(st.integers(0, 1000).map(str),

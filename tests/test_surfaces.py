@@ -73,6 +73,16 @@ def test_affine_rejects_zero_normal():
         make_affine_surface(data, np.zeros(4))
 
 
+def test_affine_refuses_the_normal_its_target_refuses():
+    # (p, p) overflows: every node would be degenerate, so neither accepts p
+    data = sample_data("z", "1", DomainGrid.square(1.0, 21))
+    p = (1e200, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        TargetGeometry(GeometryKind.AFFINE_E3, p=p)
+    with pytest.raises(ValueError, match="overflows"):
+        make_affine_surface(data, p)
+
+
 def test_affine_kinds_and_normals():
     g = DomainGrid.square(1.0, 21)
     data = sample_data("z", "1", g)
@@ -363,11 +373,13 @@ def test_lw_middle_sphere_relation():
 
 
 def test_lw_pole_masking():
-    g = DomainGrid.square(1.5, 31)
-    s, _mid = make_lw_bryant("z", "0.3", 1.0, 0.5, g, eps_pole=1e-2)
-    zs = g.zs()
-    near = np.abs(1.0 - 0.5 * np.abs(zs) ** 2) < 5e-3
-    assert not s.mask[near].any()
+    # mu = 0.5 puts the pole 1 - mu |psi|^2 = 0 on |z|^2 = 2, through the nodes
+    # +-1 +- i (to rounding); they and their rings are masked, and no other node
+    g = DomainGrid.square(1.5, 13)
+    s, _mid = make_lw_bryant("z", "0.3", 1.0, 0.5, g)
+    on = np.abs(1.0 - 0.5 * np.abs(g.zs()) ** 2) < 1e-12
+    assert on.sum() == 4
+    assert np.array_equal(~s.mask, dilate_mask(on))
 
 
 def test_lw_gauss_pairing():
