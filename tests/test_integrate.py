@@ -28,6 +28,17 @@ def test_linear_density_exact():
     assert abs(fld[iv, iu] - (1 + 1j) ** 2 / 2) <= 1e-10
 
 
+def test_closed_form_keeps_the_density_tail_and_starts_at_zero():
+    g = DomainGrid.square(1.0, 11, base=0.4 + 0.2j)
+    fld, ok = integrate_closed_form(lambda z: np.stack([z, z * z], axis=-1), g)
+    assert fld.shape == g.shape + (2,)
+    assert ok.all()
+    assert np.array_equal(fld[g.base_index], np.zeros(2))
+    zs, z0 = g.zs(), g.zs()[g.base_index]
+    want = np.stack([(zs ** 2 - z0 ** 2) / 2, (zs ** 3 - z0 ** 3) / 3], axis=-1)
+    assert np.max(np.abs(fld - want)) < 1e-13
+
+
 def test_quadrature_convergence_on_entire_density():
     errs = []
     for n in (11, 21, 41):
@@ -472,6 +483,8 @@ REF_CASES = {
     "masked-pole": (lambda: DomainGrid.square(1.0, 11, base=1 + 1j), "1/z", "1"),
     "nv-ne-nu": (lambda: DomainGrid(-1.0, 1.0, -0.6, 0.6, 9, 6, (4, 2)), "z", "1 + 0.1*z^2"),
 }
+PSI0 = np.array([[2.0, 1.0 + 0.5j], [1.0, 1.0 + 0.25j]], dtype=complex)
+PSI0 = PSI0 / np.sqrt(_det(PSI0))
 
 
 def _assert_matches(got, want, valid_got, valid_want, tol=1e-12):
@@ -486,14 +499,19 @@ def _assert_matches(got, want, valid_got, valid_want, tol=1e-12):
 @pytest.mark.parametrize("case", sorted(REF_CASES))
 @pytest.mark.parametrize("side", list(FrameSide))
 @pytest.mark.parametrize("order", list(PathOrder))
-def test_solve_psi_matches_per_node_reference(case, side, order):
+@pytest.mark.parametrize("identity_start", [True, False])
+def test_solve_psi_matches_per_node_reference(case, side, order, identity_start):
+    # from another start G the reference is the frame from I composed with G:
+    # Psi G (LEFT) or G Psi (RIGHT), so the identity start loses no solution
     make_grid, phi, omega = REF_CASES[case]
     g = make_grid()
     xi = build_xi(sample_data(phi, omega, g))
     ff = solve_psi(xi, 1.0, g, side=side, order=order)
+    start = np.eye(2, dtype=complex) if identity_start else PSI0
     (want,), valid, (drift,) = _staircase_reference(
-        g, _frame_deriv(xi.fn, 1.0, side), [np.eye(2)], 1, mask=xi.mask, order=order)
-    _assert_matches(ff.values, want, ff.valid, valid)
+        g, _frame_deriv(xi.fn, 1.0, side), [start], 1, mask=xi.mask, order=order)
+    got = ff.values @ start if side is FrameSide.LEFT else start @ ff.values
+    _assert_matches(got, want, ff.valid, valid)
     assert abs(ff.det_drift - drift) <= 1e-12
 
 

@@ -65,10 +65,10 @@ def transports(draw):
 
 @st.composite
 def base_changes(draw):
-    """A linear sl(2,C) coefficient on a small grid, a frame side, m and a column."""
+    """A linear sl(2,C) coefficient on a small grid, a frame side, m and a node."""
     coeff, grid = _linear_coefficient(draw)
     return (coeff, grid, draw(st.sampled_from(FrameSide)), draw(st.floats(-1.0, 1.0)),
-            draw(st.integers(0, grid.nu - 1)))
+            (draw(st.integers(0, grid.nv - 1)), draw(st.integers(0, grid.nu - 1))))
 
 
 @st.composite
@@ -88,17 +88,21 @@ def test_transport_keeps_unit_determinant(solve):
     assert np.max(np.abs(det - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("order", list(PathOrder))
 @FEW
 @given(base_changes())
-def test_transport_composes_across_a_change_of_base(problem):
-    # the row-first path from the base A to a node C passes B, the node of A's row
-    # in C's column, so Psi_A(C) = Psi_B(C) Psi_A(B) (LEFT) and Psi_A(B) Psi_B(C) (RIGHT)
-    coeff, grid, side, m, col = problem
-    b = (grid.base_index[0], col)
+def test_transport_composes_across_a_change_of_base(order, problem):
+    # the staircase from the base A to a node C passes B, the node of A's row in
+    # C's column (ROW_FIRST) or of A's column in C's row (COLUMN_FIRST), so
+    # Psi_A(C) = Psi_B(C) Psi_A(B) (LEFT) and Psi_A(B) Psi_B(C) (RIGHT)
+    coeff, grid, side, m, (row, col) = problem
+    r0, c0 = grid.base_index
+    line, b, at_b = ((np.s_[:, col], (r0, col), r0) if order is PathOrder.ROW_FIRST
+                     else (np.s_[row], (row, c0), c0))
     xi = _unmasked(coeff, grid)
-    from_a = solve_psi(xi, m, grid, side=side).values[:, col]
-    from_b = solve_psi(xi, m, replace(grid, base_index=b), side=side).values[:, col]
-    a_to_b = from_a[b[0]]
+    from_a = solve_psi(xi, m, grid, side=side, order=order).values[line]
+    from_b = solve_psi(xi, m, replace(grid, base_index=b), side=side, order=order).values[line]
+    a_to_b = from_a[at_b]
     want = from_b @ a_to_b if side is FrameSide.LEFT else a_to_b @ from_b
     scale = np.max(np.abs(from_b)) * np.max(np.abs(a_to_b))
     assert np.max(np.abs(from_a - want)) <= 1e-12 * scale

@@ -8,7 +8,7 @@ from minksurf.domain import BasePointMaskedError, DomainGrid, dilate_mask, sampl
 from minksurf.fd import central_diff, stencil_valid
 from minksurf.integrate import FrameField
 from minksurf.minkowski import E0, E1, E3, ip31
-from minksurf.surfaces import (GeometryKind, TargetGeometry, gauss_lift,
+from minksurf.surfaces import (BASE_X, GeometryKind, TargetGeometry, gauss_lift,
                                make_affine_surface, make_lw_bryant,
                                make_quadric_surface, quadric_kind_for,
                                secondary_form, secondary_gauss, uy_perturb)
@@ -73,14 +73,28 @@ def test_affine_rejects_zero_normal():
         make_affine_surface(data, np.zeros(4))
 
 
-def test_affine_refuses_the_normal_its_target_refuses():
-    # (p, p) overflows: every node would be degenerate, so neither accepts p
+@pytest.mark.parametrize("p, reason", [
+    pytest.param((0.0, 0.0, 0.0, 0.0), "non-zero", id="zero"),
+    pytest.param((1e200, 0.0, 0.0, 0.0), "overflows", id="overflow"),
+])
+def test_affine_refuses_the_normal_its_target_refuses(p, reason):
+    # p = 0, or (p, p) past float range: every node would be degenerate, so
+    # neither accepts p
     data = sample_data("z", "1", DomainGrid.square(1.0, 21))
-    p = (1e200, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match=reason):
         TargetGeometry(GeometryKind.AFFINE_E3, p=p)
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match=reason):
         make_affine_surface(data, p)
+
+
+def test_affine_surface_starts_at_base_x():
+    # the closed-form integral starts at 0, so x(base node) = BASE_X for every p
+    g = DomainGrid.square(1.0, 11, base=0.3 - 0.2j)
+    data = sample_data("z", "1 + z", g)
+    for p in (E0, E3, (1.0, 0.0, 0.0, 1.0)):
+        s = make_affine_surface(data, p)
+        assert s.mask[g.base_index]
+        assert np.array_equal(s.x[g.base_index], BASE_X)
 
 
 def test_affine_kinds_and_normals():
