@@ -19,11 +19,12 @@ principal square root of its determinant; its raw |det P - 1| per unit
 length is the recorded drift; a frame whose determinant leaves 1 by more
 than EPS_DET ends its path (a pole within rounding of a node does that).
 The T-transform and the iteration law solve coupled local problems on the
-same edges; one RK4 (_rk4) advances every frame problem, which states only
-its slopes.  The law walks its two sides, G = F^t_s F_t as values and
-F_{t+s} as coupled: G moves by P2 P1 and F_{t+s} by P3, the propagators of
-F_t, F^t_s and F_{t+s}.  A closed 1-form density is one more edge problem:
-RK4 on dy = f dz is composite Simpson, so each edge adds its Simpson sum.
+same edges.  A frame problem states its start, its propagators (from I), its
+passive integrals (from 0 and read by no slope, so RK4 forms no stage value
+for them: the T-transform's Q), the scale of its samples and its slopes; one
+shared local does the rest.  A closed 1-form density is one more edge
+problem: RK4 on dy = f dz is composite Simpson, so each edge adds its
+Simpson sum.
 
 The walk takes both halves of the base row as one batch, then both halves
 of the columns; each edge is still solved on its own and each line composes
@@ -131,78 +132,85 @@ def _inv(a):
     return out
 
 
-def _renormalize(*props):
-    """Divide propagators in place by sqrt(det); returns their raw dets, stacked."""
-    dets = np.stack([_det(p) for p in props])
-    for p, d in zip(props, dets):
-        p /= np.sqrt(d)
-    return dets
-
-
-def _identities(edges):
-    return np.repeat(IDENTITY2.reshape(4, 1), edges, axis=1)
-
-
-def _rk4(states, slopes, points):
-    """Classical RK4 for coupled (4, edges) batches from `states` (its own to
-    overwrite) over an edge's sample points 0 .. points - 1, a substep per two;
-    slopes(i, stages, out) writes every state's slope at sample point i, given
-    every state's stage value there, into out.  Each slope joins the sum once
-    the next stage value is formed: stages p + k1/2, p + k2/2, p + k3, then
-    k1 + 2 k2 + 2 k3 + k4, times 1/6, plus p.  Returns the last point's batches."""
-    stage, k, acc = ([np.empty_like(p) for p in states] for _ in range(3))
+def _rk4(states, slopes, points, passive):
+    """Classical RK4 for a (count, 4, edges) array of coupled batches from
+    `states` (its own to overwrite) over an edge's sample points
+    0 .. points - 1, a substep per two; slopes(i, stages, out) writes every
+    state's slope at sample point i, given the stage values there, into out.
+    No slope reads the last `passive` states, so stages holds only the
+    others': passive stage values are never formed.  Each slope joins the sum
+    once the next stages are formed: p + k1/2, p + k2/2, p + k3, then
+    k1 + 2 k2 + 2 k3 + k4, times 1/6, plus p.  Returns the last point's states."""
+    active = slice(len(states) - passive)
+    stage, k, acc = np.empty_like(states[active]), np.empty_like(states), np.empty_like(states)
     for i in range(0, points - 1, 2):
-        slopes(i, states, acc)                      # k1 starts the sum
+        slopes(i, states[active], acc)              # k1 starts the sum
         for j in (1, 2, 3):
-            for s, last, a, p in zip(stage, acc if j == 1 else k, acc, states):
-                if j == 3:
-                    np.add(p, last, out=s)
-                else:
-                    np.multiply(0.5, last, out=s)
-                    s += p
-                if j > 1:                           # 2 k2 and 2 k3 join the sum
-                    a += np.multiply(2.0, last, out=last)
+            if j == 3:
+                np.add(states[active], k[active], out=stage)
+            else:
+                np.multiply(0.5, (acc if j == 1 else k)[active], out=stage)
+                stage += states[active]
+            if j > 1:                               # 2 k2 and 2 k3 join the sum
+                acc += np.multiply(2.0, k, out=k)
             slopes(i + (j + 1) // 2, stage, k)
-        for a, k4, p in zip(acc, k, states):
-            a += k4
-            a *= 1.0 / 6.0
-            a += p
+        acc += k
+        acc *= 1.0 / 6.0
+        acc += states
         states, acc = acc, states
     return states
 
 
 # Edge problems: a frame equation plus what rides on it, or a quadrature,
-# with state0 at the base node.  local(xi, delta) solves it on a batch of
-# edges, given the coefficient at every sample point (entries, points,
-# edges; its own to overwrite) and each edge's RK4 substep, and returns the
-# local solutions and the raw determinants of its frame propagators (none
-# for a quadrature); step(state, local) composes one edge into the state.
+# from state0 at the base node.  local(xi, delta) solves one on a batch of
+# edges, given the coefficient at every sample point (entries, points, edges;
+# its own to overwrite) and each edge's RK4 substep, and returns the local
+# solutions and the raw determinants of its propagators (none for a
+# quadrature); step(state, local) composes one edge into the state.  A frame
+# problem states only its start, its `propagators` (from I, divided by
+# sqrt(det); the walk checks the first against EPS_DET), its `passive`
+# integrals (from 0, read by no slope), the `scale` of its samples (times
+# delta), slopes(xi) over a block's scaled samples, and its step;
+# _FrameProblem.local does the rest, and joined(states) is the local solution.
+
+class _FrameProblem:
+    passive = 0
+
+    def local(self, xi, delta):
+        xi *= self.scale * delta
+        start = np.zeros((self.propagators + self.passive, 4, len(delta)), complex)
+        start[:self.propagators, ::3] = 1.0         # entries 00 and 11
+        states = _rk4(start, self.slopes(xi), xi.shape[1], self.passive)
+        dets = _det(states[:self.propagators].swapaxes(0, 1))
+        states[:self.propagators] /= np.sqrt(dets)[:, None]
+        return self.joined(states), dets
+
+    def joined(self, states):
+        return states.reshape(-1, states.shape[2])
+
 
 @dataclass
-class FrameEquation:
+class FrameEquation(_FrameProblem):
     """dPsi = -m xi Psi (LEFT) or dPsi = -m Psi xi (RIGHT), from I."""
 
     coeff: Callable
     m: float
     side: FrameSide = FrameSide.LEFT
     state0 = IDENTITY2.reshape(4)
+    propagators = 1
+    scale = property(lambda self: -self.m)
 
-    def local(self, xi, delta):
-        xi *= -self.m * delta
-
-        def slopes(i, st, out):
-            a, b = (xi[:, i], st[0]) if self.side is FrameSide.LEFT else (st[0], xi[:, i])
-            _mul(a, b, out=out[0])
-
-        p, = _rk4([_identities(len(delta))], slopes, xi.shape[1])
-        return p, _renormalize(p)
+    def slopes(self, xi):
+        if self.side is FrameSide.LEFT:
+            return lambda i, st, out: _mul(xi[:, i], st[0], out=out[0])
+        return lambda i, st, out: _mul(st[0], xi[:, i], out=out[0])
 
     def step(self, state, p):
         return _mul(p, state) if self.side is FrameSide.LEFT else _mul(state, p)
 
 
 @dataclass
-class FrameWithMovedIntegral:
+class FrameWithMovedIntegral(_FrameProblem):
     """The LEFT frame dPsi = -m xi Psi from I and M, the integral of
     Psi^{-1} dPsi = -m Psi^{-1} xi Psi dz from 0.  Per edge, Q sums S^{-1} dS
     RK4-weighted over the propagator's stages S; M grows by Psi^{-1} Q Psi."""
@@ -210,18 +218,14 @@ class FrameWithMovedIntegral:
     coeff: Callable
     m: float
     state0 = np.concatenate((IDENTITY2.reshape(4), np.zeros(4)))
+    propagators, passive = 1, 1                 # P, then Q
+    scale = property(lambda self: -self.m)
 
-    def local(self, xi, delta):
-        xi *= -self.m * delta
-
-        def slopes(i, st, out):         # Q's slope S^{-1} dS does not read Q
+    def slopes(self, xi):
+        def slopes(i, st, out):
             _mul(xi[:, i], st[0], out=out[0])
             _mul(_inv(st[0]), out[0], out=out[1])
-
-        p, q = _rk4([_identities(len(delta)), np.zeros((4, len(delta)), complex)],
-                    slopes, xi.shape[1])
-        dets = _renormalize(p)
-        return np.concatenate((p, q)), dets
+        return slopes
 
     def step(self, state, local):
         psi, moved = state[:4], state[4:]
@@ -230,7 +234,7 @@ class FrameWithMovedIntegral:
 
 
 @dataclass
-class IterationLawFrames:
+class IterationLawFrames(_FrameProblem):
     """The two sides of the iteration law, both from the identity: G =
     F^t_s F_t and F_{t+s}, where dF_t = t F_t xi, dF^t_s = s F^t_s (F_t xi
     F_t^{-1}) and dF_{t+s} = (t+s) F_{t+s} xi.  Across an edge F_t moves by
@@ -242,11 +246,12 @@ class IterationLawFrames:
     t: float
     s: float
     state0 = np.tile(IDENTITY2.reshape(4), 2)
+    propagators = 3                             # P1, P2, P3
+    scale = 1.0                                 # t and t + s enter the slopes
 
-    def local(self, xi, delta):
-        xi *= delta
+    def slopes(self, xi):
         xi_ts = xi * (self.t + self.s)
-        moved = np.empty((4, len(delta)), complex)
+        moved = np.empty((4, xi.shape[2]), complex)
 
         def slopes(i, st, out):
             # u = S delta xi at P1's stage value S: P1's slope is t u, and P2's
@@ -258,10 +263,11 @@ class IterationLawFrames:
             u *= self.t
             _mul(st[1], moved, out=out[1])
             _mul(st[2], xi_ts[:, i], out=out[2])
+        return slopes
 
-        p1, p2, p3 = _rk4([_identities(len(delta)) for _ in range(3)], slopes, xi.shape[1])
-        dets = _renormalize(p1, p2, p3)
-        return np.concatenate((_mul(p2, p1), p3)), dets
+    def joined(self, states):
+        p1, p2, p3 = states
+        return np.concatenate((_mul(p2, p1), p3))
 
     def step(self, state, local):
         return np.concatenate((_mul(state[:4], local[:4]), _mul(state[4:], local[4:])))
@@ -270,32 +276,23 @@ class IterationLawFrames:
 @dataclass
 class _Quadrature:
     """dy = f dz from state0.  f does not depend on y, so RK4 is Simpson's
-    rule on each substep's end and mid points: an edge adds delta (w . f)
-    with w the _simpson_weights of its sample points.  No propagator, so
-    no determinants."""
+    rule on each substep's end and mid points: an edge adds delta (w . f),
+    w = (1, 4, 2, 4, 1) / 6 over its 5 sample points.  No propagator, so no
+    determinants."""
 
     coeff: Callable
     state0: np.ndarray
-    weights: np.ndarray
+    substeps = 2                                # per edge, two Simpson intervals each
 
     def local(self, f, delta):
         # point by point: numpy's sum goes pairwise for a one-edge block
-        out = f[:, 0] * self.weights[0]
-        for j in range(1, len(self.weights)):
-            out += f[:, j] * self.weights[j]
+        out = f[:, 0] * (1.0 / 6.0)
+        for j, w in enumerate((4.0, 2.0, 4.0, 1.0), 1):
+            out += f[:, j] * (w / 6.0)
         return out * delta, np.empty((0, delta.size))
 
     def step(self, state, local):
         return state + local
-
-
-def _simpson_weights(substeps):
-    """Composite Simpson weights over `substeps` (even) intervals of an edge,
-    for a step of two intervals: the edge integral is delta (w . f)."""
-    w = np.ones(substeps + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 6.0
 
 
 def _edge_samples(coeff, z0, z1, substeps):
@@ -406,9 +403,10 @@ def integrate_closed_form(density, grid, *, mask=None):
     over 4 intervals per edge; nodes that cannot be reached through
     unmasked, finite samples are invalid and NaN.
     """
-    tail = np.shape(density(np.array([grid.base_z])))[1:]
-    problem = _Quadrature(density, np.zeros(tail, dtype=complex).ravel(), _simpson_weights(4))
-    out, valid, _ = _walk_staircases(grid, problem, mask, PathOrder.ROW_FIRST, 2)
+    with np.errstate(all="ignore"):     # the base node may be singular, as any node
+        tail = np.shape(density(np.array([grid.base_z])))[1:]
+    problem = _Quadrature(density, np.zeros(tail, dtype=complex).ravel())
+    out, valid, _ = _walk_staircases(grid, problem, mask, PathOrder.ROW_FIRST, problem.substeps)
     return out.reshape(grid.shape + tail), valid
 
 

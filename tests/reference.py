@@ -8,7 +8,7 @@ import numpy as np
 from minksurf.expr import differentiate, evaluate, parse_expr
 from minksurf.fd import central_diff, stencil_valid
 from minksurf.forms import xi_hat_values
-from minksurf.integrate import _edge_samples, _Quadrature, _simpson_weights
+from minksurf.integrate import _edge_samples, _Quadrature
 
 
 def inv2(a):
@@ -74,10 +74,10 @@ def plaquette_residuals(density, grid):
     """Loop integrals of a callable density around every grid cell (closedness check)."""
     zs = grid.zs()
     tail = np.shape(density(zs[0, :1]))[1:]
-    quad = _Quadrature(density, None, _simpson_weights(4))
+    quad = _Quadrature(density, None)
 
-    def edge_integrals(z0, z1):        # 4 Simpson intervals: 2 RK4 substeps
-        local, _ = quad.local(*_edge_samples(density, z0, z1, 2))
+    def edge_integrals(z0, z1):
+        local, _ = quad.local(*_edge_samples(density, z0, z1, quad.substeps))
         return np.moveaxis(local, 0, -1).reshape(z0.shape + tail)
 
     eh = edge_integrals(zs[:, :-1], zs[:, 1:])

@@ -39,6 +39,17 @@ def test_closed_form_keeps_the_density_tail_and_starts_at_zero():
     assert np.max(np.abs(fld - want)) < 1e-13
 
 
+def test_a_density_singular_at_the_base_node_ends_its_paths_quietly():
+    # 1/z at the base node z = 0: the paths end there, without a warning
+    g = DomainGrid.square(1.0, 5)
+    base_only = np.zeros(g.shape, dtype=bool)
+    base_only[g.base_index] = True
+    fld, ok = integrate_closed_form(lambda z: 1 / z, g)
+    assert np.array_equal(ok, base_only) and fld[g.base_index] == 0
+    _fld, ok = integrate_closed_form(lambda z: 1 / z, g, mask=~base_only)
+    assert not ok.any()
+
+
 def test_quadrature_convergence_on_entire_density():
     errs = []
     for n in (11, 21, 41):
@@ -591,13 +602,13 @@ def test_iteration_law_matches_per_node_reference(case):
 # so walking each half on its own moves no bit
 
 def _walk_problems(xi_fn, density):
-    from minksurf.integrate import FrameEquation, _Quadrature, _simpson_weights
+    from minksurf.integrate import FrameEquation, _Quadrature
+    quadrature = _Quadrature(density, np.zeros(4, dtype=complex))
     return {**{f"frame-{side.value}": (FrameEquation(xi_fn, 1.0, side), 4)
                for side in FrameSide},
             "moved-integral": (FrameWithMovedIntegral(xi_fn, 1.0), 4),
             "iteration-law": (IterationLawFrames(xi_fn, 0.5, 0.25), 4),
-            "quadrature": (_Quadrature(density, np.zeros(4, dtype=complex),
-                                       _simpson_weights(4)), 2)}
+            "quadrature": (quadrature, quadrature.substeps)}
 
 
 def _walk_by_halves(grid, problem, mask, order, substeps, together):

@@ -385,7 +385,7 @@ def _rk4_substep_with_slopes(p, k):
     def slopes(i, stages, out):
         out[0][...] = next(given)
 
-    return _rk4([p.copy()], slopes, 3)[0]
+    return _rk4(p[None].copy(), slopes, 3, 0)[0]
 
 
 @FEW
@@ -403,33 +403,38 @@ def test_rk4_keeps_the_bits_of_the_division(ks):
 @st.composite
 def coupled_linear_slopes(draw):
     """Start states and coefficients C_r of one to three coupled (4, edges)
-    states over one to three substeps: state r's slope is C_r S_r, plus
-    S_{r-1} for r > 0, at the stage values S.  Entries of modulus <= 1 keep
-    every value finite, where addition commutes bit for bit (_rk4 sums
-    k1 + 2 k2, the expression 2 k2 + k1)."""
+    states over one to three substeps, the last `passive` of them passive:
+    state r's slope is C_r S_r, plus S_{r-1} for r > 0, at the stage values
+    S, but a passive state's is C_r S at the last other state's stage and
+    reads no stage of its own.  Entries of modulus <= 1 keep every value
+    finite, where addition commutes bit for bit (_rk4 sums k1 + 2 k2, the
+    expression 2 k2 + k1)."""
     count, substeps, edges = (draw(st.integers(1, top)) for top in (3, 3, 5))
     return (draw(hnp.arrays(complex, (count, 4, edges), elements=entry)),
-            draw(hnp.arrays(complex, (count, 4, 2 * substeps + 1, edges), elements=entry)))
+            draw(hnp.arrays(complex, (count, 4, 2 * substeps + 1, edges), elements=entry)),
+            draw(st.integers(0, count - 1)))
 
 
 @FEW
 @given(coupled_linear_slopes())
 def test_rk4_keeps_the_bits_of_the_expression_substeps(problem):
-    states, coeffs = problem
+    states, coeffs, passive = problem
+    active = len(states) - passive
 
     def slopes(i, stages, out):
-        for r, (c, s, o) in enumerate(zip(coeffs, stages, out)):
-            _mul(c[:, i], s, out=o)
-            if r:
+        assert len(stages) == active            # no stage value of a passive state
+        for r, (c, o) in enumerate(zip(coeffs, out)):
+            _mul(c[:, i], stages[min(r, active - 1)], out=o)
+            if 0 < r < active:
                 o += stages[r - 1]
 
     def slopes_expression(i, stages):
-        ks = [_stacked_mul(c[:, i], s) for c, s in zip(coeffs, stages)]
-        return [k + stages[r - 1] if r else k for r, k in enumerate(ks)]
+        ks = [_stacked_mul(c[:, i], stages[min(r, active - 1)]) for r, c in enumerate(coeffs)]
+        return [k + stages[r - 1] if 0 < r < active else k for r, k in enumerate(ks)]
 
-    got = _rk4([s.copy() for s in states], slopes, coeffs.shape[2])
+    got = _rk4(states.copy(), slopes, coeffs.shape[2], passive)
     want = rk4_expression(list(states), slopes_expression, coeffs.shape[2])
-    assert _same_bits(np.stack(got), np.stack(want))
+    assert _same_bits(got, np.stack(want))
 
 
 @st.composite
