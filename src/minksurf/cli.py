@@ -67,7 +67,6 @@ def run(cfg: RunConfig, *, verify_only=False, quiet=False,
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    surface.aux.pop("frame", None)      # verify and the writers never read it: free it
 
     report = verify_surface(surface, tolerances=cfg.tolerances)
     for name, stat in sorted(report.stats.items()):

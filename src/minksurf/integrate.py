@@ -59,10 +59,10 @@ class FrameSide(Enum):
 @dataclass
 class FrameField:
     grid: DomainGrid
-    values: np.ndarray          # (nv, nu, 2, 2) complex
+    values: np.ndarray | None   # (nv, nu, 2, 2) complex; None in a surface's aux["frame"]
     valid: np.ndarray           # (nv, nu) bool
     det_drift: float            # max raw |det P - 1| per unit length of edge
-    coupled: tuple = ()         # further matrices transported with the frame
+    coupled: tuple = ()         # further matrices transported with the frame; () there
 
 
 def _oriented(grid, mask, order):

@@ -20,9 +20,9 @@ The three families:
     x_m moved along its Gauss section: x = x_m + (mu+1)/2 g~.
 
 The T-transform perturbation couples the frame to the quadrature of
-dx_m = -m (Ad_Psi^{-1} xi) applied to the quadric anchor, turning
-quadric surfaces into affine ones without leaving the grid walk; the
-result is assembled as the affine surface of the secondary Gauss map.
+dx_m = -m (Ad_Psi^{-1} xi) applied to the quadric anchor; the result is
+the affine surface of the secondary Gauss map.  Once x is formed, a framed
+factory keeps of its frame only the valid nodes and det_drift (aux["frame"]).
 """
 
 from __future__ import annotations
@@ -238,10 +238,10 @@ def make_quadric_surface(data: SampledData, m, mu) -> SurfaceSample:
     if m == 0:
         raise ValueError("m must be non-zero")
     _check_mu(mu)
-    xi = build_xi(data)
-    frame = solve_psi(xi, m, data.grid)
+    frame = solve_psi(build_xi(data), m, data.grid)
     with np.errstate(all="ignore"):    # a huge mu, phi or x overflows x or the norms
         x = _frame_conjugate(frame.values, np.diag([1.0, -mu]))
+        frame = replace(frame, values=None)   # x is formed: release the whole-grid frame
         g = gauss_lift(data.phi)
         gauss, degenerate = _gauss_section(g, ip31(x, g), np.maximum(enorm(x), 1e-30) * enorm(g))
     mask = frame.valid & data.mask
@@ -308,9 +308,9 @@ def uy_perturb(data: SampledData, m, mu) -> SurfaceSample:
     x = BASE_X + np.stack((m00.real - mu * m11.real, m10.real - mu * m01.real,
                            -mu * m01.imag - m10.imag, m00.real + mu * m11.real), axis=-1)
     del m00, m01, m10, m11
-    frame = replace(frame, values=frame.values.copy(), coupled=())   # frees M's buffer
-
     psi_sec, sec_ok = secondary_gauss(frame, data.phi)
+    frame = replace(frame, values=None, coupled=())   # x and psi are formed: free the walk's buffer
+
     valid = frame.valid & ~dilate_mask(frame.valid & ~sec_ok)
     return _affine_sample(data, x, valid, np.where(sec_ok, psi_sec, 0.0), c_vec,
                           {"mu": mu, "m": m}, aux={"frame": frame, "perturbed": True})
@@ -363,6 +363,7 @@ def make_lw_bryant(psi, eta_hat, m, mu, grid: DomainGrid, *, mask=None):
         for band in (slice(r, r + rows) for r in range(0, grid.nv, rows)):
             gtilde[band] = _frame_conjugate(frame.values[band],
                                             herm_from_vec(gauss_lift(psi_v[band])))
+        frame = replace(frame, values=None)   # x_m and g~ are formed: release the frame
         gtilde /= pole[..., None]
         x = xm + 0.5 * (mu + 1.0) * gtilde
         normal = gtilde - x

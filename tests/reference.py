@@ -7,8 +7,8 @@ import numpy as np
 
 from minksurf.expr import differentiate, evaluate, parse_expr
 from minksurf.fd import central_diff, stencil_valid
-from minksurf.forms import xi_hat_values
-from minksurf.integrate import _edge_samples, _Quadrature
+from minksurf.forms import XiField, xi_hat_values
+from minksurf.integrate import FrameSide, _edge_samples, _Quadrature, solve_psi
 
 
 def inv2(a):
@@ -256,6 +256,16 @@ def h_frame_check(frame, psi, eta_hat, m):
 def _values(e, zs):
     vals, sing = evaluate(e, zs)
     return np.where(sing, np.nan, vals)
+
+
+def lw_frame(psi, eta_hat, m, grid):
+    """make_lw_bryant's frame of the expression texts psi and eta_hat, walked again:
+    the RIGHT frame dPsi = -m Psi xi of their density, usable where both are finite."""
+    psi_e, eta_e = parse_expr(psi), parse_expr(eta_hat)
+    zs = grid.zs()
+    xi = XiField(mask=np.isfinite(_values(psi_e, zs)) & np.isfinite(_values(eta_e, zs)),
+                 fn=lambda z: xi_hat_values(_values(psi_e, z), _values(eta_e, z)))
+    return solve_psi(xi, m, grid, side=FrameSide.RIGHT)
 
 
 def exact_frame(zs, m, a=None):

@@ -245,7 +245,7 @@ def test_criterion_11_frame_equation_duality():
     g = DomainGrid.square(1.0, 81)
     data = sample_data("z", "1", g)
     quadric = make_quadric_surface(data, 1.0, -1.0)
-    frame = quadric.aux["frame"]
+    frame = solve_psi(build_xi(data), 1.0, g)
     psi_vals, ok = secondary_gauss(frame, data.phi)
     _psi2, eta_vals = secondary_form(frame, data)
     lw, _middle = make_lw_bryant(psi_vals, eta_vals, 1.0, -1.0, g,

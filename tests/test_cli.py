@@ -137,26 +137,23 @@ LW = {"kind": "lw-bryant", "mu": -0.5, "m": 1.0}
 @pytest.mark.parametrize("target,data", [({"kind": "quadric-h3", "mu": -1.0, "m": 1.0}, None),
                                          (LW, {"psi": "z", "eta": "0.3"})])
 def test_a_run_drops_the_frame_once_the_surface_is_built(tmp_path, monkeypatch, target, data):
-    seen = {}
+    # the factory keeps of its frame only the valid nodes and the drift
+    built = []
 
     def build(cfg):
-        surface = build_surface(cfg)
-        seen["built"] = sorted(surface.aux)
-        return surface
+        built.append(build_surface(cfg))
+        return built[-1]
 
-    def export(surface, *args, **kwargs):
-        seen["exported"] = sorted(surface.aux)
-        return export_mesh(surface, *args, **kwargs)
-
-    build_surface, export_mesh = cli._build_surface, cli.export_mesh
+    build_surface = cli._build_surface
     monkeypatch.setattr(cli, "_build_surface", build)
-    monkeypatch.setattr(cli, "export_mesh", export)
     doc = _base_config(tmp_path, target=target)
     doc["domain"].update(re_min=-0.6, re_max=0.6, im_min=-0.6, im_max=0.6, nu=81, nv=81)
     if data:
         doc["data"] = data
     assert main(["run", _write(tmp_path, doc), "--quiet"]) == EXIT_OK
-    assert "frame" in seen["built"] and "frame" not in seen["exported"]
+    frame = built[0].aux["frame"]
+    assert frame.values is None and frame.coupled == ()
+    assert frame.valid.shape == (81, 81) and math.isfinite(frame.det_drift)
 
 
 @pytest.mark.parametrize("data, target, message", [

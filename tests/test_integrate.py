@@ -5,12 +5,11 @@ import pytest
 
 from minksurf.domain import DomainGrid, sample_data
 from minksurf.forms import build_xi
-from minksurf.surfaces import make_lw_bryant
 from minksurf.integrate import (FrameSide, FrameWithMovedIntegral, IterationLawFrames,
                                 PathOrder, integrate_closed_form, iteration_law_defect,
                                 path_independence_check, solve_path_system, solve_psi)
-from reference import (exact_frame, inv2, mobius_data, mobius_pole, plaquette_residuals,
-                       vec_density_from_matrix)
+from reference import (exact_frame, inv2, lw_frame, mobius_data, mobius_pole,
+                       plaquette_residuals, vec_density_from_matrix)
 
 
 def test_constant_density_integrates_linearly():
@@ -254,10 +253,10 @@ def test_lw_frame_of_z_and_1_is_the_exact_right_frame():
     # make_lw_bryant walks dPsi = -m Psi xi with the density of (psi, eta) = (z, 1);
     # measured 8.36e-11 at 81^2, the RIGHT error above at m = 2
     g = DomainGrid.square(1.0, 81)
-    surface, _middle = make_lw_bryant("z", "1", 2.0, -0.5, g)
+    frame = lw_frame("z", "1", 2.0, g)
     want = inv2(exact_frame(g.zs(), -2.0))
-    assert surface.aux["frame"].valid.all()
-    error = np.max(np.abs(surface.aux["frame"].values - want)) / np.max(np.abs(want))
+    assert frame.valid.all()
+    error = np.max(np.abs(frame.values - want)) / np.max(np.abs(want))
     assert error <= 2 * 8.36e-11
 
 
@@ -313,7 +312,7 @@ def test_a_pole_next_to_a_node_ends_the_frame_walk(pole, masked):
     data = sample_data(f"1/(z - {pole})", "1", g)
     assert data.mask.all()
     surface = make_quadric_surface(data, 1.0, -1.0)
-    frame = surface.aux["frame"]
+    frame = solve_psi(build_xi(data), 1.0, g)
     # the base is the top right corner: the pole's column is cut below the pole
     cut = g.zs()[~frame.valid]
     assert len(cut) == masked and np.allclose(cut.real, 0.3) and np.all(cut.imag <= 0.0)
@@ -370,8 +369,9 @@ def test_bits_do_not_depend_on_the_edge_block(monkeypatch):
         frames = [solve_psi(xi, 1.0, g, side=side, order=order)
                   for side in FrameSide for order in PathOrder]
         uy = uy_perturb(data, 1.0, -1.0)
+        moved = solve_path_system(g, FrameWithMovedIntegral(xi.fn, 1.0), mask=xi.mask)
         law = solve_path_system(g, IterationLawFrames(xi.fn, 0.5, 0.25), mask=xi.mask)
-        frames += [uy.aux["frame"], law]
+        frames += [moved, law]
         affine = make_affine_surface(data, E0)
         return ([f.values for f in frames] + list(law.coupled) + [uy.x, affine.x],
                 [f.valid for f in frames], [f.det_drift for f in frames])
@@ -543,7 +543,7 @@ def test_uy_perturb_matches_per_node_reference(case):
         return [-m * h * (c @ psi), dens * h]
 
     surface = uy_perturb(data, m, mu)
-    frame = surface.aux["frame"]
+    frame = solve_path_system(g, FrameWithMovedIntegral(xi.fn, m), mask=xi.mask)
     (psi, integral), valid, _ = _staircase_reference(
         g, deriv, [np.eye(2), np.zeros(4)], 1, mask=xi.mask)
     _assert_matches(frame.values, psi, frame.valid, valid)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 from minksurf import surfaces
 from minksurf.domain import BasePointMaskedError, DomainGrid, dilate_mask, sample_data
 from minksurf.fd import central_diff, stencil_valid
-from minksurf.integrate import FrameField
+from minksurf.forms import build_xi
+from minksurf.integrate import FrameField, solve_psi
 from minksurf.minkowski import E0, E1, E3, ip31
 from minksurf.surfaces import (BASE_X, GeometryKind, TargetGeometry, gauss_lift,
                                make_affine_surface, make_lw_bryant,
                                make_quadric_surface, quadric_kind_for,
                                secondary_form, secondary_gauss, uy_perturb)
 from minksurf.verify import verify_surface
-from reference import (exact_frame, h_frame_check, mobius_data, mobius_pole,
+from reference import (exact_frame, h_frame_check, lw_frame, mobius_data, mobius_pole,
                        secondary_form_by_conjugation, vec_from_herm_unchecked)
 
 
@@ -231,6 +233,33 @@ def test_uy_hyperplane_and_kind():
         assert np.nanmax(np.abs(lev - lev[g.base_index])[s.mask]) < 1e-9
 
 
+FRAMED_BUILDS = {
+    "quadric-h3": lambda data: [make_quadric_surface(data, 1.0, -1.0)],
+    "quadric-lightcone": lambda data: [make_quadric_surface(data, 1.0, 0.0)],
+    "quadric-desitter": lambda data: [make_quadric_surface(data, 1.0, 1.0)],
+    "uy_perturb": lambda data: [uy_perturb(data, 1.0, -1.0)],
+    "lw-bryant": lambda data: list(make_lw_bryant("z", "1 + 0.1*z^2", 1.0, -0.5, data.grid)),
+}
+
+
+@pytest.mark.parametrize("build", FRAMED_BUILDS.values(), ids=FRAMED_BUILDS.keys())
+def test_a_built_surface_holds_no_frame_values(build):
+    # of its frame a surface keeps only the valid nodes and the drift; the
+    # frame's values (64 B per node) are released once x is formed
+    data = sample_data("z", "1 + 0.1*z^2", DomainGrid.square(1.0, 81))
+    build(data)                    # a first build allocates caches that stay
+    tracemalloc.start()
+    try:
+        built = build(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a): a for s in built for a in (s.x, s.gauss, s.normal, s.mask,
+                                                 s.aux["frame"].valid) if a is not None}
+    assert held <= sum(a.nbytes for a in arrays.values()) + 16 * 1024
+    assert all(np.isfinite(s.aux["frame"].det_drift) for s in built)
+
+
 def test_uy_keeps_reachable_nodes_next_to_unreachable_ones():
     # a critical point of phi on the base row cuts off part of the grid; only
     # Moebius-denominator failures get a ring, the unreachable nodes do not
@@ -284,8 +313,7 @@ def test_secondary_gauss_is_holomorphic():
     for n in (21, 41):
         g = DomainGrid.square(1.0, n)
         data = sample_data("z", "1", g)
-        q = make_quadric_surface(data, 1.0, -1.0)
-        psi, ok = secondary_gauss(q.aux["frame"], data.phi)
+        psi, ok = secondary_gauss(solve_psi(build_xi(data), 1.0, g), data.phi)
         du_ = central_diff(psi, g.du, axis=1)
         dv_ = central_diff(psi, g.dv, axis=0)
         cr = du_ + 1j * dv_  # d/dx + i d/dy kills holomorphic samples
@@ -298,9 +326,9 @@ def test_secondary_gauss_is_holomorphic():
 def test_secondary_form_consistent_with_gauss():
     g = DomainGrid.square(1.0, 15)
     data = sample_data("z", "1", g)
-    q = make_quadric_surface(data, 1.0, -1.0)
-    psi_a, ok = secondary_gauss(q.aux["frame"], data.phi)
-    psi_b, eta = secondary_form(q.aux["frame"], data)
+    frame = solve_psi(build_xi(data), 1.0, g)
+    psi_a, ok = secondary_gauss(frame, data.phi)
+    psi_b, eta = secondary_form(frame, data)
     assert np.nanmax(np.abs(psi_a - psi_b)[ok]) < 1e-10
     assert np.isfinite(eta[ok]).all()
 
@@ -311,7 +339,7 @@ def test_secondary_form_consistent_with_gauss():
 ])
 def test_secondary_form_matches_full_conjugation(phi, omega):
     data = sample_data(phi, omega, DomainGrid.square(1.0, 41))
-    frame = make_quadric_surface(data, 1.0, -1.0).aux["frame"]
+    frame = solve_psi(build_xi(data), 1.0, data.grid)
     assert frame.valid.all() == (phi == "z")
     for got, want in zip(secondary_form(frame, data), secondary_form_by_conjugation(frame, data)):
         assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -344,9 +372,9 @@ def test_small_mu_with_a_finite_reciprocal_builds_without_warnings():
 
 def test_lw_psi_zero_gives_hyperbolic_unit():
     g = DomainGrid.square(1.0, 15)
+    psi_m = lw_frame("0", "1", 1.0, g).values
     for mu in (-1.0, -0.5, 0.0, 0.5):
         s, mid = make_lw_bryant("0", "1", 1.0, mu, g)
-        psi_m = s.aux["frame"].values
         psi_star = np.conj(np.swapaxes(psi_m, -1, -2))
         direct = psi_m @ psi_star
         assert np.nanmax(np.abs(s.x - vec_from_herm_unchecked(direct))[s.mask]) < 1e-12
@@ -356,7 +384,7 @@ def test_lw_psi_zero_gives_hyperbolic_unit():
 def test_lw_mu_minus_one_is_frame_square():
     g = DomainGrid.square(1.0, 15)
     s, _mid = make_lw_bryant("z", "0.3", 1.0, -1.0, g)
-    psi_m = s.aux["frame"].values
+    psi_m = lw_frame("z", "0.3", 1.0, g).values
     psi_star = np.conj(np.swapaxes(psi_m, -1, -2))
     expect = vec_from_herm_unchecked(psi_m @ psi_star)
     assert np.nanmax(np.abs(s.x - expect)[s.mask]) < 1e-12
@@ -369,6 +397,7 @@ def test_lw_middle_sphere_relation():
     g = DomainGrid.square(0.8, 21)
     psi = g.zs()
     r2 = np.abs(psi) ** 2
+    psi_m = lw_frame("z", "0.3", 1.0, g).values
     for mu in (-0.5, 0.0, 0.5):
         s, mid = make_lw_bryant("z", "0.3", 1.0, mu, g)
         inner = np.empty(g.shape + (2, 2), dtype=complex)
@@ -376,7 +405,6 @@ def test_lw_middle_sphere_relation():
         inner[..., 0, 1] = (mu + 1.0) * psi
         inner[..., 1, 0] = (mu + 1.0) * np.conj(psi)
         inner[..., 1, 1] = 1.0 + mu ** 2 * r2
-        psi_m = s.aux["frame"].values
         direct = psi_m @ inner @ np.conj(np.swapaxes(psi_m, -1, -2))
         expect = vec_from_herm_unchecked(direct) / (1.0 - mu * r2)[..., None]
         assert np.nanmax(np.abs(s.x - expect)[s.mask]) < 1e-12
@@ -421,10 +449,11 @@ def test_lw_rejects_zero_m():
 def test_h_frame_check_small_and_det_one():
     g = DomainGrid.square(0.8, 41)
     s, _ = make_lw_bryant("z", "0.3", 1.0, -0.5, g)
-    res = h_frame_check(s.aux["frame"], "z", "0.3", 1.0)
+    frame = lw_frame("z", "0.3", 1.0, g)
+    res = h_frame_check(frame, "z", "0.3", 1.0)
     assert res < 5e-4
     # the companion matrix has unit determinant by construction
-    psi_m = s.aux["frame"].values
+    psi_m = frame.values
     hmat = np.zeros_like(psi_m)
     hmat[..., 0, 0] = 1j * g.zs()
     hmat[..., 0, 1] = 1j
@@ -438,16 +467,13 @@ def test_h_frame_residual_refines_quadratically():
     res = []
     for n in (21, 41):
         g = DomainGrid.square(0.8, n)
-        s, _ = make_lw_bryant("z", "0.3", 1.0, 0.0, g)
-        res.append(h_frame_check(s.aux["frame"], "z", "0.3", 1.0))
+        res.append(h_frame_check(lw_frame("z", "0.3", 1.0, g), "z", "0.3", 1.0))
     assert res[1] < 0.35 * res[0]
 
 
 def test_h_frame_psi_zero_lower_left():
     g = DomainGrid.square(1.0, 21)
-    s, _ = make_lw_bryant("0", "1", 1.0, -1.0, g)
-    frame = s.aux["frame"]
-    psi_m = frame.values
+    psi_m = lw_frame("0", "1", 1.0, g).values
     hmat = np.zeros_like(psi_m)
     hmat[..., 0, 1] = 1j
     hmat[..., 1, 0] = 1j
